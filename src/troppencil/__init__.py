@@ -32,7 +32,6 @@ from .trees import (
     embed,
     line_contains,
     plucker_to_tree,
-    splits,
     tree_to_plucker,
 )
 from .pencil import (

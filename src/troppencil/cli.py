@@ -13,7 +13,7 @@ import json
 import sys
 from itertools import islice
 
-from . import compat, jsonio, oracle, pencil, stable, svg
+from . import compat, jsonio, oracle, pencil, plane, stable, svg, trees
 from .core import TropError
 from .jsonio import MalformedInput
 from .subdivision import dual_curve, is_maximal, regular_subdivision
@@ -82,9 +82,8 @@ def cmd_stable_pencil(args):
     obj = _read_input(args)
     A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
     C = jsonio.config_from_json(jsonio._expect(obj, "configuration", dict))
-    verdict = stable.is_general(A, C)
-    p = stable.plucker_of_config(A, C)
-    L = stable.stable_pencil(A, C)
+    verdict, p = stable.solve_minors(A, C)
+    L = trees.plucker_to_tree(p)
     if args.oracle:
         twin = oracle.perturbed_pencil(A, C, seed=args.seed)
         if twin != L:
@@ -105,7 +104,7 @@ def cmd_fixed_locus(args):
     A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
     L = jsonio.line_from_json(jsonio._expect(obj, "line", dict))
     cells = pencil.fixed_locus(L, A)
-    pieces = pencil.fixed_locus_pieces(L, A)
+    pieces = plane.canonical_pieces([c.geometry for c in cells])
     _write_svg(args, svg.pieces_svg(pieces))
     _write(
         args,

@@ -28,8 +28,18 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .core import ProjPoint, SupportSet, TropError, dot, min_profile, orient2d
+from .core import (
+    ProjPoint,
+    SupportSet,
+    TropError,
+    between,
+    component_count,
+    dot,
+    min_profile,
+    orient2d,
+)
 from .pencil import LinePoint, coords_at
+from .stable import solve_minors
 from .subdivision import (
     RegularSubdivision,
     cell_dual_point,
@@ -37,7 +47,7 @@ from .subdivision import (
     regular_subdivision,
     secondary_cone_contains,
 )
-from .trees import EmbeddedLine, TreeTopology, embed
+from .trees import EmbeddedLine, TreeTopology, embed, plucker_to_tree
 
 
 @dataclass(frozen=True)
@@ -75,21 +85,11 @@ def _segment_is_edge(p, q, r, s) -> bool:
     o_s = orient2d(p, q, s)
     if o_r * o_s < 0:
         return False
-    if o_r == 0 and _strictly_within(p, r, q):
+    if o_r == 0 and r not in (p, q) and between(p, r, q):
         return False
-    if o_s == 0 and _strictly_within(p, s, q):
+    if o_s == 0 and s not in (p, q) and between(p, s, q):
         return False
     return True
-
-
-def _strictly_within(p, m, q) -> bool:
-    """m strictly inside the segment [p, q]; assumes m collinear with p, q."""
-    return (
-        m != p
-        and m != q
-        and min(p[0], q[0]) <= m[0] <= max(p[0], q[0])
-        and min(p[1], q[1]) <= m[1] <= max(p[1], q[1])
-    )
 
 
 @lru_cache(maxsize=65536)
@@ -161,12 +161,11 @@ def vertex_fixed_points(L: EmbeddedLine, A: SupportSet) -> dict:
 def construct_configuration(L: EmbeddedLine, A: SupportSet) -> list:
     """The general configuration whose stable pencil is L (one point per
     trivalent vertex).  Self-verifies generality and the round trip."""
-    from .stable import is_general, stable_pencil
-
     points = list(vertex_fixed_points(L, A).values())
-    if not is_general(A, points):
+    verdict, p = solve_minors(A, points)
+    if not verdict:
         raise TropError("verification failed: configuration is not general")
-    if stable_pencil(A, points) != L:
+    if plucker_to_tree(p) != L:
         raise TropError("verification failed: stable pencil differs from input")
     return points
 
@@ -190,17 +189,7 @@ class SupportGraph:
         nodes = [("w", w) for w in self.vertex_ids] + [
             ("a", l) for l in range(1, self.n + 1)
         ]
-        parent = {nd: nd for nd in nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for w, l in self.edges:
-            parent[find(("w", w))] = find(("a", l))
-        return len({find(nd) for nd in nodes})
+        return component_count(nodes, ((("w", w), ("a", l)) for w, l in self.edges))
 
     def is_forest(self) -> bool:
         # genus = |E| - |V| + components
@@ -278,20 +267,20 @@ def iter_types(n: int):
     yield from _grow_types(n, 4, seed)
 
 
-@lru_cache(maxsize=8)
-def _types_cached(n: int) -> tuple:
-    return tuple(iter_types(n))
+_TYPES = {}  # n -> tuple of every type, for the small n used interactively
 
 
 def enumerate_types(n: int) -> list:
-    """iter_types as a list; cached for the small n used interactively."""
-    if n <= 8:
-        return list(_types_cached(n))
-    return list(iter_types(n))
+    """iter_types as a list; cached for n <= 8."""
+    if n > 8:
+        return list(iter_types(n))
+    if n not in _TYPES:
+        _TYPES[n] = tuple(iter_types(n))
+    return list(_TYPES[n])
 
 
 def count_compatible(A: SupportSet) -> int:
-    source = _types_cached(A.n) if A.n <= 8 else iter_types(A.n)
+    source = enumerate_types(A.n) if A.n <= 8 else iter_types(A.n)
     return sum(1 for T in source if is_compatible(T, A))
 
 

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
 class TropError(Exception):
     """Base class for domain errors raised by this package."""
-
-
-Rational = Fraction
 
 
 def rat(x) -> Fraction:
@@ -179,16 +177,39 @@ def _spans_plane(pts) -> bool:
     return False
 
 
-def primitive(vec) -> tuple:
-    """Scale an integer vector to a primitive one (gcd of entries is 1)."""
-    from math import gcd
+def between(p, q, r) -> bool:
+    """q within the closed segment [p, r] (assumes collinear)."""
+    return (
+        min(p[0], r[0]) <= q[0] <= max(p[0], r[0])
+        and min(p[1], r[1]) <= q[1] <= max(p[1], r[1])
+    )
 
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(int(v)))
+
+def component_count(nodes, links) -> int:
+    """Connected components of the graph on `nodes` with edges `links`."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in links:
+        parent[find(x)] = find(y)
+    return len({find(x) for x in parent})
+
+
+def primitive(vec) -> tuple:
+    """The primitive integer vector (gcd of entries 1) pointing along a
+    nonzero rational vector: clear denominators, then divide by the gcd."""
+    vec = [rat(v) for v in vec]
+    den = lcm(*(v.denominator for v in vec))
+    ints = [int(v * den) for v in vec]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(int(v) // g for v in vec)
+    return tuple(v // g for v in ints)
 
 
 def rational_to_json(x: Fraction):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import plane
-from .core import ProjPoint, SupportSet, TropError, dot, min_profile, rat
+from .core import ProjPoint, SupportSet, TropError, component_count, dot, min_profile, rat
 from .trees import EmbeddedLine
 
 
@@ -78,13 +78,9 @@ def skeleton_level(G: EmbeddedLine) -> int:
     return level
 
 
-def line_in_pi(G: EmbeddedLine, t: int = 2) -> bool:
-    return skeleton_level(G) >= t
-
-
 def is_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:
     """True iff every curve of the pencil L passes through P."""
-    return line_in_pi(shifted_line(L, A, P), 2)
+    return skeleton_level(shifted_line(L, A, P)) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +103,7 @@ def make_point(G: EmbeddedLine, kind: str, loc, t=None) -> LinePoint:
         return LinePoint("vertex", loc)
     t = rat(t)
     if kind == "edge":
-        a, b, side, ell = _edge_data(G, loc)
+        a, b, side, ell = G.edge(loc)
         if t == 0:
             return LinePoint("vertex", a)
         if t == ell:
@@ -124,19 +120,12 @@ def make_point(G: EmbeddedLine, kind: str, loc, t=None) -> LinePoint:
     raise ValueError(f"unknown point kind {kind!r}")
 
 
-def _edge_data(G: EmbeddedLine, key):
-    for a, b, side, ell in G.edges:
-        if (a, b) == tuple(key):
-            return a, b, side, ell
-    raise KeyError(f"no internal edge {key}")
-
-
 def coords_at(G: EmbeddedLine, p: LinePoint) -> tuple:
     """Raw coordinates of a line point."""
     if p.kind == "vertex":
         return G.coords[p.loc]
     if p.kind == "edge":
-        a, b, side, ell = _edge_data(G, p.loc)
+        a, b, side, ell = G.edge(p.loc)
         q = G.coords[a]
         return tuple(q[i] + (p.t if i + 1 in side else 0) for i in range(G.n))
     v, leaf = p.loc
@@ -164,7 +153,7 @@ class SubtreeSet:
         verts = set(vertices)
         eiv = {}
         for key, (lo, hi) in (edge_iv or {}).items():
-            a, b, side, ell = _edge_data(line, key)
+            a, b, side, ell = line.edge(key)
             lo, hi = max(lo, Fraction(0)), min(hi, ell)
             if lo > hi:
                 continue
@@ -245,32 +234,20 @@ class SubtreeSet:
         return self.boundary_points()
 
     def component_count(self) -> int:
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent[find(x)] = find(y)
-
         items = [("v", v) for v in self.vertices]
         items += [("e", k) for k in self.edge_iv]
         items += [("r", k) for k in self.ray_iv]
-        for it in items:
-            parent[it] = it
+        links = []
         for key, (lo, hi) in self.edge_iv.items():
-            a, b, side, ell = _edge_data(self.line, key)
+            a, b, side, ell = self.line.edge(key)
             if lo == 0 and a in self.vertices:
-                union(("e", key), ("v", a))
+                links.append((("e", key), ("v", a)))
             if hi == ell and b in self.vertices:
-                union(("e", key), ("v", b))
+                links.append((("e", key), ("v", b)))
         for key, (lo, hi) in self.ray_iv.items():
             if lo == 0 and key[0] in self.vertices:
-                union(("r", key), ("v", key[0]))
-        return len({find(it) for it in items})
+                links.append((("r", key), ("v", key[0])))
+        return component_count(items, links)
 
     def intersection(self, other: "SubtreeSet") -> "SubtreeSet":
         verts = self.vertices & other.vertices
@@ -365,7 +342,7 @@ def _hang(G: EmbeddedLine, start: int, avoid: int) -> SubtreeSet:
             seen.add(w)
             verts.add(w)
             key = (v, w) if v < w else (w, v)
-            eiv[key] = (Fraction(0), _edge_data(G, key)[3])
+            eiv[key] = (Fraction(0), G.edge(key)[3])
             stack.append(w)
     return SubtreeSet(G, verts, eiv, riv)
 
@@ -406,11 +383,11 @@ def branches_at(G: EmbeddedLine, p: LinePoint) -> list:
                 out.append((frozenset((w,)), br))
             else:
                 key = (v, w) if v < w else (w, v)
-                edge = SubtreeSet(G, {v}, {key: (Fraction(0), _edge_data(G, key)[3])}, {})
+                edge = SubtreeSet(G, {v}, {key: (Fraction(0), G.edge(key)[3])}, {})
                 out.append((topo.leaves_beyond(v, w), _union(G, [edge, _hang(G, w, v)])))
         return out
     if p.kind == "edge":
-        a, b, side, ell = _edge_data(G, p.loc)
+        a, b, side, ell = G.edge(p.loc)
         lowpart = SubtreeSet(G, set(), {(a, b): (Fraction(0), p.t)}, {})
         highpart = SubtreeSet(G, set(), {(a, b): (p.t, ell)}, {})
         out.append((topo.leaves_beyond(b, a), _union(G, [lowpart, _hang(G, a, b)])))
@@ -469,7 +446,7 @@ def subtree_spanning(G: EmbeddedLine, I) -> SubtreeSet:
         verts.update(path)
         for a, b in zip(path, path[1:]):
             key = (a, b) if a < b else (b, a)
-            eiv[key] = (Fraction(0), _edge_data(G, key)[3])
+            eiv[key] = (Fraction(0), G.edge(key)[3])
     verts.update(topo.node_of_leaf(i) for i in I)
     return SubtreeSet(G, verts, eiv, riv)
 
@@ -482,7 +459,7 @@ def pi_gamma(G: EmbeddedLine) -> ProjPoint:
 
 
 def pi_gamma_location(G: EmbeddedLine) -> LinePoint:
-    if not line_in_pi(G, 2):
+    if skeleton_level(G) < 2:
         raise TropError("line not in Pi_2")
     imax = [i for i in range(1, G.n + 1) if not pi_set(G, {i}).is_empty()]
     p = pi_attachment(G, imax)

@@ -167,16 +167,22 @@ def is_general(A: SupportSet, config) -> GeneralityVerdict:
     return GeneralityVerdict(True, None)
 
 
+def solve_minors(A: SupportSet, config) -> tuple:
+    """(GeneralityVerdict, PlueckerVector) from one solve of every maximal
+    minor; is_general alone stops at the first singular pair instead."""
+    M = value_matrix(A, config)
+    values, singular = {}, None
+    for i, j in combinations(A.indices(), 2):
+        res = minor_tropdet(M, A.n, i, j)
+        values[(i, j)] = res.value
+        if singular is None and not res.unique:
+            singular = (i, j)
+    return GeneralityVerdict(singular is None, singular), PlueckerVector(A.n, values)
+
+
 def plucker_of_config(A: SupportSet, config) -> PlueckerVector:
     """Pair coordinates of the stable pencil: p_ij = tropdet of minor (i, j)."""
-    M = value_matrix(A, config)
-    return PlueckerVector(
-        A.n,
-        {
-            (i, j): minor_tropdet(M, A.n, i, j).value
-            for i, j in combinations(A.indices(), 2)
-        },
-    )
+    return solve_minors(A, config)[1]
 
 
 def stable_pencil(A: SupportSet, config) -> EmbeddedLine:

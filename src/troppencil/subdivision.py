@@ -22,6 +22,7 @@ from .core import (
     ProjPoint,
     SupportSet,
     TropError,
+    between,
     dot,
     min_profile,
     orient2d,
@@ -176,18 +177,10 @@ def _cell_faces(A: SupportSet, cell) -> list:
         on = [
             m
             for m in cell
-            if orient2d(pts[a], pts[b], pts[m]) == 0 and _between(pts[a], pts[m], pts[b])
+            if orient2d(pts[a], pts[b], pts[m]) == 0 and between(pts[a], pts[m], pts[b])
         ]
         faces.append(tuple(sorted(on)))
     return faces
-
-
-def _between(p, q, r) -> bool:
-    """q within the closed segment [p, r] (assumes collinear)."""
-    return (
-        min(p[0], r[0]) <= q[0] <= max(p[0], r[0])
-        and min(p[1], r[1]) <= q[1] <= max(p[1], r[1])
-    )
 
 
 def _hull_vertices(ids, pts) -> list:

@@ -39,13 +39,18 @@ def _coerce(x):
 
 class TreeTopology:
     """A leaf-labelled tree: leaves 1..n, internal node ids above n,
-    every internal node of valence >= 3 (no 2-valent nodes)."""
+    every internal node of valence >= 3 (no 2-valent nodes).
 
-    __slots__ = ("n", "adj")
+    Neighbours are kept as sorted tuples, and leaf sets as int bitmasks
+    (bit i for leaf i) worked out once, on first use; enumerations keep
+    thousands of topologies alive, so both stay small."""
+
+    __slots__ = ("n", "adj", "_below_masks")
 
     def __init__(self, n: int, adj: dict):
         self.n = n
-        self.adj = {v: frozenset(nb) for v, nb in adj.items()}
+        self.adj = {v: tuple(sorted(set(nb))) for v, nb in adj.items()}
+        self._below_masks = None
         self._validate()
 
     def _validate(self):
@@ -100,20 +105,37 @@ class TreeTopology:
         (v,) = self.adj[i]
         return v
 
+    def _below(self) -> dict:
+        """Per internal node v, the leaves below v when the tree hangs from
+        the node next to leaf 1.  Every edge separates the leaves below its
+        lower end from the rest, so this one walk answers leaves_beyond."""
+        if self._below_masks is None:
+            root = self.node_of_leaf(1)
+            parent, order = {root: None}, [root]
+            for v in order:
+                for w in self.adj[v]:
+                    if w not in parent:
+                        parent[w] = v
+                        order.append(w)
+            below = {}
+            for v in reversed(order):
+                if not self.is_leaf(v):
+                    below[v] = sum(below.get(w, 1 << w) for w in self.adj[v] if w != parent[v])
+            self._below_masks = below
+        return self._below_masks
+
+    def _mask_beyond(self, a: int, b: int) -> int:
+        below = self._below()
+        ma, mb = below.get(a, 1 << a), below.get(b, 1 << b)
+        # the lower end of the edge holds the smaller, nested leaf set
+        return mb if mb < ma else ((1 << (self.n + 1)) - 2) ^ ma
+
+    def _leaves(self, mask: int) -> frozenset:
+        return frozenset(i for i in range(1, self.n + 1) if mask >> i & 1)
+
     def leaves_beyond(self, a: int, b: int) -> frozenset:
         """Leaves in the component of b after removing the edge (a, b)."""
-        seen = {a, b}
-        stack = [b]
-        leaves = set()
-        while stack:
-            v = stack.pop()
-            if self.is_leaf(v):
-                leaves.add(v)
-            for w in self.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(leaves)
+        return self._leaves(self._mask_beyond(a, b))
 
     def leaf_partition(self, v: int) -> list:
         """Leaf sets of the components of the tree minus the node v."""
@@ -142,28 +164,31 @@ class TreeTopology:
         (m,) = common
         return m
 
+    def _split_masks(self) -> dict:
+        """Per internal edge (a, b), the bitmask of its side without leaf n."""
+        out = {}
+        for a, b in self.internal_edges:
+            m = self._mask_beyond(a, b)
+            out[(a, b)] = self._mask_beyond(b, a) if m >> self.n & 1 else m
+        return out
+
     def splits(self) -> list:
         """One (edge, I) per internal edge; I is the side without leaf n."""
-        out = []
-        for a, b in self.internal_edges:
-            side = self.leaves_beyond(a, b)
-            if self.n in side:
-                side = self.leaves_beyond(b, a)
-            out.append(((a, b), side))
+        out = [(e, self._leaves(m)) for e, m in self._split_masks().items()]
         return sorted(out, key=lambda e: (len(e[1]), sorted(e[1])))
 
     def split_set(self) -> frozenset:
-        return frozenset(side for _, side in self.splits())
+        return frozenset(self._leaves(m) for m in self._split_masks().values())
 
     def __eq__(self, other):
         return (
             isinstance(other, TreeTopology)
             and self.n == other.n
-            and self.split_set() == other.split_set()
+            and set(self._split_masks().values()) == set(other._split_masks().values())
         )
 
     def __hash__(self):
-        return hash((self.n, self.split_set()))
+        return hash((self.n, frozenset(self._split_masks().values())))
 
     def __repr__(self):
         parts = ["{%s}" % ",".join(map(str, sorted(s))) for s in sorted(self.split_set(), key=sorted)]
@@ -216,7 +241,9 @@ class EmbeddedLine:
     """A tropical line: topology plus one consistent raw coordinate lift.
 
     For every internal edge (a, b), coords(b) - coords(a) equals
-    length * e_I where I = leaves beyond b; lengths are positive.
+    length * e_I where I = leaves beyond b; lengths are positive.  The
+    edges are derived and checked once, in the constructor, and kept in a
+    dict keyed by (a, b); translates share them.
     """
 
     __slots__ = ("topology", "coords", "_edges")
@@ -229,7 +256,7 @@ class EmbeddedLine:
         for cs in self.coords.values():
             if len(cs) != topology.n:
                 raise ValueError("coordinate vectors must have one entry per leaf")
-        self._edges = []
+        self._edges = {}
         for a, b in topology.internal_edges:
             side = topology.leaves_beyond(a, b)
             delta = [cb - ca for ca, cb in zip(self.coords[a], self.coords[b])]
@@ -241,7 +268,7 @@ class EmbeddedLine:
             ell = next(iter(on)) - next(iter(off))
             if not ell > 0:
                 raise ValueError("non-positive length")
-            self._edges.append((a, b, side, ell))
+            self._edges[(a, b)] = (a, b, side, ell)
 
     @property
     def n(self) -> int:
@@ -250,35 +277,31 @@ class EmbeddedLine:
     @property
     def edges(self) -> list:
         """(a, b, leaves-beyond-b, length) per internal edge, a < b."""
-        return list(self._edges)
+        return list(self._edges.values())
+
+    def edge(self, key) -> tuple:
+        """(a, b, leaves-beyond-b, length) of the internal edge key = (a, b), a < b."""
+        return self._edges[key]
 
     @property
     def rays(self) -> list:
         """(internal node, leaf) per unbounded edge."""
         return sorted((self.topology.node_of_leaf(i), i) for i in range(1, self.n + 1))
 
-    def raw(self, v: int) -> tuple:
-        return self.coords[v]
-
-    def vertex_point(self, v: int) -> ProjPoint:
-        return ProjPoint(self.coords[v])
-
     def edge_lengths(self) -> dict:
         """Lattice length per split (keyed by the side without leaf n)."""
-        out = {}
-        for a, b, side, ell in self._edges:
-            if self.n in side:
-                side = frozenset(range(1, self.n + 1)) - side
-            out[side] = ell
-        return out
+        return {side: self._edges[e][3] for e, side in self.topology.splits()}
 
     def translate(self, shift) -> "EmbeddedLine":
-        """The line translated by a vector of TP^(n-1)."""
+        """The line translated by a vector of TP^(n-1).  Edge directions
+        and lengths do not change, so the translate shares them."""
         shift = tuple(_coerce(s) for s in shift)
-        return EmbeddedLine(
-            self.topology,
-            {v: tuple(c + s for c, s in zip(cs, shift)) for v, cs in self.coords.items()},
-        )
+        if len(shift) != self.n:
+            raise ValueError("shift must have one entry per leaf")
+        out = object.__new__(EmbeddedLine)
+        out.topology, out._edges = self.topology, self._edges
+        out.coords = {v: tuple(c + s for c, s in zip(cs, shift)) for v, cs in self.coords.items()}
+        return out
 
     def canonical_key(self):
         """Hashable invariant: equal keys iff equal lines (as subsets of
@@ -314,14 +337,9 @@ def embed(topology: TreeTopology, lengths, anchor_node: int, anchor_coords) -> E
     if isinstance(anchor_coords, ProjPoint):
         anchor_coords = anchor_coords.coords
     coords = {anchor_node: tuple(_coerce(c) for c in anchor_coords)}
-    n = topology.n
 
-    def edge_length(a, b):
-        for key in (frozenset((a, b)),):
-            if key in lengths:
-                return _coerce(lengths[key])
-        side = topology.leaves_beyond(a, b)
-        for key in (side, frozenset(range(1, n + 1)) - side):
+    def edge_length(a, b, side):
+        for key in (frozenset((a, b)), side, topology.leaves_beyond(b, a)):
             if key in lengths:
                 return _coerce(lengths[key])
         raise ValueError(f"no length given for edge ({a},{b})")
@@ -332,10 +350,10 @@ def embed(topology: TreeTopology, lengths, anchor_node: int, anchor_coords) -> E
         for b in topology.adj[a]:
             if topology.is_leaf(b) or b in coords:
                 continue
-            ell = edge_length(a, b)
+            side = topology.leaves_beyond(a, b)
+            ell = edge_length(a, b, side)
             if not ell > 0:
                 raise ValueError("non-positive length")
-            side = topology.leaves_beyond(a, b)
             coords[b] = tuple(
                 c + (ell if i + 1 in side else 0) for i, c in enumerate(coords[a])
             )
@@ -485,13 +503,5 @@ def plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
         p.get(1, i) + p.get(1, j) - p.get(i, j)
         for i, j in combinations(range(2, n + 1), 2)
     )
-    lengths = {
-        side if n not in side else frozenset(range(1, n + 1)) - side: ell
-        for side, ell in splits.items()
-    }
-    return embed(topology, lengths, v1, tuple(x))
+    return embed(topology, splits, v1, tuple(x))
 
-
-def splits(T: TreeTopology) -> list:
-    """Splits of a topology: one (edge, side-without-leaf-n) per internal edge."""
-    return T.splits()

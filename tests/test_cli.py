@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,12 @@ from troppencil.trees import TreeTopology
 SQ_JSON = {"degree": 2, "points": [[0, 0, 2], [1, 0, 1], [0, 1, 1], [1, 1, 0]]}
 TRI_JSON = {"degree": 1, "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 
+# the CLI subprocess imports the same troppencil as the tests
+SRC = str(Path(jsonio.__file__).resolve().parents[1])
+ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+)
+
 
 def run_cli(command, payload, *flags):
     proc = subprocess.run(
@@ -19,6 +27,7 @@ def run_cli(command, payload, *flags):
         input=json.dumps(payload),
         capture_output=True,
         text=True,
+        env=ENV,
     )
     try:
         out = json.loads(proc.stdout)
@@ -92,6 +101,39 @@ def test_fixed_locus_segment():
     code2, locus = run_cli("fixed-locus", {"support": SQ_JSON, "line": out["line"]})
     assert locus["pieces"] == [
         {"kind": "segment", "start": [0, 0, 0], "end": [0, 1, 0]}
+    ]
+
+
+def test_fixed_locus_rational_segment_spans():
+    # a segment spanning (0, 5/6) once raised "zero vector has no primitive
+    # form"; one spanning (3/2, 3) was cut short at a wrong end point
+    def line(edges, node, coords):
+        edges = [{"a": a, "b": b, "length": ell} for a, b, ell in edges]
+        return {"n": 5, "edges": edges, "anchor": {"node": node, "coords": coords}}
+
+    support = {"degree": 3, "points": [[1, 1, 1], [0, 0, 3], [2, 1, 0], [2, 0, 1], [0, 2, 1]]}
+    L = line(
+        [(1, 6, None), (2, 7, None), (3, 8, None), (4, 7, None), (5, 8, None),
+         (6, 7, "4/3"), (6, 8, 2)],
+        8,
+        [-4, 2, -5, -4, "-5/2"],
+    )
+    code, locus = run_cli("fixed-locus", {"support": support, "line": L})
+    assert code == 0
+    assert {"kind": "segment", "start": [3, "7/2", 0], "end": [3, "13/3", 0]} in locus["pieces"]
+
+    support = {"degree": 3, "points": [[0, 1, 2], [2, 0, 1], [0, 2, 1], [2, 1, 0], [1, 0, 2]]}
+    L = line(
+        [(1, 6, None), (2, 6, None), (3, 8, None), (4, 7, None), (5, 8, None),
+         (6, 7, 3), (7, 8, 8)],
+        6,
+        [-9, -4, 0, 5, 5],
+    )
+    code, locus = run_cli("fixed-locus", {"support": support, "line": L})
+    assert code == 0
+    assert locus["pieces"] == [
+        {"kind": "point", "coords": [9, 23, 0]},
+        {"kind": "segment", "start": ["-17/2", -12, 0], "end": [-7, -9, 0]},
     ]
 
 
@@ -169,6 +211,7 @@ def test_bad_json_is_exit_2():
         input="{not json",
         capture_output=True,
         text=True,
+        env=ENV,
     )
     assert proc.returncode == 2
 

@@ -242,3 +242,16 @@ def test_stable_pencil_points_are_fixed(SQ):
         for P in C:
             assert is_fixed(L, SQ, P)
             assert locus_contains(cells, P)
+
+
+def test_canonical_pieces_rational_spans():
+    third = plane.SegmentGeom((0, 0), (Fraction(1, 3), 0))
+    assert plane.canonical_pieces([third]) == [third]
+    slanted = plane.SegmentGeom((0, 0), (Fraction(3, 2), Fraction(1, 2)))
+    assert plane.canonical_pieces([slanted]) == [slanted]
+    # the two halves of a rational segment merge back into it
+    halves = [
+        plane.SegmentGeom((0, 0), (Fraction(3, 4), Fraction(1, 4))),
+        plane.SegmentGeom((Fraction(3, 4), Fraction(1, 4)), (Fraction(3, 2), Fraction(1, 2))),
+    ]
+    assert plane.canonical_pieces(halves) == [slanted]

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from conftest import make_lsq, rand_line, rand_topology
+from troppencil.compat import enumerate_types
 from troppencil.core import ProjPoint
 from troppencil.trees import (
     PlueckerError,
@@ -13,7 +14,6 @@ from troppencil.trees import (
     embed,
     line_contains,
     plucker_to_tree,
-    splits,
     tree_to_plucker,
 )
 
@@ -68,10 +68,10 @@ def test_line_contains_examples():
 
 def test_splits_conventions():
     L = make_lsq()
-    assert [side for _, side in splits(L.topology)] == [frozenset({1, 3})]
+    assert [side for _, side in L.topology.splits()] == [frozenset({1, 3})]
     cat = TreeTopology.from_splits(5, [frozenset({1, 2}), frozenset({1, 2, 3})])
-    assert [side for _, side in splits(cat)] == [frozenset({1, 2}), frozenset({1, 2, 3})]
-    assert splits(TreeTopology.star(6)) == []
+    assert [side for _, side in cat.splits()] == [frozenset({1, 2}), frozenset({1, 2, 3})]
+    assert TreeTopology.star(6).splits() == []
 
 
 def test_tree_to_plucker_fixture():
@@ -98,6 +98,24 @@ def test_plucker_projective_invariance():
     lam = Fraction(7, 3)
     shifted = L.translate([lam] * 6)
     assert tree_to_plucker(L) == tree_to_plucker(shifted)
+
+
+def test_translate_matches_validating_embed():
+    rng = random.Random(28)
+    for _ in range(30):
+        n = rng.randint(4, 8)
+        L = rand_line(rng, n)
+        shift = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        G = L.translate(shift)
+        v = L.topology.internal_nodes[0]
+        anchor = [c + s for c, s in zip(L.coords[v], shift)]
+        rebuilt = embed(L.topology, L.edge_lengths(), v, anchor)
+        assert G == rebuilt
+        assert all(ProjPoint(G.coords[w]) == ProjPoint(rebuilt.coords[w]) for w in G.coords)
+        assert G.edges == rebuilt.edges
+    for bad in ([1] * (n - 1), [1] * (n + 1)):
+        with pytest.raises(ValueError, match="one entry per leaf"):
+            L.translate(bad)
 
 
 def test_plucker_to_tree_fixture():
@@ -179,7 +197,7 @@ def test_split_counts_and_partition():
     for _ in range(20):
         n = rng.randint(4, 8)
         T = rand_topology(rng, n)
-        sp = splits(T)
+        sp = T.splits()
         assert len(sp) == n - 3
         for _, side in sp:
             assert 2 <= len(side) <= n - 2 and n not in side
@@ -190,3 +208,12 @@ def test_topology_validation():
         TreeTopology(4, {1: {5}, 2: {5}, 3: {5}, 4: {5}, 5: {1, 2, 3, 4, 6}, 6: {5}})  # 2-valent
     with pytest.raises(ValueError, match="incompatible splits"):
         TreeTopology.from_splits(6, [frozenset({1, 2, 3}), frozenset({3, 4})])
+
+
+def test_leaves_beyond_partitions_every_edge():
+    full = frozenset(range(1, 7))
+    for T in enumerate_types(6):
+        for a in T.adj:
+            for b in T.adj[a]:
+                near, far = T.leaves_beyond(b, a), T.leaves_beyond(a, b)
+                assert near and far and not near & far and near | far == full
