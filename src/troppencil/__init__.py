@@ -67,6 +67,12 @@ from .compat import (
     unique_matching,
     vertex_fixed_point,
 )
-from .oracle import EpsRational, brute_tropdet, perturbed_pencil, sampled_fixed
+from .oracle import (
+    EpsRational,
+    brute_plucker_to_tree,
+    brute_tropdet,
+    perturbed_pencil,
+    sampled_fixed,
+)
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 
 from . import compat, jsonio, oracle, pencil, plane, stable, svg, trees
 from .core import TropError
@@ -156,7 +155,7 @@ def cmd_realize_type(args):
     obj = _read_input(args)
     A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
     type_id = jsonio._expect(obj, "type_id", int)
-    T = next(islice(compat.iter_types(A.n), type_id, None), None) if type_id >= 0 else None
+    T = compat.type_by_id(A.n, type_id)
     if T is None:
         raise TropError("type_id out of range")
     L = compat.realize_type(A, T, seed=args.seed)

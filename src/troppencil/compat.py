@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from .core import (
     ProjPoint,
@@ -277,6 +277,17 @@ def enumerate_types(n: int) -> list:
     if n not in _TYPES:
         _TYPES[n] = tuple(iter_types(n))
     return list(_TYPES[n])
+
+
+def type_by_id(n: int, type_id: int):
+    """The type at position type_id of iter_types(n), or None if there is
+    none; read from the list enumerate_types caches for n <= 8."""
+    if type_id < 0:
+        return None
+    if n <= 8:
+        types = enumerate_types(n)
+        return types[type_id] if type_id < len(types) else None
+    return next(islice(iter_types(n), type_id, None), None)
 
 
 def count_compatible(A: SupportSet) -> int:

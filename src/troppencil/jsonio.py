@@ -23,7 +23,8 @@ def _expect(obj, key, kind=None):
     if not isinstance(obj, dict) or key not in obj:
         raise MalformedInput(f"missing field {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    # bool is a subclass of int, but true and false are not numbers here
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise MalformedInput(f"field {key!r} has wrong type")
     return val
 
@@ -60,7 +61,12 @@ def config_to_json(config) -> dict:
 
 
 def config_from_json(obj) -> list:
-    return [point_from_json(p) for p in _expect(obj, "points", list)]
+    points = []
+    for k, p in enumerate(_expect(obj, "points", list)):
+        if not isinstance(p, list) or len(p) != 3:
+            raise MalformedInput(f"configuration.points[{k}] must be a list of 3 coordinates")
+        points.append(point_from_json(p))
+    return points
 
 
 def subdivision_to_json(S: RegularSubdivision) -> dict:

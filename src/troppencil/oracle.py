@@ -1,8 +1,9 @@
 """Slow reference implementations used for differential testing.
 
 These are deliberately naive: assignment problems by full enumeration,
-curve membership by exhaustive breakpoint walks, and stable pencils as
-honest limits of first-order infinitesimal perturbations.  They ship with
+curve membership by exhaustive breakpoint walks, trees from Pluecker
+vectors by trying every leaf bipartition, and stable pencils as honest
+limits of first-order infinitesimal perturbations.  They ship with
 the library (not only the tests) so verdicts can be re-derived on demand.
 """
 
@@ -14,7 +15,7 @@ from itertools import combinations, permutations
 
 from .core import ProjPoint, SupportSet, TropError, min_profile, rat
 from .pencil import shifted_line
-from .trees import EmbeddedLine, PlueckerVector, TreeTopology, plucker_to_tree
+from .trees import EmbeddedLine, PlueckerVector, TreeTopology, embed
 
 
 class EpsRational:
@@ -164,6 +165,44 @@ def sampled_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:
     return True
 
 
+def brute_plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
+    """trees.plucker_to_tree by trying all 2^(n-1) leaf bipartitions.
+
+    A leaf bipartition is an edge of the tree iff its quartets strictly
+    dominate; the edge's lattice length is the smallest dominance gap.
+    Zero gaps are ties, i.e. contracted edges.
+    """
+    p.validate()
+    n = p.n
+    splits = {}
+    for size in range(2, n - 1):
+        for I in combinations(range(1, n), size):
+            Iset = frozenset(I)
+            comp = [k for k in range(1, n + 1) if k not in Iset]
+            gap = None
+            for i, j in combinations(I, 2):
+                for k, l in combinations(comp, 2):
+                    s_same = p.get(i, j) + p.get(k, l)
+                    s_cross = max(p.get(i, k) + p.get(j, l), p.get(i, l) + p.get(j, k))
+                    d = s_same - s_cross
+                    if gap is None or d < gap:
+                        gap = d
+            if gap > 0:
+                splits[Iset] = gap
+    topology = TreeTopology.from_splits(n, splits.keys())
+
+    # vertex next to leaf 1, then propagate along the split directions
+    v1 = topology.node_of_leaf(1)
+    x = [None] * n
+    for l in range(2, n + 1):
+        x[l - 1] = p.get(1, l)
+    x[0] = max(
+        p.get(1, i) + p.get(1, j) - p.get(i, j)
+        for i, j in combinations(range(2, n + 1), 2)
+    )
+    return embed(topology, splits, v1, tuple(x))
+
+
 class PerturbationError(TropError):
     pass
 
@@ -198,7 +237,7 @@ def perturbed_pencil(A: SupportSet, config, seed: int = 0, attempts: int = 8) ->
         except PerturbationError as e:
             last = e
             continue
-        return _eps_limit(plucker_to_tree(p))
+        return _eps_limit(brute_plucker_to_tree(p))
     raise PerturbationError(f"perturbation not generic after {attempts} draws: {last}")
 
 

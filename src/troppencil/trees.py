@@ -9,12 +9,13 @@ raw lift in R^n per line.
 The translation to and from tropical Pluecker vectors (the coordinates on
 the space of lines) is derived from the circuit conditions: at the median
 vertex m of leaves {i, j, k} the three quantities p_jk + m_i, p_ik + m_j,
-p_ij + m_k coincide.  Reconstruction enumerates leaf bipartitions, keeps
-those whose quartets are strictly dominant (their minimum over spanning
-quartets is the lattice length of the corresponding edge), and places the
-vertex next to leaf k at x_l = p_kl, x_k = max_{i,j} (p_ki + p_kj - p_ij).
-Ties produce zero-length edges, which are contracted, so degenerate lines
-come out as trees with higher-valence vertices.
+p_ij + m_k coincide.  Reconstruction finds the leaf bipartitions whose
+quartets are strictly dominant (their minimum gap over spanning quartets
+is the lattice length of the corresponding edge) by inserting one leaf at
+a time, in polynomial time, and places the vertex next to leaf k at
+x_l = p_kl, x_k = max_{i,j} (p_ki + p_kj - p_ij).  Ties produce
+zero-length edges, which are contracted, so degenerate lines come out as
+trees with higher-valence vertices.
 
 Everything here is generic over an ordered field: the scalar type only
 needs +, -, comparisons and multiplication by small integers, so the same
@@ -470,38 +471,77 @@ def plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
     """The embedded line with pair coordinates p (inverse of
     tree_to_plucker up to the choice of raw lift).
 
-    A leaf bipartition is an edge of the tree iff its quartets strictly
-    dominate; the edge's lattice length is the smallest dominance gap.
-    Zero gaps are ties, i.e. contracted edges, so the output can have
-    vertices of valence above three.
+    A leaf bipartition is an edge of the tree iff every quartet across it
+    strictly dominates; the edge's lattice length is the smallest
+    dominance gap over those quartets.  Zero gaps are ties, i.e.
+    contracted edges, so the output can have vertices of valence above
+    three.  The splits are found by inserting leaves 4..n one at a time
+    (see _dominant_splits), in O(n^4) scalar operations.
     """
     p.validate()
     n = p.n
-    splits = {}
-    for size in range(2, n - 1):
-        for I in combinations(range(1, n), size):
-            Iset = frozenset(I)
-            comp = [k for k in range(1, n + 1) if k not in Iset]
-            gap = None
-            for i, j in combinations(I, 2):
-                for k, l in combinations(comp, 2):
-                    s_same = p.get(i, j) + p.get(k, l)
-                    s_cross = max(p.get(i, k) + p.get(j, l), p.get(i, l) + p.get(j, k))
-                    d = s_same - s_cross
-                    if gap is None or d < gap:
-                        gap = d
-            if gap > 0:
-                splits[Iset] = gap
+    q = [[None] * (n + 1) for _ in range(n + 1)]
+    for key, v in p.values.items():
+        i, j = key
+        q[i][j] = q[j][i] = v
+    splits = _dominant_splits(q, n)
     topology = TreeTopology.from_splits(n, splits.keys())
 
     # vertex next to leaf 1, then propagate along the split directions
     v1 = topology.node_of_leaf(1)
     x = [None] * n
     for l in range(2, n + 1):
-        x[l - 1] = p.get(1, l)
-    x[0] = max(
-        p.get(1, i) + p.get(1, j) - p.get(i, j)
-        for i, j in combinations(range(2, n + 1), 2)
-    )
+        x[l - 1] = q[1][l]
+    x[0] = max(q[1][i] + q[1][j] - q[i][j] for i, j in combinations(range(2, n + 1), 2))
     return embed(topology, splits, v1, tuple(x))
 
+
+def _dominant_splits(q, n: int) -> dict:
+    """Every bipartition of leaves 1..n with both sides of size >= 2 whose
+    gap, the minimum over the quartets {i, j | k, l} across it of
+    q_ij + q_kl - max(q_ik + q_jl, q_il + q_jk), is positive; keyed by the
+    side without leaf n, valued by the gap.  q is the symmetric pair table.
+
+    Bipartitions with positive gaps are pairwise compatible (two crossing
+    ones would each strictly dominate the other on a shared quartet), so
+    there are at most m - 3 of them on leaves 1..m.  Deleting leaf m + 1
+    from a bipartition of 1..m+1 keeps or raises its gap, so each one
+    with a positive gap restricts either to one with a positive gap on
+    1..m or to a side of at most one leaf.  Its gap is the smaller of the
+    restricted gap and the minimum over the quartets through m + 1.
+    """
+    gaps = {}  # bitmask (bit i for leaf i) of the side holding leaf 1 -> gap
+    for m in range(3, n):
+        new = 1 << (m + 1)
+        every = (new << 1) - 2
+        # With r_kl = q_kl - q_{m+1,k} - q_{m+1,l}, the quartet
+        # {m+1, j | k, l} has gap r_kl - max(r_jk, r_jl); the smallest over
+        # the j beside m+1 is r_kl - max(reach_k, reach_l), reach_k being
+        # the largest r_jk among them.
+        r = [[None] * (m + 1) for _ in range(m + 1)]
+        for k, l in combinations(range(1, m + 1), 2):
+            r[k][l] = r[l][k] = q[k][l] - q[m + 1][k] - q[m + 1][l]
+        candidates = {}
+        for side, gap in gaps.items():
+            candidates[side | new] = gap
+            candidates[side] = gap
+        for i in range(1, m + 1):
+            side = new | 1 << i
+            candidates[side if side & 2 else every ^ side] = None
+        gaps = {}
+        for side, gap in candidates.items():
+            with_new = side if side & new else every ^ side
+            near = [j for j in range(1, m + 1) if with_new >> j & 1]
+            far = [k for k in range(1, m + 1) if not with_new >> k & 1]
+            reach = {k: max(r[j][k] for j in near) for k in far}
+            through = min(r[k][l] - max(reach[k], reach[l]) for k, l in combinations(far, 2))
+            if gap is None or through < gap:
+                gap = through
+            if gap > 0:
+                gaps[side] = gap
+    out = {}
+    for side, gap in gaps.items():
+        if side >> n & 1:
+            side ^= (1 << (n + 1)) - 2
+        out[frozenset(i for i in range(1, n) if side >> i & 1)] = gap
+    return out

@@ -181,6 +181,28 @@ def test_realize_type_command():
     assert code3 == 1 and "not compatible" in err["error"]
 
 
+def test_realize_type_id_out_of_range():
+    for bad in (3, 1000, -1):
+        code, out = run_cli("realize-type", {"support": SQ_JSON, "type_id": bad})
+        assert code == 1 and out == {"error": "type_id out of range"}
+
+
+def test_integer_fields_reject_booleans():
+    # bool is an int in Python, so true would pass as 1
+    code, out = run_cli("realize-type", {"support": SQ_JSON, "type_id": True})
+    assert code == 2 and "type_id" in out["error"]
+    support = dict(SQ_JSON, degree=True)
+    code, out = run_cli("realize-type", {"support": support, "type_id": 0})
+    assert code == 2 and "degree" in out["error"]
+
+
+@pytest.mark.parametrize("point", [[2, 1], [2, 1, 0, 0]])
+def test_configuration_point_needs_three_coordinates(point):
+    config = {"points": [[0, 0, 0], point]}
+    code, out = run_cli("stable-pencil", {"support": SQ_JSON, "configuration": config})
+    assert code == 2 and "configuration.points[1]" in out["error"]
+
+
 def test_compat_check_command():
     line = jsonio.line_to_json(make_lsq())
     code, out = run_cli("compat-check", {"support": SQ_JSON, "line": line})
@@ -214,6 +236,19 @@ def test_bad_json_is_exit_2():
         env=ENV,
     )
     assert proc.returncode == 2
+
+
+def test_bench_smoke():
+    # the benchmark's tracer spans library functions by name
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "smoke passed" in proc.stdout
 
 
 def test_point_round_trip():

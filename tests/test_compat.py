@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -11,10 +11,12 @@ from troppencil.compat import (
     enumerate_types,
     find_strict_maximal_subdivision,
     is_compatible,
+    iter_types,
     quartet_ok,
     rainbow_triangle,
     realize_type,
     support_graph,
+    type_by_id,
     unique_matching,
     vertex_fixed_point,
     vertex_fixed_points,
@@ -148,6 +150,14 @@ def test_enumerate_types_counts():
     assert len({T.split_set() for T in enumerate_types(6)}) == 105
     with pytest.raises(ValueError):
         enumerate_types(11)
+
+
+def test_type_by_id_follows_iter_types():
+    # cached list for n <= 8, lazy walk above
+    for n, ids in ((6, range(105)), (9, range(12))):
+        walked = list(islice(iter_types(n), len(ids)))
+        assert [type_by_id(n, k) for k in ids] == walked
+    assert type_by_id(6, 105) is None and type_by_id(6, -1) is None
 
 
 def test_count_compatible_fixtures(SQ, TRI5, HEX6):
