@@ -53,7 +53,10 @@ def support_from_json(obj) -> SupportSet:
         raise MalformedInput("support points must be triples")
     if not all(isinstance(c, int) and not isinstance(c, bool) for p in pts for c in p):
         raise MalformedInput("support points must be integer triples")
-    return SupportSet(degree, tuple(tuple(p) for p in pts))
+    try:
+        return SupportSet(degree, tuple(tuple(p) for p in pts))
+    except ValueError as e:
+        raise MalformedInput(f"support: {e}") from e
 
 
 def config_to_json(config) -> dict:

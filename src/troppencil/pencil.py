@@ -17,6 +17,8 @@ equalities and inequalities for P, solved exactly in the z = 0 chart.
 Pi(G, I) denotes the subset of G where every coordinate in I attains the
 global minimum; these subsets are closed connected subtrees, represented
 below as vertex sets plus closed parameter intervals per edge and ray.
+A nonempty one is a point x plus every branch at x that holds no leaf of
+I, and x is its gate: the first point of it met from any leaf of I.
 """
 
 from __future__ import annotations
@@ -137,8 +139,16 @@ def point_valence(G: EmbeddedLine, p: LinePoint) -> int:
     return len(G.topology.adj[p.loc]) if p.kind == "vertex" else 2
 
 
-def point_to_proj(G: EmbeddedLine, p: LinePoint) -> ProjPoint:
-    return ProjPoint(coords_at(G, p))
+def leaf_partition_at(G: EmbeddedLine, p: LinePoint) -> list:
+    """Leaf sets of the components of G - {p}."""
+    topo = G.topology
+    if p.kind == "vertex":
+        return topo.leaf_partition(p.loc)
+    if p.kind == "edge":
+        a, b = p.loc
+        return [topo.leaves_beyond(b, a), topo.leaves_beyond(a, b)]
+    leaf = p.loc[1]
+    return [frozenset(range(1, G.n + 1)) - {leaf}, frozenset((leaf,))]
 
 
 class SubtreeSet:
@@ -161,11 +171,8 @@ class SubtreeSet:
                 verts.add(a)
             if hi == ell:
                 verts.add(b)
-            if lo == hi:
-                if 0 < lo < ell:
-                    eiv[(a, b)] = (lo, hi)
-                continue
-            eiv[(a, b)] = (lo, hi)
+            if hi > 0 and lo < ell:  # a lone end point is just its vertex
+                eiv[(a, b)] = (lo, hi)
         riv = {}
         for key, (lo, hi) in (ray_iv or {}).items():
             lo = max(lo, Fraction(0))
@@ -173,11 +180,8 @@ class SubtreeSet:
                 continue
             if lo == 0:
                 verts.add(key[0])
-            if hi is not None and lo == hi:
-                if lo > 0:
-                    riv[tuple(key)] = (lo, hi)
-                continue
-            riv[tuple(key)] = (lo, hi)
+            if hi is None or hi > 0:
+                riv[tuple(key)] = (lo, hi)
         self.vertices = frozenset(verts)
         self.edge_iv = eiv
         self.ray_iv = riv
@@ -197,15 +201,6 @@ class SubtreeSet:
 
     def __hash__(self):
         return hash(self.key())
-
-    def contains(self, p: LinePoint) -> bool:
-        if p.kind == "vertex":
-            return p.loc in self.vertices
-        if p.kind == "edge":
-            iv = self.edge_iv.get(p.loc)
-            return iv is not None and iv[0] <= p.t <= iv[1]
-        iv = self.ray_iv.get(p.loc)
-        return iv is not None and iv[0] <= p.t and (iv[1] is None or p.t <= iv[1])
 
     def boundary_points(self) -> list:
         """Vertices of the set plus interval endpoints, as LinePoints."""
@@ -321,114 +316,52 @@ def _pi_interval(q, J, ell, I, n):
     return (lo, hi)
 
 
-def _hang(G: EmbeddedLine, start: int, avoid: int) -> SubtreeSet:
-    """Everything at the internal node `start` and beyond, not crossing
-    back through `avoid` (vertices, whole edges, whole rays)."""
-    topo = G.topology
-    verts = {start}
-    eiv, riv = {}, {}
-    stack = [start]
-    seen = {start, avoid}
-    while stack:
-        v = stack.pop()
-        for w in topo.adj[v]:
-            if w == avoid and v == start:
-                continue
-            if topo.is_leaf(w):
-                riv[(v, w)] = (Fraction(0), None)
-                continue
-            if w in seen:
-                continue
-            seen.add(w)
-            verts.add(w)
-            key = (v, w) if v < w else (w, v)
-            eiv[key] = (Fraction(0), G.edge(key)[3])
-            stack.append(w)
-    return SubtreeSet(G, verts, eiv, riv)
-
-
-def _union(G: EmbeddedLine, sets) -> SubtreeSet:
-    verts = set()
-    eiv, riv = {}, {}
-    for s in sets:
-        verts |= s.vertices
-        for key, (lo, hi) in s.edge_iv.items():
-            if key in eiv:
-                plo, phi = eiv[key]
-                if max(lo, plo) > min(hi, phi):
-                    raise TropError("disconnected union on one edge")
-                eiv[key] = (min(lo, plo), max(hi, phi))
-            else:
-                eiv[key] = (lo, hi)
-        for key, (lo, hi) in s.ray_iv.items():
-            if key in riv:
-                plo, phi = riv[key]
-                nhi = None if (hi is None or phi is None) else max(hi, phi)
-                riv[key] = (min(lo, plo), nhi)
-            else:
-                riv[key] = (lo, hi)
-    return SubtreeSet(G, verts, eiv, riv)
-
-
-def branches_at(G: EmbeddedLine, p: LinePoint) -> list:
-    """The closed branches hanging at p: one (leaf set, branch) per
-    component of G - {p}, each branch including p itself."""
-    topo = G.topology
-    out = []
-    if p.kind == "vertex":
-        v = p.loc
-        for w in sorted(topo.adj[v]):
-            if topo.is_leaf(w):
-                br = SubtreeSet(G, {v}, {}, {(v, w): (Fraction(0), None)})
-                out.append((frozenset((w,)), br))
-            else:
-                key = (v, w) if v < w else (w, v)
-                edge = SubtreeSet(G, {v}, {key: (Fraction(0), G.edge(key)[3])}, {})
-                out.append((topo.leaves_beyond(v, w), _union(G, [edge, _hang(G, w, v)])))
-        return out
-    if p.kind == "edge":
-        a, b, side, ell = G.edge(p.loc)
-        lowpart = SubtreeSet(G, set(), {(a, b): (Fraction(0), p.t)}, {})
-        highpart = SubtreeSet(G, set(), {(a, b): (p.t, ell)}, {})
-        out.append((topo.leaves_beyond(b, a), _union(G, [lowpart, _hang(G, a, b)])))
-        out.append((side, _union(G, [highpart, _hang(G, b, a)])))
-        return out
-    v, leaf = p.loc
-    near = SubtreeSet(G, set(), {}, {(v, leaf): (Fraction(0), p.t)})
-    far = SubtreeSet(G, set(), {}, {(v, leaf): (p.t, None)})
-    rest = _union(G, [near] + [br for _, br in branches_at(G, LinePoint("vertex", v)) if (v, leaf) not in br.ray_iv])
-    out.append((frozenset(range(1, G.n + 1)) - {leaf}, rest))
-    out.append((frozenset((leaf,)), far))
-    return out
-
-
-def _point_only(G: EmbeddedLine, p: LinePoint) -> SubtreeSet:
-    if p.kind == "vertex":
-        return SubtreeSet(G, {p.loc}, {}, {})
-    if p.kind == "edge":
-        return SubtreeSet(G, set(), {p.loc: (p.t, p.t)}, {})
-    return SubtreeSet(G, set(), {}, {p.loc: (p.t, p.t)})
+def _gate(G: EmbeddedLine, S: SubtreeSet, i: int) -> LinePoint:
+    """The first point of the nonempty, connected S met coming in from leaf
+    i in I: the top of S on ray i, or else the first point of S on the path
+    from v_i towards S."""
+    v = G.topology.node_of_leaf(i)
+    if (v, i) in S.ray_iv:
+        return make_point(G, "ray", (v, i), S.ray_iv[(v, i)][1])
+    if S.vertices:
+        target = min(S.vertices)
+    elif S.ray_iv:  # S lies inside one ray, or else one edge
+        key, (lo, _) = next(iter(S.ray_iv.items()))
+        return make_point(G, "ray", key, lo)
+    else:
+        a, b = next(iter(S.edge_iv))
+        target = a if i in G.edge((a, b))[2] else b
+    path = G.topology.path(v, target)
+    for u, w in zip(path, path[1:]):
+        if u in S.vertices:
+            return LinePoint("vertex", u)
+        key = (u, w) if u < w else (w, u)
+        if key in S.edge_iv:
+            # the end of the interval nearer u
+            return make_point(G, "edge", key, S.edge_iv[key][u > w])
+    return LinePoint("vertex", target)
 
 
 def pi_attachment(G: EmbeddedLine, I) -> LinePoint | None:
     """The point x with Pi(G, I) = {x} plus the branches free of I-leaves;
-    None when Pi(G, I) is empty.  Raises when no such point exists."""
+    None when Pi(G, I) is empty.  Raises when no such point exists.
+
+    x must be the gate from every leaf of I (every vertex when I is empty).
+    A branch holding a leaf i of I then meets S = Pi(G, I), which is
+    connected, only at x; an I-free branch lies in S iff its leaf rays run
+    out to infinity inside S.  These two checks prove the shape."""
     I = frozenset(I)
     S = pi_set(G, I)
     if S.is_empty():
         return None
-    seen = set()
-    hits = []
-    for p in S.boundary_points():
-        if p in seen:
-            continue
-        seen.add(p)
-        kept = [br for leaves, br in branches_at(G, p) if not (leaves & I)]
-        if _union(G, [_point_only(G, p)] + kept) == S:
-            hits.append(p)
-    if len(hits) != 1:
-        raise TropError(f"Pi(G, {sorted(I)}) has {len(hits)} attachment points")
-    return hits[0]
+    topo = G.topology
+    gates = {_gate(G, S, i) for i in I} or {LinePoint("vertex", v) for v in topo.internal_nodes}
+    if len(gates) == 1:
+        (x,) = gates
+        free = [j for part in leaf_partition_at(G, x) if not part & I for j in part]
+        if all(S.ray_iv.get((topo.node_of_leaf(j), j), (0, 0))[1] is None for j in free):
+            return x
+    raise TropError(f"Pi(G, {sorted(I)}) has no unique attachment point")
 
 
 def subtree_spanning(G: EmbeddedLine, I) -> SubtreeSet:
@@ -454,8 +387,7 @@ def subtree_spanning(G: EmbeddedLine, I) -> SubtreeSet:
 def pi_gamma(G: EmbeddedLine) -> ProjPoint:
     """The distinguished point through which every nonempty Pi(G, I)
     attaches.  Requires G inside Pi_2."""
-    p = pi_gamma_location(G)
-    return point_to_proj(G, p)
+    return ProjPoint(coords_at(G, pi_gamma_location(G)))
 
 
 def pi_gamma_location(G: EmbeddedLine) -> LinePoint:

@@ -260,13 +260,10 @@ class EmbeddedLine:
         self._edges = {}
         for a, b in topology.internal_edges:
             side = topology.leaves_beyond(a, b)
-            delta = [cb - ca for ca, cb in zip(self.coords[a], self.coords[b])]
-            on = {delta[i - 1] for i in side}
-            off = {delta[i - 1] for i in range(1, topology.n + 1) if i not in side}
             # the difference must be length * e_side modulo the all-ones vector
-            if len(on) != 1 or len(off) != 1:
+            ell = _ray_parameter(self.coords[a], self.coords[b], side, topology.n)
+            if ell is None:
                 raise ValueError(f"edge ({a},{b}) does not follow the e_I rule")
-            ell = next(iter(on)) - next(iter(off))
             if not ell > 0:
                 raise ValueError("non-positive length")
             self._edges[(a, b)] = (a, b, side, ell)

@@ -82,16 +82,34 @@ def rand_support(rng, n):
 
 
 def rand_topology(rng, n, contract_p=0.0):
-    types = enumerate_types(n)
-    T = types[rng.randrange(len(types))]
+    """A uniform random trivalent topology, then each split dropped with
+    probability contract_p.  Up to n = 8 it indexes the cached type list;
+    above, it inserts leaves 4..n one at a time, each on a uniform random
+    edge of the tree so far, since enumerate_types is uncached there."""
+    if n <= 8:
+        types = enumerate_types(n)
+        T = types[rng.randrange(len(types))]
+    else:
+        adj = {1: {n + 1}, 2: {n + 1}, 3: {n + 1}, n + 1: {1, 2, 3}}
+        for leaf in range(4, n + 1):
+            edges = sorted((u, w) for u in adj for w in adj[u] if u < w)
+            u, w = edges[rng.randrange(len(edges))]
+            mid = n + leaf - 2
+            adj[u].remove(w)
+            adj[w].remove(u)
+            adj[mid] = {u, w, leaf}
+            adj[u].add(mid)
+            adj[w].add(mid)
+            adj[leaf] = {mid}
+        T = TreeTopology(n, adj)
     if contract_p > 0:
         kept = [s for s in T.split_set() if rng.random() >= contract_p]
         T = TreeTopology.from_splits(n, kept)
     return T
 
 
-def rand_line(rng, n, span=10):
-    T = rand_topology(rng, n)
+def rand_line(rng, n, span=10, contract_p=0.0):
+    T = rand_topology(rng, n, contract_p)
     lengths = {
         frozenset(e): Fraction(rng.randint(1, 8), rng.randint(1, 3))
         for e in T.internal_edges

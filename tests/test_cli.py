@@ -251,6 +251,31 @@ def test_bench_smoke():
     assert "smoke passed" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "support",
+    [
+        {"degree": 1, "points": [[1, 0, 0], [0, 1, 0], [1, 0, 0]]},  # duplicate
+        {"degree": 2, "points": [[2, 0, 0], [1, 1, 0], [0, 2, 0]]},  # collinear
+        {"degree": 2, "points": [[1, 0, 0], [0, 1, 1], [0, 0, 2]]},  # wrong degree
+    ],
+)
+def test_curve_rejects_bad_support(support):
+    code, out = run_cli("curve", {"support": support, "c": [0, 0, 0]})
+    assert code == 2 and out["error"].startswith("support: ")
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    # the demos use the public names; run them where their files may land
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True, env=ENV
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_point_round_trip():
     P = ProjPoint((2, 1, 0))
     assert jsonio.point_from_json(jsonio.point_to_json(P)) == P

@@ -15,12 +15,12 @@ from troppencil import plane
 from troppencil.core import ProjPoint, TropError, min_profile
 from troppencil.pencil import (
     LinePoint,
-    branches_at,
     coords_at,
     fixed_locus,
     fixed_locus_pieces,
     full_set,
     is_fixed,
+    leaf_partition_at,
     locus_contains,
     pi_attachment,
     pi_gamma,
@@ -227,10 +227,26 @@ def test_branches_partition_line():
             spots.append(LinePoint("edge", (a, b), ell / 3))
         spots.append(LinePoint("ray", L.rays[0], Fraction(2)))
         for p in spots:
-            branches = branches_at(L, p)
-            leaves = [l for ls, _ in branches for l in ls]
+            parts = leaf_partition_at(L, p)
+            leaves = [l for ls in parts for l in ls]
             assert sorted(leaves) == list(range(1, n + 1))
-            assert len(branches) == point_valence(L, p)
+            assert len(parts) == point_valence(L, p)
+
+
+def test_attachment_off_vertices():
+    # planted lines attach at vertices; these attach inside an edge or a ray
+    T = TreeTopology.from_splits(4, [frozenset({1, 3})])
+    L = embed(T, {frozenset({1, 3}): Fraction(2)}, T.node_of_leaf(2), (0, 0, 0, 0))
+    G = L.translate((-3, -2, -3, 0))
+    x = LinePoint("edge", (5, 6), Fraction(1))
+    assert pi_attachment(G, {1}) == x
+    assert pi_set(G, {1, 2}).vertices == frozenset()
+    assert pi_attachment(G, {1, 2}) == x
+    G = make_lsq().translate((-2, -2, -1, 0))
+    x = LinePoint("ray", (5, 2), Fraction(1))
+    assert pi_set(G, {1}).ray_iv == {(5, 2): (Fraction(1), None)}
+    assert pi_attachment(G, {1}) == x
+    assert pi_attachment(G, {1, 2}) == x
 
 
 def test_stable_pencil_points_are_fixed(SQ):

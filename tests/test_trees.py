@@ -164,29 +164,6 @@ def test_round_trip_contracted():
         assert plucker_to_tree(tree_to_plucker(L2)) == L2
 
 
-def _cut_line(rng, n, contract_p=0.0):
-    """A random line on any number of leaves (rand_line enumerates every
-    type, which stops at n = 10).  Its topology cuts a shuffled 1..n-1 in
-    two, then each part again; every part of two or more leaves is a
-    split, kept with probability 1 - contract_p."""
-    leaves = list(range(1, n))
-    rng.shuffle(leaves)
-    parts, splits = [leaves], []
-    while parts:
-        part = parts.pop()
-        k = rng.randint(1, len(part) - 1)
-        for half in (part[:k], part[k:]):
-            if len(half) >= 2:
-                parts.append(half)
-                if rng.random() >= contract_p:
-                    splits.append(frozenset(half))
-    T = TreeTopology.from_splits(n, splits)
-    lengths = {side: Fraction(rng.randint(1, 8), rng.randint(1, 3)) for side in splits}
-    anchor = T.internal_nodes[rng.randrange(len(T.internal_nodes))]
-    coords = tuple(Fraction(rng.randint(-10, 10), rng.randint(1, 2)) for _ in range(n))
-    return embed(T, lengths, anchor, coords)
-
-
 def _assert_same_line(got, want):
     assert got == want
     assert got.topology.split_set() == want.topology.split_set()
@@ -197,7 +174,7 @@ def test_plucker_to_tree_matches_brute_twin():
     rng = random.Random(29)
     for n in range(4, 11):
         for trial in range(6 if n <= 8 else 2):
-            L = _cut_line(rng, n, contract_p=0.5 if trial % 2 else 0.0)
+            L = rand_line(rng, n, contract_p=0.5 if trial % 2 else 0.0)
             p = tree_to_plucker(L)
             got = plucker_to_tree(p)
             _assert_same_line(got, brute_plucker_to_tree(p))
@@ -219,7 +196,7 @@ def test_round_trip_beyond_enumeration():
     rng = random.Random(30)
     for n in (12, 14):
         for contract_p in (0.0, 0.5):
-            L = _cut_line(rng, n, contract_p)
+            L = rand_line(rng, n, contract_p=contract_p)
             assert L.topology.is_trivalent() == (contract_p == 0)
             _assert_same_line(plucker_to_tree(tree_to_plucker(L)), L)
 
