@@ -37,10 +37,16 @@ def _write(args, payload):
         print(text)
 
 
-def _write_svg(args, markup):
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(markup + "\n")
+def _write_svg(args, draw, what):
+    """Draw only when --svg asks for it; drawing converts to floats."""
+    if not args.svg:
+        return
+    try:
+        markup = draw(what)
+    except OverflowError as e:
+        raise TropError(f"coordinates too large to draw: {e}") from e
+    with open(args.svg, "w") as fh:
+        fh.write(markup + "\n")
 
 
 def cmd_curve(args):
@@ -48,7 +54,7 @@ def cmd_curve(args):
     A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
     c = jsonio.point_from_json(jsonio._expect(obj, "c", list))
     curve = dual_curve(A, c)
-    _write_svg(args, svg.curve_svg(curve))
+    _write_svg(args, svg.curve_svg, curve)
     _write(args, jsonio.curve_to_json(curve))
 
 
@@ -104,7 +110,7 @@ def cmd_fixed_locus(args):
     L = jsonio.line_from_json(jsonio._expect(obj, "line", dict))
     cells = pencil.fixed_locus(L, A)
     pieces = plane.canonical_pieces([c.geometry for c in cells])
-    _write_svg(args, svg.pieces_svg(pieces))
+    _write_svg(args, svg.pieces_svg, pieces)
     _write(
         args,
         {
@@ -118,7 +124,7 @@ def cmd_is_fixed(args):
     obj = _read_input(args)
     A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
     L = jsonio.line_from_json(jsonio._expect(obj, "line", dict))
-    P = jsonio.point_from_json(jsonio._expect(obj, "point", list))
+    P = jsonio._plane_point(jsonio._expect(obj, "point", list), "point")
     fixed = pencil.is_fixed(L, A, P)
     if args.oracle and oracle.sampled_fixed(L, A, P) != fixed:
         raise TropError("oracle mismatch: sampled walk disagrees")

@@ -42,6 +42,13 @@ def point_from_json(obj) -> ProjPoint:
         raise MalformedInput(str(e)) from e
 
 
+def _plane_point(obj, field: str) -> ProjPoint:
+    """A point of TP^2 given in the named field: exactly 3 coordinates."""
+    if not isinstance(obj, list) or len(obj) != 3:
+        raise MalformedInput(f"{field} must be a list of 3 coordinates")
+    return point_from_json(obj)
+
+
 def support_to_json(A: SupportSet) -> dict:
     return {"degree": A.degree, "points": [list(p) for p in A.points]}
 
@@ -64,12 +71,8 @@ def config_to_json(config) -> dict:
 
 
 def config_from_json(obj) -> list:
-    points = []
-    for k, p in enumerate(_expect(obj, "points", list)):
-        if not isinstance(p, list) or len(p) != 3:
-            raise MalformedInput(f"configuration.points[{k}] must be a list of 3 coordinates")
-        points.append(point_from_json(p))
-    return points
+    points = _expect(obj, "points", list)
+    return [_plane_point(p, f"configuration.points[{k}]") for k, p in enumerate(points)]
 
 
 def subdivision_to_json(S: RegularSubdivision) -> dict:

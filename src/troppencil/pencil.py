@@ -3,11 +3,14 @@
 A point P of TP^2 is fixed for the pencil parameterized by a line L with
 support A iff the translated line G = L + A.P lies inside Pi_2, the locus
 where the coordinate minimum is attained at least twice.  That containment
-is decided exactly by a walk over the vertices, bounded edges and rays of
-G: along an edge in direction e_J the coordinates split into a growing
-group J and a constant group, so the minimum changes regime at the single
-breakpoint where the two group minima cross, and only the group
-multiplicities on each regime matter.
+is decided exactly by one walk over the bounded edges and rays of G,
+`_regimes`: along an edge in direction e_J the coordinates split into a
+growing group J and a constant group, so the J group holds the minimum up
+to the breakpoint t* where the two group minima cross, and the other group
+from t* on.  Per edge the walk keeps t* and each group's argmin at the
+first node; `skeleton_level` reads the group multiplicities from it,
+`pi_set` its interval per edge, and `pi_gamma` the coordinates that ever
+attain the minimum.
 
 The locus itself is enumerated per the two witness patterns at points
 c of L: three leaves in pairwise distinct components of L - {c}, or two
@@ -48,35 +51,32 @@ def shifted_line(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> EmbeddedLine:
 # skeleton walk
 
 
-def _group_min(values):
-    m = min(values)
-    return m, sum(1 for v in values if v == m)
+def _regimes(G: EmbeddedLine) -> list:
+    """Per edge or ray of G in direction e_J, with q its first node:
+    (key, J, length or None, argmin of q on J, argmin on the rest, t*)."""
+    walks = [((a, b), G.coords[a], side, ell) for a, b, side, ell in G.edges]
+    walks += [((v, leaf), G.coords[v], frozenset((leaf,)), None) for v, leaf in G.rays]
+    out = []
+    for key, q, J, ell in walks:
+        mu, arg = [None, None], [[], []]  # the rest at index 0, the J group at 1
+        for i, x in enumerate(q, 1):
+            s = i in J
+            if not arg[s] or x < mu[s]:
+                mu[s], arg[s] = x, [i]
+            elif x == mu[s]:
+                arg[s].append(i)
+        out.append((key, J, ell, frozenset(arg[1]), frozenset(arg[0]), mu[0] - mu[1]))
+    return out
 
 
 def skeleton_level(G: EmbeddedLine) -> int:
     """The largest t with G contained in Pi_t (t = 1 always holds)."""
-    level = None
-
-    def feed(k):
-        nonlocal level
-        level = k if level is None else min(level, k)
-
-    n = G.n
-    for v in G.topology.internal_nodes:
-        feed(min_profile(G.coords[v]).multiplicity)
-    for a, b, side, ell in G.edges:
-        q = G.coords[a]
-        mu1, k1 = _group_min([q[i - 1] for i in side])
-        mu0, k0 = _group_min([q[i - 1] for i in range(1, n + 1) if i not in side])
-        tstar = mu0 - mu1
-        if min(tstar, ell) > 0:
-            feed(k1)
-        if tstar < ell:
-            feed(k0)
-    for v, leaf in G.rays:
-        q = G.coords[v]
-        mu0, k0 = _group_min([q[i - 1] for i in range(1, n + 1) if i != leaf])
-        feed(1 if q[leaf - 1] < mu0 else k0)
+    level = min(min_profile(G.coords[v]).multiplicity for v in G.topology.internal_nodes)
+    for _, _, ell, argJ, arg0, tstar in _regimes(G):
+        if tstar > 0:
+            level = min(level, len(argJ))
+        if ell is None or tstar < ell:
+            level = min(level, len(arg0))
     return level
 
 
@@ -275,45 +275,19 @@ def full_set(G: EmbeddedLine) -> SubtreeSet:
 def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
     """Pi(G, I): points of G where every coordinate in I is a global min."""
     I = frozenset(I)
-    if not I:
-        return full_set(G)
-    n = G.n
-    verts = {
-        v
-        for v in G.topology.internal_nodes
-        if I <= min_profile(G.coords[v]).argmin
-    }
-    eiv = {}
-    for a, b, side, ell in G.edges:
-        iv = _pi_interval(G.coords[a], side, ell, I, n)
-        if iv is not None:
-            eiv[(a, b)] = iv
-    riv = {}
-    for v, leaf in G.rays:
-        iv = _pi_interval(G.coords[v], frozenset((leaf,)), None, I, n)
-        if iv is not None:
-            riv[(v, leaf)] = iv
+    verts = {v for v in G.topology.internal_nodes if I <= min_profile(G.coords[v]).argmin}
+    eiv, riv = {}, {}
+    for key, J, ell, argJ, arg0, tstar in _regimes(G):
+        if not (I & J <= argJ and I - J <= arg0):
+            continue
+        lo, hi = Fraction(0), ell  # None means unbounded (rays)
+        if I & J:  # the J group holds the minimum up to t*
+            hi = tstar if hi is None else min(hi, tstar)
+        if I - J:  # the rest holds it from t* on
+            lo = max(lo, tstar)
+        if hi is None or lo <= hi:
+            (riv if ell is None else eiv)[key] = (lo, hi)
     return SubtreeSet(G, verts, eiv, riv)
-
-
-def _pi_interval(q, J, ell, I, n):
-    """Parameter interval on one edge/ray where all of I attain the minimum."""
-    muJ, _ = _group_min([q[i - 1] for i in J])
-    mu0, _ = _group_min([q[i - 1] for i in range(1, n + 1) if i not in J])
-    tstar = mu0 - muJ
-    lo, hi = Fraction(0), ell  # None means unbounded (rays)
-    I_in, I_out = I & J, I - J
-    if I_in:
-        if any(q[i - 1] != muJ for i in I_in):
-            return None
-        hi = tstar if hi is None else min(hi, tstar)
-    if I_out:
-        if any(q[i - 1] != mu0 for i in I_out):
-            return None
-        lo = max(lo, tstar)
-    if hi is not None and lo > hi:
-        return None
-    return (lo, hi)
 
 
 def _gate(G: EmbeddedLine, S: SubtreeSet, i: int) -> LinePoint:
@@ -393,7 +367,13 @@ def pi_gamma(G: EmbeddedLine) -> ProjPoint:
 def pi_gamma_location(G: EmbeddedLine) -> LinePoint:
     if skeleton_level(G) < 2:
         raise TropError("line not in Pi_2")
-    imax = [i for i in range(1, G.n + 1) if not pi_set(G, {i}).is_empty()]
+    # the coordinates that attain the minimum somewhere on G
+    imax = set().union(*(min_profile(G.coords[v]).argmin for v in G.topology.internal_nodes))
+    for _, _, ell, argJ, arg0, tstar in _regimes(G):
+        if tstar >= 0:
+            imax |= argJ
+        if ell is None or tstar <= ell:
+            imax |= arg0
     p = pi_attachment(G, imax)
     if p is None:
         raise TropError("no coordinate ever attains the minimum")

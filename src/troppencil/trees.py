@@ -330,8 +330,8 @@ def embed(topology: TreeTopology, lengths, anchor_node: int, anchor_coords) -> E
     `lengths` maps internal edges to positive lattice lengths; keys may be
     frozensets {a, b} of node ids or the split's leaf side (either side).
     """
-    if topology.is_leaf(anchor_node):
-        raise ValueError("anchor node must be internal")
+    if anchor_node not in topology.adj or topology.is_leaf(anchor_node):
+        raise ValueError(f"anchor node {anchor_node} is not an internal node")
     if isinstance(anchor_coords, ProjPoint):
         anchor_coords = anchor_coords.coords
     coords = {anchor_node: tuple(_coerce(c) for c in anchor_coords)}

@@ -29,6 +29,8 @@ def run_cli(command, payload, *flags):
         text=True,
         env=ENV,
     )
+    # no input, however bad, may end in a Python traceback
+    assert "Traceback" not in proc.stderr, proc.stderr
     try:
         out = json.loads(proc.stdout)
     except json.JSONDecodeError:
@@ -44,6 +46,17 @@ def test_curve_command(tmp_path):
     assert code == 0
     assert len(out["vertices"]) == 2 and len(out["rays"]) == 4
     assert svg.read_text().startswith("<svg")
+
+
+def test_curve_draws_only_when_asked(tmp_path):
+    # a coordinate beyond float range is exact here, but cannot be drawn
+    payload = {"support": SQ_JSON, "c": [0, 0, 0, "1e400"]}
+    code, out = run_cli("curve", payload)
+    assert code == 0 and len(out["vertices"]) == 2
+    svg = tmp_path / "curve.svg"
+    code, out = run_cli("curve", payload, "--svg", str(svg))
+    assert code == 1 and "too large to draw" in out["error"]
+    assert not svg.exists()
 
 
 def test_curve_malformed_rational():
@@ -201,6 +214,18 @@ def test_configuration_point_needs_three_coordinates(point):
     config = {"points": [[0, 0, 0], point]}
     code, out = run_cli("stable-pencil", {"support": SQ_JSON, "configuration": config})
     assert code == 2 and "configuration.points[1]" in out["error"]
+    line = jsonio.line_to_json(make_lsq())
+    code, out = run_cli("is-fixed", {"support": SQ_JSON, "line": line, "point": point})
+    assert code == 2 and out["error"].startswith("point ")
+
+
+@pytest.mark.parametrize("node", [9, 0, 2])
+def test_line_anchor_must_be_internal_node(node):
+    # the star on 4 leaves has one internal node, 5
+    star = jsonio.topology_to_json(TreeTopology.star(4))
+    line = dict(star, anchor={"node": node, "coords": [0, 0, 0, 0]})
+    code, out = run_cli("fixed-locus", {"support": SQ_JSON, "line": line})
+    assert code == 2 and f"anchor node {node}" in out["error"]
 
 
 def test_compat_check_command():

@@ -201,6 +201,63 @@ def test_skeleton_bound_at_attachment():
             assert mult >= (4 if m == 2 else 3)
 
 
+def _samples(G):
+    """Every vertex of G, every point of an edge or ray where two
+    coordinates cross, and the midpoints between consecutive ones (on a
+    ray, up to a point past its last crossing).  Between crossings the
+    argmin does not change, so these points meet every regime."""
+    n = G.n
+    pts = [LinePoint("vertex", v) for v in G.topology.internal_nodes]
+    walks = [("edge", (a, b), G.coords[a], side, ell) for a, b, side, ell in G.edges]
+    walks += [("ray", (v, i), G.coords[v], {i}, None) for v, i in G.rays]
+    for kind, key, q, side, ell in walks:
+        cross = {q[k - 1] - q[i - 1] for i in side for k in range(1, n + 1) if k not in side}
+        ts = sorted({t for t in cross if t > 0 and (ell is None or t < ell)} | {0})
+        ts.append(ts[-1] + 2 if ell is None else ell)
+        params = ts[1:-1] + [(s + t) / 2 for s, t in zip(ts, ts[1:])]
+        pts += [LinePoint(kind, key, Fraction(t)) for t in params]
+    return pts
+
+
+def _holds(S, p):
+    if p.kind == "vertex":
+        return p.loc in S.vertices
+    iv = (S.edge_iv if p.kind == "edge" else S.ray_iv).get(p.loc)
+    return iv is not None and iv[0] <= p.t and (iv[1] is None or p.t <= iv[1])
+
+
+def test_readers_match_sampled_argmins():
+    # skeleton_level, pi_set and pi_gamma_location against the argmin at
+    # sample points, on random lines and on translates by fixed points
+    rng = random.Random(43)
+    lines = []
+    for _ in range(30):
+        n = rng.randint(4, 7)
+        lines.append(rand_line(rng, n, contract_p=rng.choice([0, 0.4])))
+        A, C = rand_support(rng, n), rand_config(rng, n)
+        L = stable_pencil(A, C)
+        lines += [shifted_line(L, A, P) for P in C[:2]]
+    fixed = 0
+    for G in lines:
+        n = G.n
+        samples = _samples(G)
+        argmins = [min_profile(coords_at(G, p)).argmin for p in samples]
+        level = skeleton_level(G)
+        assert level == min(len(m) for m in argmins)
+        subsets = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))) for _ in range(4)]
+        subsets += [rng.choice(argmins) for _ in range(4)]
+        for I in subsets:
+            S = pi_set(G, I)
+            assert [_holds(S, p) for p in samples] == [I <= m for m in argmins]
+        if level >= 2:
+            fixed += 1
+            assert pi_gamma_location(G) == pi_attachment(G, frozenset().union(*argmins))
+        else:
+            with pytest.raises(TropError, match="not in Pi_2"):
+                pi_gamma_location(G)
+    assert fixed >= 20
+
+
 def test_attachment_unique_across_subsets():
     rng = random.Random(38)
     for _ in range(12):
