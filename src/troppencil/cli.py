@@ -2,18 +2,22 @@
 
 Subcommands mirror the library operations one to one.  Exit codes: 0 on
 success, 1 on domain errors (a machine-readable {"error": ...} is still
-printed), 2 on malformed input.  All randomness is behind explicit
---seed flags, so identical inputs give identical outputs.
+printed), 2 on malformed input, 3 on a failed internal invariant check
+(a bug; also reported as {"error": ...}).  When the reader of stdout
+closes it early (say `| head`), the command stops quietly with exit 1.
+All randomness is behind explicit --seed flags, so identical inputs give
+identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import compat, jsonio, oracle, pencil, plane, stable, svg, trees
-from .core import TropError
+from .core import InternalError, TropError
 from .jsonio import MalformedInput
 from .subdivision import dual_curve, is_maximal, regular_subdivision
 
@@ -219,14 +223,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args) -> int:
+    try:
         _COMMANDS[args.command](args)
         return 0
     except MalformedInput as e:
-        print(json.dumps({"error": str(e)}))
-        return 2
+        code, error = 2, e
     except (TropError, ValueError) as e:
-        print(json.dumps({"error": str(e)}))
-        return 1
+        code, error = 1, e
+    except InternalError as e:
+        code, error = 3, e
+    print(json.dumps({"error": str(error)}))
+    return code
 
 
 if __name__ == "__main__":

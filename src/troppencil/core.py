@@ -21,6 +21,14 @@ class TropError(Exception):
     """Base class for domain errors raised by this package."""
 
 
+class InternalError(Exception):
+    """A broken internal invariant: a bug in this package, never bad input.
+
+    Deliberately neither a TropError nor a ValueError, so that no handler
+    for domain or input errors reports it as one.
+    """
+
+
 def rat(x) -> Fraction:
     """Coerce ints, strings like '3/4' and Fractions to an exact Fraction."""
     if isinstance(x, Fraction):

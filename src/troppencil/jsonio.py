@@ -49,10 +49,6 @@ def _plane_point(obj, field: str) -> ProjPoint:
     return point_from_json(obj)
 
 
-def support_to_json(A: SupportSet) -> dict:
-    return {"degree": A.degree, "points": [list(p) for p in A.points]}
-
-
 def support_from_json(obj) -> SupportSet:
     degree = _expect(obj, "degree", int)
     pts = _expect(obj, "points", list)

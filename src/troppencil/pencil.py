@@ -428,6 +428,8 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
     topo = L.topology
     for v in topo.internal_nodes:
         T = _term_forms(A, L.coords[v])
+        # term i is minimal at P: every other term minus term i is >= 0
+        below = [None] + [tuple(_sub(T[m], T[i]) for m in A.indices()) for i in A.indices()]
         parts = sorted(topo.leaf_partition(v), key=sorted)
         # three leaves in three distinct components
         for pa, pb, pc in combinations(range(len(parts)), 3):
@@ -435,22 +437,20 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
                 for j in sorted(parts[pb]):
                     for k in sorted(parts[pc]):
                         eqs = (_sub(T[i], T[j]), _sub(T[j], T[k]))
-                        ineqs = tuple(_sub(T[m], T[i]) for m in A.indices())
-                        geom = plane.solve(eqs, ineqs)
+                        geom = plane.solve(eqs, below[i])
                         if geom is not None:
                             cells.append(
-                                FixedLocusCell(("vertex", v), (i, j, k), eqs, ineqs, geom)
+                                FixedLocusCell(("vertex", v), (i, j, k), eqs, below[i], geom)
                             )
         # two leaf pairs in two distinct components
         for pa, pb in combinations(range(len(parts)), 2):
             for i, j in combinations(sorted(parts[pa]), 2):
                 for k, l in combinations(sorted(parts[pb]), 2):
                     eqs = (_sub(T[i], T[j]), _sub(T[k], T[l]), _sub(T[i], T[k]))
-                    ineqs = tuple(_sub(T[m], T[i]) for m in A.indices())
-                    geom = plane.solve(eqs, ineqs)
+                    geom = plane.solve(eqs, below[i])
                     if geom is not None:
                         cells.append(
-                            FixedLocusCell(("vertex", v), (i, j, k, l), eqs, ineqs, geom)
+                            FixedLocusCell(("vertex", v), (i, j, k, l), eqs, below[i], geom)
                         )
     for a, b, side, ell in L.edges:
         T = _term_forms(A, L.coords[a])

@@ -8,11 +8,14 @@ sum of one entry per row, one per remaining column.  The configuration is
 general iff every minor's optimum is attained by a single bijection.
 
 The assignment problem is solved by an exact potentials-based
-augmenting-path search over rationals.  Uniqueness is certified on the
-reduced matrix: after subtracting optimal row/column potentials the
-optimal bijections are exactly the perfect matchings of the zero-entry
-bipartite graph, so the optimum is unique iff that graph has no
-alternating cycle through the matching found.
+augmenting-path search over Python integers: each square is first
+multiplied by the least common multiple D of its denominators, which
+changes neither argmin sets nor ties, and the optimum is divided by D
+once at the end.  Uniqueness is certified on the reduced integer matrix:
+after subtracting optimal row/column potentials the optimal bijections
+are exactly the perfect matchings of the zero-entry bipartite graph, so
+the optimum is unique iff that graph has no alternating cycle through
+the matching found.
 
 The tropical determinants of all pairs always satisfy the quartet
 relations, so they are the pair coordinates of a line: the stable pencil
@@ -24,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .core import ProjPoint, SupportSet, dot, rat
+from .core import InternalError, ProjPoint, SupportSet, dot, rat
 from .subdivision import curve_contains
 from .trees import EmbeddedLine, PlueckerVector, plucker_to_tree
 
@@ -51,35 +55,41 @@ def tropdet(square) -> TropdetResult:
     k = len(M)
     if any(len(row) != k for row in M):
         raise ValueError("matrix is not square")
-    assignment, u, v = _assignment(M)
-    value = sum(M[i][assignment[i]] for i in range(k))
-    return TropdetResult(value, tuple(assignment), _is_unique(M, assignment, u, v))
+    D = lcm(*(x.denominator for row in M for x in row))
+    N = [[x.numerator * (D // x.denominator) for x in row] for row in M]
+    assignment, u, v = _assignment(N)
+    total = sum(N[i][assignment[i]] for i in range(k))
+    return TropdetResult(Fraction(total, D), tuple(assignment), _is_unique(N, assignment, u, v))
 
 
 def _assignment(M):
-    """Exact Hungarian algorithm (potentials + augmenting paths)."""
+    """Exact Hungarian algorithm (potentials + augmenting paths) on an
+    integer matrix."""
     k = len(M)
-    INF = float("inf")
-    u = [Fraction(0)] * (k + 1)
-    v = [Fraction(0)] * (k + 1)
+    u = [0] * (k + 1)
+    v = [0] * (k + 1)
     match = [0] * (k + 1)  # match[j] = row assigned to column j (1-based)
     for i in range(1, k + 1):
         match[0] = i
         j0 = 0
-        minv = [INF] * (k + 1)
+        # row i's reduced costs: what the first scan would set, so no
+        # infinite starting value is needed
+        row = M[i - 1]
+        minv = [0] + [row[j - 1] - u[i] - v[j] for j in range(1, k + 1)]
         way = [0] * (k + 1)
         used = [False] * (k + 1)
         while True:
             used[j0] = True
-            i0, delta, j1 = match[j0], INF, -1
+            i0, delta, j1 = match[j0], None, -1
+            row, ui = M[i0 - 1], u[i0]
             for j in range(1, k + 1):
                 if used[j]:
                     continue
-                cur = M[i0 - 1][j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
-                if minv[j] < delta:
+                if delta is None or minv[j] < delta:
                     delta = minv[j]
                     j1 = j
             for j in range(k + 1):
@@ -109,7 +119,7 @@ def _is_unique(M, assignment, u, v) -> bool:
         for j in range(k):
             red = M[i][j] - u[i] - v[j]
             if red < 0 or (j == assignment[i] and red != 0):
-                raise AssertionError("potentials are not optimal")
+                raise InternalError("potentials are not optimal")
     # digraph on rows/columns: unmatched zero edges i -> j, matched j -> i
     succ = {("r", i): [] for i in range(k)}
     succ.update({("c", j): [] for j in range(k)})

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_lsq
-from troppencil import jsonio
+from troppencil import cli, jsonio, stable
 from troppencil.core import ProjPoint
 from troppencil.trees import TreeTopology
 
@@ -261,6 +261,51 @@ def test_bad_json_is_exit_2():
         env=ENV,
     )
     assert proc.returncode == 2
+
+
+def test_internal_error_is_exit_3(monkeypatch, tmp_path, capsys):
+    # potentials raised by 1 on every row break dual feasibility, which the
+    # uniqueness certificate checks before it trusts them
+    solve = stable._assignment
+
+    def broken(M):
+        assignment, u, v = solve(M)
+        return assignment, [x + 1 for x in u], v
+
+    monkeypatch.setattr(stable, "_assignment", broken)
+    request = tmp_path / "in.json"
+    request.write_text(
+        json.dumps({"support": SQ_JSON, "configuration": {"points": [[0, 0, 0], [2, 1, 0]]}})
+    )
+    code = cli.main(["check-general", "--input", str(request)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out) == {"error": "potentials are not optimal"}
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_ends_quietly():
+    # 945 trivalent types on 7 points: far more output than a pipe buffers
+    support = {
+        "degree": 3,
+        "points": [[0, 0, 3], [1, 0, 2], [2, 0, 1], [3, 0, 0], [0, 1, 2], [1, 1, 1], [0, 2, 1]],
+    }
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "troppencil.cli", "enumerate-types"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=ENV,
+    )
+    proc.stdin.write(json.dumps({"support": support}))
+    proc.stdin.close()
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()  # the reader goes away, as `| head -1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_bench_smoke():

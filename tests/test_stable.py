@@ -5,13 +5,17 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import rand_config, rand_support
-from troppencil.core import ProjPoint
+from troppencil import stable
+from troppencil.core import InternalError, ProjPoint, TropError
+from troppencil.oracle import brute_tropdet
 from troppencil.pencil import is_fixed
 from troppencil.stable import (
     curves_through,
     is_general,
+    minor_columns,
     minor_tropdet,
     plucker_of_config,
+    solve_minors,
     stable_pencil,
     tropdet,
     value_matrix,
@@ -136,3 +140,103 @@ def test_minor_tropdet_indices(SQ, CFG):
     res = minor_tropdet(M, 4, 1, 2)
     assert res.value == 1 and res.unique
     assert sorted(res.assignment) == [3, 4]
+
+
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def _prime_rational(rng, primes):
+    """A numerator in +-10^6 over a prime drawn from `primes`."""
+    return Fraction(rng.randint(-10**6, 10**6), rng.choice(primes))
+
+
+def _planted_tie(rng, k, near):
+    """A k x k matrix whose optimum is a tie between two bijections that
+    differ on one cycle, visible only after clearing denominators (like
+    1/3 + 2/3 against 1); with `near`, one of them is worse by 1/(p q)."""
+    sigma = list(range(k))
+    rng.shuffle(sigma)
+    cyc = rng.sample(range(k), rng.randint(2, k))  # rows rotated by tau
+    tau = sigma[:]
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        tau[a] = sigma[b]
+    cells = {(i, sigma[i]) for i in range(k)} | {(i, tau[i]) for i in range(k)}
+    # off the two bijections every entry exceeds any sum along them
+    M = [[10**9 + abs(_prime_rational(rng, PRIMES)) for _ in range(k)] for _ in range(k)]
+    for i, j in cells:
+        M[i][j] = _prime_rational(rng, PRIMES[:8]) / 1000
+    gap = sum(M[i][sigma[i]] for i in cyc) - sum(M[i][tau[i]] for i in cyc)
+    M[cyc[0]][tau[cyc[0]]] += gap
+    if near:
+        p, q = rng.sample(PRIMES, 2)
+        M[cyc[-1]][tau[cyc[-1]]] += Fraction(rng.choice((-1, 1)), p * q)
+    return M
+
+
+def test_tropdet_scaled_denominators_against_brute():
+    """Large prime denominators make the common denominator a big
+    product; planted ties and near-ties check that scaling keeps every
+    tie exact."""
+    rng = random.Random(61)
+    seen_tie = seen_near = 0
+    for k in range(1, 9):
+        for trial in range(16 if k < 7 else 4):
+            style = trial % 4
+            if k >= 2 and style in (1, 2):
+                M = _planted_tie(rng, k, near=style == 2)
+            elif style == 3:
+                # few distinct values over coprime denominators: natural ties
+                vals = [Fraction(a, p) for a in (1, 2) for p in (3, 5, 7)] + [Fraction(1)]
+                M = [[rng.choice(vals) for _ in range(k)] for _ in range(k)]
+            else:
+                M = [[_prime_rational(rng, PRIMES) for _ in range(k)] for _ in range(k)]
+            res = tropdet(M)
+            best, mult = brute_tropdet(M)
+            assert isinstance(res.value, Fraction)
+            assert res.value == best
+            assert res.unique == (mult == 1)
+            assert sum(M[i][res.assignment[i]] for i in range(k)) == best
+            if k >= 2 and style == 1:
+                assert mult >= 2
+                seen_tie += 1
+            if k >= 2 and style == 2:
+                assert mult == 1
+                seen_near += 1
+    assert seen_tie and seen_near
+
+
+def test_solve_minors_against_brute_minors():
+    rng = random.Random(62)
+    singular_configs = 0
+    for trial in range(40):
+        n = 5 + trial % 4
+        A = rand_support(rng, n)
+        if trial % 2:
+            C = [ProjPoint((rng.randint(-3, 3), rng.randint(-3, 3), 0)) for _ in range(n - 2)]
+        else:
+            C = rand_config(rng, n)
+        verdict, p = solve_minors(A, C)
+        M = value_matrix(A, C)
+        brute = {
+            (i, j): brute_tropdet([[row[c - 1] for c in minor_columns(n, i, j)] for row in M])
+            for i, j in combinations(A.indices(), 2)
+        }
+        # the Pluecker vector is normalized to p_{n-1,n} = 0
+        ref = brute[(n - 1, n)][0]
+        singular = None
+        for (i, j), (best, mult) in brute.items():
+            assert p.get(i, j) == best - ref
+            if singular is None and mult > 1:
+                singular = (i, j)
+        assert verdict.general == (singular is None)
+        assert verdict.singular_pair == singular
+        singular_configs += singular is not None
+    assert singular_configs >= 10  # the integer grids tie minors
+
+
+def test_failed_optimality_check_is_internal_error():
+    # column potentials (0, 0) with row potentials (0, 0) are feasible, but
+    # the matching (1, 0) is not tight on them
+    with pytest.raises(InternalError) as info:
+        stable._is_unique([[0, 1], [1, 0]], [1, 0], [0, 0], [0, 0])
+    assert not isinstance(info.value, (ValueError, TropError))
