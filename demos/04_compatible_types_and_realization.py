@@ -22,6 +22,7 @@ from troppencil import (
     realize_type,
     stable_pencil,
     support_graph,
+    type_count,
     unique_matching,
 )
 
@@ -41,7 +42,7 @@ for pairs in [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]:
 # hull boundary the count is 2n-4 choose n-2 over n-1.
 
 for A, name in [(SQ, "square"), (TRI5, "five boundary points"), (HEX6, "all six degree-2 points")]:
-    total = len(enumerate_types(A.n))
+    total = type_count(A.n)
     good = count_compatible(A)
     print(f"{name}: {good} compatible of {total} trivalent types")
 

@@ -56,6 +56,7 @@ from .stable import (
 from .compat import (
     CompatibilityVerdict,
     QuartetVerdict,
+    compatible_types,
     construct_configuration,
     count_compatible,
     enumerate_types,
@@ -64,6 +65,7 @@ from .compat import (
     rainbow_triangle,
     realize_type,
     support_graph,
+    type_count,
     unique_matching,
     vertex_fixed_point,
 )

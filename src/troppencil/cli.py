@@ -147,15 +147,15 @@ def cmd_enumerate_types(args):
     obj = _read_input(args)
     A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
     types = compat.enumerate_types(A.n)
-    flags = [bool(compat.is_compatible(T, A)) for T in types]
+    ids = {k for k, _ in compat.compatible_types(A)}
     _write(
         args,
         {
-            "total": len(types),
-            "compatible": sum(flags),
+            "total": compat.type_count(A.n),
+            "compatible": len(ids),
             "types": [
-                dict(jsonio.topology_to_json(T), compatible=f)
-                for T, f in zip(types, flags)
+                dict(jsonio.topology_to_json(T), compatible=k in ids)
+                for k, T in enumerate(types)
             ],
         },
     )

@@ -18,6 +18,16 @@ counts as a hull edge iff both endpoints are hull vertices, the segment
 lies on the hull boundary, and the other two points sit weakly on one
 side; for four collinear points, iff its endpoints are the two extremes or
 adjacent in the collinear order.
+
+Trivalent types are grown from the star on leaves 1, 2, 3: leaf m goes
+into edge d_m of the sorted (a, b) edge list of the tree on leaves
+1..m-1, which has 2m-5 edges.  The id of a type is the mixed-radix number
+sum_m d_m * prod_{k>m} (2k-5), so ids run over [0, (2n-5)!!) in the order
+of the walk, and a type is decoded from its id's digits directly.
+Inserting a leaf never changes the quartet topology of the leaves already
+placed, so a tree that fails a quartet has no compatible completion; the
+compatible walk checks only the quartets through each new leaf and drops
+a tree as soon as one fails (Semple-Steel, Phylogenetics, 2003).
 """
 
 from __future__ import annotations
@@ -26,7 +36,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
+from math import prod
 
 from .core import (
     ProjPoint,
@@ -238,61 +249,120 @@ def unique_matching(G: SupportGraph, excluded) -> dict:
     return matching
 
 
-def _grow_types(n: int, m: int, adj: dict):
-    if m > n:
-        yield TreeTopology(n, adj)
-        return
+def type_count(n: int) -> int:
+    """(2n-5)!!, the number of trivalent topologies on n leaves."""
+    if n < 3:
+        raise ValueError("need at least 3 leaves")
+    return prod(range(1, 2 * n - 4, 2))
+
+
+def _edges(adj: dict) -> list:
+    return sorted((a, b) for a in adj for b in adj[a] if a < b)
+
+
+def _insert(adj: dict, n: int, m: int, x: int, y: int) -> dict:
+    """A copy of adj with leaf m hung from a new node on the edge (x, y)."""
     z = n + m - 2  # next internal id: an m-leaf tree has m-2 internals
-    edges = sorted((min(a, b), max(a, b)) for a in adj for b in adj[a] if a < b)
-    for x, y in edges:
-        adj2 = {v: set(nb) for v, nb in adj.items()}
-        adj2[x].discard(y)
-        adj2[y].discard(x)
-        adj2[x].add(z)
-        adj2[y].add(z)
-        adj2[z] = {x, y, m}
-        adj2[m] = {z}
-        yield from _grow_types(n, m + 1, adj2)
+    out = dict(adj)
+    out[x] = tuple(z if w == y else w for w in adj[x])
+    out[y] = tuple(z if w == x else w for w in adj[y])
+    out[z] = (x, y, m)
+    out[m] = (z,)
+    return out
+
+
+def _grow(n: int, m: int, adj: dict, type_id: int, fits):
+    """(id, adjacency) of every type grown from a tree on leaves 1..m-1
+    whose id so far is type_id, in id order; a tree on which fits(adj, m)
+    fails after inserting leaf m is dropped with everything grown from it."""
+    if m > n:
+        yield type_id, adj
+        return
+    for d, (x, y) in enumerate(_edges(adj)):
+        child = _insert(adj, n, m, x, y)
+        if fits(child, m):
+            yield from _grow(n, m + 1, child, type_id * (2 * m - 5) + d, fits)
+
+
+def _star3(n: int) -> dict:
+    return {n + 1: (1, 2, 3), 1: (n + 1,), 2: (n + 1,), 3: (n + 1,)}
 
 
 def iter_types(n: int):
-    """All trivalent leaf-labelled topologies on n leaves, lazily, by
-    inserting each new leaf into every edge; (2n-5)!! in total, in a
-    deterministic order."""
+    """All trivalent leaf-labelled topologies on n leaves, lazily and in id
+    order; type_count(n) in total."""
     if n < 3:
         raise ValueError("need at least 3 leaves")
     if n > 10:
         raise ValueError("type enumeration capped at n = 10")
-    seed = {n + 1: {1, 2, 3}, 1: {n + 1}, 2: {n + 1}, 3: {n + 1}}
-    yield from _grow_types(n, 4, seed)
-
-
-_TYPES = {}  # n -> tuple of every type, for the small n used interactively
+    for _, adj in _grow(n, 4, _star3(n), 0, lambda adj, m: True):
+        yield TreeTopology(n, adj)
 
 
 def enumerate_types(n: int) -> list:
-    """iter_types as a list; cached for n <= 8."""
-    if n > 8:
-        return list(iter_types(n))
-    if n not in _TYPES:
-        _TYPES[n] = tuple(iter_types(n))
-    return list(_TYPES[n])
+    """iter_types as a list."""
+    return list(iter_types(n))
 
 
 def type_by_id(n: int, type_id: int):
-    """The type at position type_id of iter_types(n), or None if there is
-    none; read from the list enumerate_types caches for n <= 8."""
-    if type_id < 0:
+    """The type with the given id, or None outside [0, type_count(n)):
+    peel off the digits, then insert each leaf into the edge they name."""
+    if not 0 <= type_id < type_count(n):
         return None
-    if n <= 8:
-        types = enumerate_types(n)
-        return types[type_id] if type_id < len(types) else None
-    return next(islice(iter_types(n), type_id, None), None)
+    digit = {}
+    for m in range(n, 3, -1):
+        type_id, digit[m] = divmod(type_id, 2 * m - 5)
+    adj = _star3(n)
+    for m in range(4, n + 1):
+        adj = _insert(adj, n, m, *_edges(adj)[digit[m]])
+    return TreeTopology(n, adj)
+
+
+def compatible_types(A: SupportSet):
+    """(id, T) for every trivalent type T compatible with A, in id order.
+
+    After leaf m goes in, only the quartets {m, x | a, b} need checking.
+    Hung from m's neighbour, the tree shows such a quartet at every node
+    with a and b below different children and x not below it."""
+    bad = {}  # m -> (bitmask of {a, b}, bitmask of every x failing with it)
+    for m in range(4, A.n + 1):
+        bad[m] = []
+        for a, b in combinations(range(1, m), 2):
+            xs = sum(
+                1 << x
+                for x in range(1, m)
+                if x not in (a, b) and not quartet_ok(A, m, x, a, b)
+            )
+            if xs:
+                bad[m].append((1 << a | 1 << b, xs))
+
+    def fits(adj, m):
+        rows, full = bad[m], (1 << m) - 2
+        top = adj[m][0]
+        parent, order = {top: m}, [top]
+        for v in order:
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    order.append(w)
+        below = {}
+        for v in reversed(order):
+            if len(adj[v]) == 1:
+                below[v] = 1 << v
+                continue
+            m1, m2 = (below[w] for w in adj[v] if w != parent[v])
+            below[v] = m1 | m2
+            outside = full ^ below[v]
+            if any(p & m1 and p & m2 and xs & outside for p, xs in rows):
+                return False
+        return True
+
+    for type_id, adj in _grow(A.n, 4, _star3(A.n), 0, fits):
+        yield type_id, TreeTopology(A.n, adj)
 
 
 def count_compatible(A: SupportSet) -> int:
-    source = enumerate_types(A.n) if A.n <= 8 else iter_types(A.n)
-    return sum(1 for T in source if is_compatible(T, A))
+    return sum(1 for _ in compatible_types(A))
 
 
 def squared_distance_heights(A: SupportSet) -> ProjPoint:

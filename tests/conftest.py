@@ -19,7 +19,7 @@ from math import ceil
 import pytest
 
 from troppencil import ProjPoint, SupportSet
-from troppencil.compat import enumerate_types
+from troppencil.compat import type_by_id, type_count
 from troppencil.trees import TreeTopology, embed
 
 
@@ -83,25 +83,8 @@ def rand_support(rng, n):
 
 def rand_topology(rng, n, contract_p=0.0):
     """A uniform random trivalent topology, then each split dropped with
-    probability contract_p.  Up to n = 8 it indexes the cached type list;
-    above, it inserts leaves 4..n one at a time, each on a uniform random
-    edge of the tree so far, since enumerate_types is uncached there."""
-    if n <= 8:
-        types = enumerate_types(n)
-        T = types[rng.randrange(len(types))]
-    else:
-        adj = {1: {n + 1}, 2: {n + 1}, 3: {n + 1}, n + 1: {1, 2, 3}}
-        for leaf in range(4, n + 1):
-            edges = sorted((u, w) for u in adj for w in adj[u] if u < w)
-            u, w = edges[rng.randrange(len(edges))]
-            mid = n + leaf - 2
-            adj[u].remove(w)
-            adj[w].remove(u)
-            adj[mid] = {u, w, leaf}
-            adj[u].add(mid)
-            adj[w].add(mid)
-            adj[leaf] = {mid}
-        T = TreeTopology(n, adj)
+    probability contract_p."""
+    T = type_by_id(n, rng.randrange(type_count(n)))
     if contract_p > 0:
         kept = [s for s in T.split_set() if rng.random() >= contract_p]
         T = TreeTopology.from_splits(n, kept)

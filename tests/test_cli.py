@@ -7,12 +7,15 @@ from pathlib import Path
 import pytest
 
 from conftest import make_lsq
-from troppencil import cli, jsonio, stable
+from troppencil import cli, compat, jsonio, stable
 from troppencil.core import ProjPoint
 from troppencil.trees import TreeTopology
 
 SQ_JSON = {"degree": 2, "points": [[0, 0, 2], [1, 0, 1], [0, 1, 1], [1, 1, 0]]}
 TRI_JSON = {"degree": 1, "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+# 11 points of the quartic's triangle: more leaves than enumerate-types lists
+QUARTIC11_RS = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (0, 3)]
+QUARTIC11_JSON = {"degree": 4, "points": [[r, s, 4 - r - s] for r, s in QUARTIC11_RS]}
 
 # the CLI subprocess imports the same troppencil as the tests
 SRC = str(Path(jsonio.__file__).resolve().parents[1])
@@ -198,6 +201,20 @@ def test_realize_type_id_out_of_range():
     for bad in (3, 1000, -1):
         code, out = run_cli("realize-type", {"support": SQ_JSON, "type_id": bad})
         assert code == 1 and out == {"error": "type_id out of range"}
+
+
+def test_realize_type_beyond_enumeration():
+    A = jsonio.support_from_json(QUARTIC11_JSON)
+    type_id, T = next(compat.compatible_types(A))
+    assert type_id == 161049 and compat.type_by_id(11, type_id) == T
+    code, out = run_cli("realize-type", {"support": QUARTIC11_JSON, "type_id": type_id})
+    assert code == 0
+    assert jsonio.line_from_json(out).topology == T
+
+
+def test_enumerate_types_states_its_limit():
+    code, out = run_cli("enumerate-types", {"support": QUARTIC11_JSON})
+    assert code == 1 and out == {"error": "type enumeration capped at n = 10"}
 
 
 def test_integer_fields_reject_booleans():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_lsq, rand_config, rand_support
 from troppencil.compat import (
+    compatible_types,
     construct_configuration,
     count_compatible,
     enumerate_types,
@@ -17,6 +18,7 @@ from troppencil.compat import (
     realize_type,
     support_graph,
     type_by_id,
+    type_count,
     unique_matching,
     vertex_fixed_point,
     vertex_fixed_points,
@@ -153,11 +155,41 @@ def test_enumerate_types_counts():
 
 
 def test_type_by_id_follows_iter_types():
-    # cached list for n <= 8, lazy walk above
-    for n, ids in ((6, range(105)), (9, range(12))):
-        walked = list(islice(iter_types(n), len(ids)))
-        assert [type_by_id(n, k) for k in ids] == walked
-    assert type_by_id(6, 105) is None and type_by_id(6, -1) is None
+    # decoded from the id's digits, never walked: same adjacency as the walk
+    for n in range(3, 8):
+        walked = list(iter_types(n))
+        assert len(walked) == type_count(n)
+        for k, T in enumerate(walked):
+            assert type_by_id(n, k).adj == T.adj
+    rng = random.Random(64)
+    walked = list(iter_types(8))
+    for k in rng.sample(range(len(walked)), 300):
+        assert type_by_id(8, k).adj == walked[k].adj
+    walked = list(islice(iter_types(9), 3000))
+    for k in list(range(12)) + rng.sample(range(12, len(walked)), 100):
+        assert type_by_id(9, k).adj == walked[k].adj
+    for n in (3, 6, 9, 14):
+        assert type_by_id(n, type_count(n)) is None and type_by_id(n, -1) is None
+    assert type_by_id(6, 105) is None and type_count(6) == 105
+
+
+def test_decoded_types_beyond_enumeration():
+    rng = random.Random(65)
+    ids = rng.sample(range(type_count(14)), 60)
+    types = [type_by_id(14, k) for k in ids]
+    assert all(T.n == 14 and T.is_trivalent() for T in types)
+    assert len({T.split_set() for T in types}) == 60
+
+
+def test_compatible_types_match_filter(SQ, TRI5, HEX6):
+    walks = {n: list(iter_types(n)) for n in range(4, 9)}
+    rng = random.Random(66)
+    supports = [SQ, TRI5, HEX6] + [rand_support(rng, 4 + k % 5) for k in range(40)]
+    for A in supports:
+        fast = list(compatible_types(A))
+        twin = [(k, T) for k, T in enumerate(walks[A.n]) if is_compatible(T, A)]
+        assert [k for k, _ in fast] == [k for k, _ in twin]
+        assert [T.adj for _, T in fast] == [T.adj for _, T in twin]
 
 
 def test_count_compatible_fixtures(SQ, TRI5, HEX6):
@@ -170,6 +202,14 @@ def test_count_compatible_boundary_formula_n7():
     # all points on the hull boundary: count is C(2n-4, n-2) / (n-1)
     A = SupportSet.from_rs(3, [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)])
     assert count_compatible(A) == 42
+
+
+def test_count_compatible_boundary_formula_n9():
+    # the 9 boundary points of the cubic: 429 of 135,135 types
+    A = SupportSet.from_rs(
+        3, [(0, 0), (1, 0), (2, 0), (3, 0), (2, 1), (1, 2), (0, 3), (0, 2), (0, 1)]
+    )
+    assert count_compatible(A) == 429
 
 
 def test_realize_type_larger_support():
