@@ -72,6 +72,7 @@ from .compat import (
 from .oracle import (
     EpsRational,
     brute_plucker_to_tree,
+    brute_regular_subdivision,
     brute_tropdet,
     perturbed_pencil,
     sampled_fixed,

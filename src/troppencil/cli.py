@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import compat, jsonio, oracle, pencil, plane, stable, svg, trees
 from .core import InternalError, TropError
@@ -203,7 +204,10 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  Building it costs dozens of times
+    more than parsing a command line, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="troppencil",
         description="exact computations with linear pencils of min-plus plane curves",

@@ -1,10 +1,11 @@
 """Slow reference implementations used for differential testing.
 
 These are deliberately naive: assignment problems by full enumeration,
-curve membership by exhaustive breakpoint walks, trees from Pluecker
-vectors by trying every leaf bipartition, and stable pencils as honest
-limits of first-order infinitesimal perturbations.  They ship with
-the library (not only the tests) so verdicts can be re-derived on demand.
+lower hulls from `Fraction` planes, curve membership by exhaustive
+breakpoint walks, trees from Pluecker vectors by trying every leaf
+bipartition, and stable pencils as honest limits of first-order
+infinitesimal perturbations.  They ship with the library (not only the
+tests) so verdicts can be re-derived on demand.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from itertools import combinations, permutations
 
 from .core import ProjPoint, SupportSet, TropError, min_profile, rat
 from .pencil import shifted_line
+from .subdivision import RegularSubdivision
 from .trees import EmbeddedLine, PlueckerVector, TreeTopology, embed
 
 
@@ -121,6 +123,28 @@ def brute_tropdet(square) -> tuple:
         elif s == best:
             mult += 1
     return best, mult
+
+
+def brute_regular_subdivision(A: SupportSet, c: ProjPoint) -> RegularSubdivision:
+    """Lower hull from rational planes: a subset is a cell iff it is the
+    full equality set of some supporting plane with every lift above."""
+    if c.dim != A.n:
+        raise ValueError(f"coefficient vector has {c.dim} entries, support has {A.n}")
+    cells = set()
+    idx = list(A.indices())
+    for tri in combinations(idx, 3):
+        (r1, s1), (r2, s2), (r3, s3) = (A.rs(i) for i in tri)
+        det = (r2 - r1) * (s3 - s1) - (s2 - s1) * (r3 - r1)
+        if det == 0:
+            continue
+        h1, h2, h3 = (c[i - 1] for i in tri)
+        alpha = Fraction((h2 - h1) * (s3 - s1) - (h3 - h1) * (s2 - s1), det)
+        beta = Fraction((h3 - h1) * (r2 - r1) - (h2 - h1) * (r3 - r1), det)
+        gamma = h1 - alpha * r1 - beta * s1
+        diffs = [c[m - 1] - (alpha * A.rs(m)[0] + beta * A.rs(m)[1] + gamma) for m in idx]
+        if all(d >= 0 for d in diffs):
+            cells.add(tuple(m for m, d in zip(idx, diffs) if d == 0))
+    return RegularSubdivision(A, tuple(sorted(cells)))
 
 
 def sampled_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:

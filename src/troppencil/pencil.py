@@ -135,10 +135,6 @@ def coords_at(G: EmbeddedLine, p: LinePoint) -> tuple:
     return tuple(q[i] + (p.t if i + 1 == leaf else 0) for i in range(G.n))
 
 
-def point_valence(G: EmbeddedLine, p: LinePoint) -> int:
-    return len(G.topology.adj[p.loc]) if p.kind == "vertex" else 2
-
-
 def leaf_partition_at(G: EmbeddedLine, p: LinePoint) -> list:
     """Leaf sets of the components of G - {p}."""
     topo = G.topology
@@ -244,34 +240,6 @@ class SubtreeSet:
                 links.append((("r", key), ("v", key[0])))
         return component_count(items, links)
 
-    def intersection(self, other: "SubtreeSet") -> "SubtreeSet":
-        verts = self.vertices & other.vertices
-        eiv = {}
-        for key in self.edge_iv.keys() & other.edge_iv.keys():
-            lo = max(self.edge_iv[key][0], other.edge_iv[key][0])
-            hi = min(self.edge_iv[key][1], other.edge_iv[key][1])
-            if lo <= hi:
-                eiv[key] = (lo, hi)
-        riv = {}
-        for key in self.ray_iv.keys() & other.ray_iv.keys():
-            lo = max(self.ray_iv[key][0], other.ray_iv[key][0])
-            h1, h2 = self.ray_iv[key][1], other.ray_iv[key][1]
-            hi = h1 if h2 is None else h2 if h1 is None else min(h1, h2)
-            if hi is None or lo <= hi:
-                riv[key] = (lo, hi)
-        # vertices only survive when both sets carry them
-        return SubtreeSet(self.line, verts, eiv, riv)
-
-
-def full_set(G: EmbeddedLine) -> SubtreeSet:
-    return SubtreeSet(
-        G,
-        set(G.topology.internal_nodes),
-        {(a, b): (Fraction(0), ell) for a, b, _, ell in G.edges},
-        {key: (Fraction(0), None) for key in G.rays},
-    )
-
-
 def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
     """Pi(G, I): points of G where every coordinate in I is a global min."""
     I = frozenset(I)
@@ -336,26 +304,6 @@ def pi_attachment(G: EmbeddedLine, I) -> LinePoint | None:
         if all(S.ray_iv.get((topo.node_of_leaf(j), j), (0, 0))[1] is None for j in free):
             return x
     raise TropError(f"Pi(G, {sorted(I)}) has no unique attachment point")
-
-
-def subtree_spanning(G: EmbeddedLine, I) -> SubtreeSet:
-    """The minimal subtree of G containing the leaves in I (full rays
-    plus the connecting paths)."""
-    I = sorted(set(I))
-    if not I:
-        return SubtreeSet(G, set(), {}, {})
-    topo = G.topology
-    verts = set()
-    eiv = {}
-    riv = {(topo.node_of_leaf(i), i): (Fraction(0), None) for i in I}
-    for i, j in combinations(I, 2):
-        path = topo.path(topo.node_of_leaf(i), topo.node_of_leaf(j))
-        verts.update(path)
-        for a, b in zip(path, path[1:]):
-            key = (a, b) if a < b else (b, a)
-            eiv[key] = (Fraction(0), G.edge(key)[3])
-    verts.update(topo.node_of_leaf(i) for i in I)
-    return SubtreeSet(G, verts, eiv, riv)
 
 
 def pi_gamma(G: EmbeddedLine) -> ProjPoint:
@@ -484,7 +432,3 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
 def fixed_locus_pieces(L: EmbeddedLine, A: SupportSet) -> list:
     """The fixed locus collapsed to disjoint maximal geometric pieces."""
     return plane.canonical_pieces([c.geometry for c in fixed_locus(L, A)])
-
-
-def locus_contains(cells, P: ProjPoint) -> bool:
-    return any(c.contains(P) for c in cells)

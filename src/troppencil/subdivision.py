@@ -8,8 +8,20 @@ ray per boundary 1-face.
 
 The lower hull is found by exhaustive facet-candidate testing: every
 non-collinear support triple determines a plane, kept when every lift lies
-on or above it.  O(n^4) worst case, which is fine at the scale this
-library targets (n <= ~12), and trivially exact.
+on or above it; the cell is the set of lifts on it.  O(n^4) worst case,
+which is fine at the scale this library targets (n <= ~12).
+
+The test runs in integers.  The heights are scaled once by the lcm D of
+their denominators, so h = D*c is integral.  For a triple with
+orientation determinant O != 0, the plane through its lifts is
+O*(h - h1) = P*(r - r1) + Q*(s - s1) with integer P and Q, and point m
+lies below, on or above it as sign(O) * (O*(h_m - h1) - P*(r_m - r1)
+- Q*(s_m - s1)) is negative, zero or positive: the 4-point lifting
+determinant of Gelfand-Kapranov-Zelevinsky.  Multiplying every height by
+D > 0 multiplies each such determinant by D, so every sign, and with it
+every tie, is the one of the rational heights: the cells are exactly
+those of c.  Planes in `Fraction`s remain only where a caller wants the
+dual vertex coordinates (`cell_dual_point`, `dual_curve`).
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .core import (
     ProjPoint,
@@ -104,24 +117,26 @@ def regular_subdivision(A: SupportSet, c: ProjPoint) -> RegularSubdivision:
     """Lower-hull subdivision of conv(A) induced by the lifting heights c."""
     if c.dim != A.n:
         raise ValueError(f"coefficient vector has {c.dim} entries, support has {A.n}")
+    D = lcm(*(x.denominator for x in c.coords))
+    lifts = [(r, s, x.numerator * (D // x.denominator)) for (r, s, _), x in zip(A.points, c.coords)]
     cells = set()
-    idx = list(A.indices())
-    for tri in combinations(idx, 3):
-        if orient2d(*(A.rs(i) for i in tri)) == 0:
+    for (r1, s1, h1), (r2, s2, h2), (r3, s3, h3) in combinations(lifts, 3):
+        O = (r2 - r1) * (s3 - s1) - (s2 - s1) * (r3 - r1)
+        if O == 0:
             continue
-        alpha, beta, gamma = _cell_plane(A, c, tri)
+        P = (h2 - h1) * (s3 - s1) - (h3 - h1) * (s2 - s1)
+        Q = (h3 - h1) * (r2 - r1) - (h2 - h1) * (r3 - r1)
+        if O < 0:
+            O, P, Q = -O, -P, -Q
         face = []
-        lower = True
-        for m in idx:
-            r, s = A.rs(m)
-            h = alpha * r + beta * s + gamma
-            if c[m - 1] < h:
-                lower = False
+        for m, (r, s, h) in enumerate(lifts, 1):
+            side = O * (h - h1) - P * (r - r1) - Q * (s - s1)
+            if side < 0:
                 break
-            if c[m - 1] == h:
+            if side == 0:
                 face.append(m)
-        if lower:
-            cells.add(tuple(sorted(face)))
+        else:
+            cells.add(tuple(face))
     return RegularSubdivision(A, tuple(sorted(cells)))
 
 

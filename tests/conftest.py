@@ -14,12 +14,14 @@ differential suites draw from the same distributions.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import ceil
 
 import pytest
 
 from troppencil import ProjPoint, SupportSet
 from troppencil.compat import type_by_id, type_count
+from troppencil.pencil import SubtreeSet
 from troppencil.trees import TreeTopology, embed
 
 
@@ -56,6 +58,14 @@ def LSQ():
 @pytest.fixture
 def CFG():
     return [ProjPoint((0, 0, 0)), ProjPoint((2, 1, 0))]
+
+
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def prime_rational(rng, primes=PRIMES):
+    """A numerator in +-10^6 over a prime drawn from `primes`."""
+    return Fraction(rng.randint(-10**6, 10**6), rng.choice(primes))
 
 
 def rand_rational(rng, span=10, den=3):
@@ -138,3 +148,63 @@ def plant_line(rng, n, t):
 
 def skeleton_bound(m: int, t: int) -> int:
     return ceil(Fraction(m * t, m - 1))
+
+
+# ---------------------------------------------------------------------------
+# references for the skeleton tests; the library itself never needs them
+
+
+def point_valence(G, p) -> int:
+    return len(G.topology.adj[p.loc]) if p.kind == "vertex" else 2
+
+
+def locus_contains(cells, P) -> bool:
+    return any(c.contains(P) for c in cells)
+
+
+def full_set(G) -> SubtreeSet:
+    return SubtreeSet(
+        G,
+        set(G.topology.internal_nodes),
+        {(a, b): (Fraction(0), ell) for a, b, _, ell in G.edges},
+        {key: (Fraction(0), None) for key in G.rays},
+    )
+
+
+def subtree_spanning(G, I) -> SubtreeSet:
+    """The minimal subtree of G containing the leaves in I (full rays
+    plus the connecting paths)."""
+    I = sorted(set(I))
+    if not I:
+        return SubtreeSet(G, set(), {}, {})
+    topo = G.topology
+    verts = set()
+    eiv = {}
+    riv = {(topo.node_of_leaf(i), i): (Fraction(0), None) for i in I}
+    for i, j in combinations(I, 2):
+        path = topo.path(topo.node_of_leaf(i), topo.node_of_leaf(j))
+        verts.update(path)
+        for a, b in zip(path, path[1:]):
+            key = (a, b) if a < b else (b, a)
+            eiv[key] = (Fraction(0), G.edge(key)[3])
+    verts.update(topo.node_of_leaf(i) for i in I)
+    return SubtreeSet(G, verts, eiv, riv)
+
+
+def subtree_intersection(S: SubtreeSet, T: SubtreeSet) -> SubtreeSet:
+    verts = S.vertices & T.vertices
+    eiv = {}
+    for key in S.edge_iv.keys() & T.edge_iv.keys():
+        lo = max(S.edge_iv[key][0], T.edge_iv[key][0])
+        hi = min(S.edge_iv[key][1], T.edge_iv[key][1])
+        if lo <= hi:
+            eiv[key] = (lo, hi)
+    riv = {}
+    for key in S.ray_iv.keys() & T.ray_iv.keys():
+        lo = max(S.ray_iv[key][0], T.ray_iv[key][0])
+        h1, h2 = S.ray_iv[key][1], T.ray_iv[key][1]
+        hi = h1 if h2 is None else h2 if h1 is None else min(h1, h2)
+        if hi is None or lo <= hi:
+            riv[key] = (lo, hi)
+    # vertices only survive when both sets carry them
+    return SubtreeSet(S.line, verts, eiv, riv)

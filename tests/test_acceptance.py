@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     plant_line,
+    point_valence,
     rand_config,
     rand_line,
     rand_support,
@@ -38,7 +39,6 @@ from troppencil.pencil import (
     is_fixed,
     pi_attachment,
     pi_set,
-    point_valence,
     skeleton_level,
 )
 from troppencil.stable import (

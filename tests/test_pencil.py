@@ -4,12 +4,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    full_set,
+    locus_contains,
     make_lsq,
     plant_line,
+    point_valence,
     rand_config,
     rand_line,
     rand_support,
     skeleton_bound,
+    subtree_intersection,
+    subtree_spanning,
 )
 from troppencil import plane
 from troppencil.core import ProjPoint, TropError, min_profile
@@ -18,18 +23,14 @@ from troppencil.pencil import (
     coords_at,
     fixed_locus,
     fixed_locus_pieces,
-    full_set,
     is_fixed,
     leaf_partition_at,
-    locus_contains,
     pi_attachment,
     pi_gamma,
     pi_gamma_location,
     pi_set,
-    point_valence,
     shifted_line,
     skeleton_level,
-    subtree_spanning,
 )
 from troppencil.stable import stable_pencil
 from troppencil.trees import TreeTopology, embed
@@ -141,7 +142,7 @@ def test_pi_set_connected_random():
                     # the subtree spanned by one leaf is its whole ray, and
                     # the overlap may legitimately be a segment of it
                     continue
-                inter = subtree_spanning(G, J).intersection(S)
+                inter = subtree_intersection(subtree_spanning(G, J), S)
                 pts = inter.finite_points()
                 assert pts is not None and len(set(pts)) <= 1
 

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import rand_config, rand_support
+from conftest import PRIMES, prime_rational, rand_config, rand_support
 from troppencil import stable
 from troppencil.core import InternalError, ProjPoint, TropError
 from troppencil.oracle import brute_tropdet
@@ -142,14 +142,6 @@ def test_minor_tropdet_indices(SQ, CFG):
     assert sorted(res.assignment) == [3, 4]
 
 
-PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
-
-
-def _prime_rational(rng, primes):
-    """A numerator in +-10^6 over a prime drawn from `primes`."""
-    return Fraction(rng.randint(-10**6, 10**6), rng.choice(primes))
-
-
 def _planted_tie(rng, k, near):
     """A k x k matrix whose optimum is a tie between two bijections that
     differ on one cycle, visible only after clearing denominators (like
@@ -162,9 +154,9 @@ def _planted_tie(rng, k, near):
         tau[a] = sigma[b]
     cells = {(i, sigma[i]) for i in range(k)} | {(i, tau[i]) for i in range(k)}
     # off the two bijections every entry exceeds any sum along them
-    M = [[10**9 + abs(_prime_rational(rng, PRIMES)) for _ in range(k)] for _ in range(k)]
+    M = [[10**9 + abs(prime_rational(rng)) for _ in range(k)] for _ in range(k)]
     for i, j in cells:
-        M[i][j] = _prime_rational(rng, PRIMES[:8]) / 1000
+        M[i][j] = prime_rational(rng, PRIMES[:8]) / 1000
     gap = sum(M[i][sigma[i]] for i in cyc) - sum(M[i][tau[i]] for i in cyc)
     M[cyc[0]][tau[cyc[0]]] += gap
     if near:
@@ -189,7 +181,7 @@ def test_tropdet_scaled_denominators_against_brute():
                 vals = [Fraction(a, p) for a in (1, 2) for p in (3, 5, 7)] + [Fraction(1)]
                 M = [[rng.choice(vals) for _ in range(k)] for _ in range(k)]
             else:
-                M = [[_prime_rational(rng, PRIMES) for _ in range(k)] for _ in range(k)]
+                M = [[prime_rational(rng) for _ in range(k)] for _ in range(k)]
             res = tropdet(M)
             best, mult = brute_tropdet(M)
             assert isinstance(res.value, Fraction)

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
-from conftest import rand_support
+from conftest import PRIMES, prime_rational, rand_support
 from troppencil.core import ProjPoint, SupportSet, TropError, min_profile, support_values
+from troppencil.oracle import brute_regular_subdivision
 from troppencil.subdivision import (
     cell_dual_point,
     curve_contains,
@@ -103,33 +103,74 @@ def test_secondary_cone_membership(SQ):
     assert regular_subdivision(SQ, ProjPoint((0, 0, 0, -1))).cells == ((1, 2, 4), (1, 3, 4))
 
 
-def _brute_lower_hull_cells(A, c):
-    """Independent lower-hull oracle: a subset is a cell iff it is the
-    full equality set of some supporting plane with everything above."""
-    cells = set()
-    idx = list(A.indices())
-    for tri in combinations(idx, 3):
-        (r1, s1), (r2, s2), (r3, s3) = (A.rs(i) for i in tri)
-        det = (r2 - r1) * (s3 - s1) - (s2 - s1) * (r3 - r1)
-        if det == 0:
+def _wide_support(rng):
+    """4..10 points of the cubic or the quartic triangle."""
+    d = rng.choice((3, 4))
+    pool = [(r, s) for r in range(d + 1) for s in range(d + 1 - r)]
+    while True:
+        try:
+            return SupportSet.from_rs(d, rng.sample(pool, rng.randint(4, 10)))
+        except ValueError:
             continue
-        h1, h2, h3 = (c[i - 1] for i in tri)
-        alpha = Fraction((h2 - h1) * (s3 - s1) - (h3 - h1) * (s2 - s1), det)
-        beta = Fraction((h3 - h1) * (r2 - r1) - (h2 - h1) * (r3 - r1), det)
-        gamma = h1 - alpha * r1 - beta * s1
-        diffs = [c[m - 1] - (alpha * A.rs(m)[0] + beta * A.rs(m)[1] + gamma) for m in idx]
-        if all(d >= 0 for d in diffs):
-            cells.add(tuple(m for m, d in zip(idx, diffs) if d == 0))
-    return tuple(sorted(cells))
+
+
+def _planted_heights(rng, A, near):
+    """Four points on one affine lift whose three coefficients have distinct
+    prime denominators, so they tie only once all of them are cleared; the
+    other points lie strictly above it half the time.  With `near`, one of
+    the four is moved off the plane by 1/(pq)."""
+    p, q, t = rng.sample(PRIMES, 3)
+    a, b, g = (Fraction(rng.randint(-999, 999), den) for den in (p, q, t))
+    planted = rng.sample(list(A.indices()), 4)
+    above = rng.random() < 0.5
+    heights = []
+    for i in A.indices():
+        r, s = A.rs(i)
+        h = a * r + b * s + g
+        if i not in planted:
+            h += Fraction(rng.randint(1 if above else -999, 999), rng.choice(PRIMES))
+        heights.append(h)
+    if near:
+        heights[planted[0] - 1] += Fraction(rng.choice((-1, 1)), p * q)
+    return heights
+
+
+def _jittered_lift(rng, A):
+    """The redraw heights of `find_strict_maximal_subdivision`: squared
+    distances plus a multiple of 2^-20 of a halved scale."""
+    scale = Fraction(1, 4 * 2 ** rng.randint(0, 12))
+    return [
+        r * r + s * s + Fraction(rng.randint(0, 2**20), 2**20) * scale
+        for r, s in (A.rs(i) for i in A.indices())
+    ]
 
 
 def test_lower_hull_against_brute_force():
     rng = random.Random(11)
+    draws = []
     for _ in range(40):
         A = rand_support(rng, rng.randint(4, 7))
-        c = ProjPoint([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in A.indices()])
-        assert regular_subdivision(A, c).cells == _brute_lower_hull_cells(A, c)
-        assert secondary_cone_contains(A, regular_subdivision(A, c), c)
+        draws.append((A, [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in A.indices()]))
+    for kind in ("wide", "planted", "near", "jitter"):
+        for _ in range(60):
+            A = _wide_support(rng)
+            if kind == "wide":
+                heights = [prime_rational(rng) for _ in A.indices()]
+            elif kind == "jitter":
+                heights = _jittered_lift(rng, A)
+            else:
+                heights = _planted_heights(rng, A, near=kind == "near")
+            draws.append((A, heights))
+    mismatches, tied = [], 0
+    for A, heights in draws:
+        c = ProjPoint(heights)
+        S = regular_subdivision(A, c)
+        if S != brute_regular_subdivision(A, c) or not secondary_cone_contains(A, S, c):
+            mismatches.append((A, c))
+        tied += not is_maximal(S, "lenient")
+    assert mismatches == []
+    # the planted ties really reach the hull: some cells have four points
+    assert tied >= 30
 
 
 def test_duality_on_random_instances():
