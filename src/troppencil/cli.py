@@ -1,12 +1,15 @@
 """Command-line front end: JSON in, JSON or SVG out.
 
-Subcommands mirror the library operations one to one.  Exit codes: 0 on
-success, 1 on domain errors (a machine-readable {"error": ...} is still
-printed), 2 on malformed input, 3 on a failed internal invariant check
-(a bug; also reported as {"error": ...}).  When the reader of stdout
-closes it early (say `| head`), the command stops quietly with exit 1.
-All randomness is behind explicit --seed flags, so identical inputs give
-identical outputs.
+Subcommands mirror the library operations one to one.  `_run` reads the
+request and decodes its "support" once; the subcommand's handler decodes
+the rest.  Besides --input and --output, a subcommand accepts only the
+flags `_COMMANDS` lists for it.  Exit codes: 0 on success, 1 on domain
+errors (a machine-readable {"error": ...} is still printed), 2 on
+malformed input, a usage error or an --output or --svg file that cannot
+be written, 3 on any other exception, which is a bug (also reported as
+{"error": ...}).  When the reader of stdout closes it early (say
+`| head`), the command stops quietly with exit 1.  All randomness is
+behind explicit --seed flags, so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -19,25 +22,41 @@ from functools import cache
 
 from . import compat, jsonio, oracle, pencil, plane, stable, svg, trees
 from .core import InternalError, TropError
-from .jsonio import MalformedInput
+from .jsonio import MalformedInput, expect
 from .subdivision import dual_curve, is_maximal, regular_subdivision
+
+
+def _json_int(digits: str):
+    """A JSON integer, or past int()'s digit limit its text, which decoders refuse."""
+    try:
+        return int(digits)
+    except ValueError:
+        return digits
 
 
 def _read_input(args) -> dict:
     try:
         if args.input and args.input != "-":
             with open(args.input) as fh:
-                return json.load(fh)
-        return json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as e:
+                return json.load(fh, parse_int=_json_int)
+        return json.load(sys.stdin, parse_int=_json_int)
+    except (OSError, ValueError, RecursionError) as e:
         raise MalformedInput(f"cannot read input: {e}") from e
+
+
+def _save(flag: str, path: str, text: str):
+    """Write text and a newline to the file named by `flag`."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as e:
+        raise MalformedInput(f"{flag}: cannot write {path}: {e.strerror}") from e
 
 
 def _write(args, payload):
     text = json.dumps(payload, indent=2)
     if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        _save("--output", args.output, text)
     else:
         print(text)
 
@@ -50,157 +69,116 @@ def _write_svg(args, draw, what):
         markup = draw(what)
     except OverflowError as e:
         raise TropError(f"coordinates too large to draw: {e}") from e
-    with open(args.svg, "w") as fh:
-        fh.write(markup + "\n")
+    _save("--svg", args.svg, markup)
 
 
-def cmd_curve(args):
-    obj = _read_input(args)
-    A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
-    c = jsonio.point_from_json(jsonio._expect(obj, "c", list))
-    curve = dual_curve(A, c)
+# handler(parsed flags, request object, its decoded support) -> payload
+
+
+def cmd_curve(args, obj, A):
+    curve = dual_curve(A, jsonio.point_from_json(expect(obj, "c"), "c", A.n))
     _write_svg(args, svg.curve_svg, curve)
-    _write(args, jsonio.curve_to_json(curve))
+    return jsonio.curve_to_json(curve)
 
 
-def cmd_subdivision(args):
-    obj = _read_input(args)
-    A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
-    c = jsonio.point_from_json(jsonio._expect(obj, "c", list))
-    S = regular_subdivision(A, c)
+def cmd_subdivision(args, obj, A):
+    S = regular_subdivision(A, jsonio.point_from_json(expect(obj, "c"), "c", A.n))
     payload = jsonio.subdivision_to_json(S)
     if args.mode is not None:
         payload["maximal"] = is_maximal(S, args.mode)
-    _write(args, payload)
+    return payload
 
 
-def cmd_check_general(args):
-    obj = _read_input(args)
-    A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
-    C = jsonio.config_from_json(jsonio._expect(obj, "configuration", dict))
-    verdict = stable.is_general(A, C)
-    _write(
-        args,
-        {
-            "general": verdict.general,
-            "singular_pair": list(verdict.singular_pair) if verdict.singular_pair else None,
-        },
-    )
+def cmd_check_general(args, obj, A):
+    C = jsonio.config_from_json(expect(obj, "configuration", dict), A.n)
+    return jsonio.verdict_to_json(stable.is_general(A, C))
 
 
-def cmd_stable_pencil(args):
-    obj = _read_input(args)
-    A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
-    C = jsonio.config_from_json(jsonio._expect(obj, "configuration", dict))
+def cmd_stable_pencil(args, obj, A):
+    C = jsonio.config_from_json(expect(obj, "configuration", dict), A.n)
     verdict, p = stable.solve_minors(A, C)
     L = trees.plucker_to_tree(p)
     if args.oracle:
         twin = oracle.perturbed_pencil(A, C, seed=args.seed)
         if twin != L:
             raise TropError("oracle mismatch: perturbed pencil differs")
-    _write(
-        args,
-        {
-            "general": verdict.general,
-            "singular_pair": list(verdict.singular_pair) if verdict.singular_pair else None,
-            "plucker": jsonio.plucker_to_json(p),
-            "line": jsonio.line_to_json(L),
-        },
-    )
+    payload = jsonio.verdict_to_json(verdict)
+    return dict(payload, plucker=jsonio.plucker_to_json(p), line=jsonio.line_to_json(L))
 
 
-def cmd_fixed_locus(args):
-    obj = _read_input(args)
-    A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
-    L = jsonio.line_from_json(jsonio._expect(obj, "line", dict))
+def cmd_fixed_locus(args, obj, A):
+    L = jsonio.line_from_json(expect(obj, "line", dict), A.n)
     cells = pencil.fixed_locus(L, A)
     pieces = plane.canonical_pieces([c.geometry for c in cells])
     _write_svg(args, svg.pieces_svg, pieces)
-    _write(
-        args,
-        {
-            "cells": [jsonio.cell_to_json(c) for c in cells],
-            "pieces": [jsonio.geometry_to_json(g) for g in pieces],
-        },
-    )
+    return {
+        "cells": [jsonio.cell_to_json(c) for c in cells],
+        "pieces": [jsonio.geometry_to_json(g) for g in pieces],
+    }
 
 
-def cmd_is_fixed(args):
-    obj = _read_input(args)
-    A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
-    L = jsonio.line_from_json(jsonio._expect(obj, "line", dict))
-    P = jsonio._plane_point(jsonio._expect(obj, "point", list), "point")
+def cmd_is_fixed(args, obj, A):
+    L = jsonio.line_from_json(expect(obj, "line", dict), A.n)
+    P = jsonio.point_from_json(expect(obj, "point"), "point", 3)
     fixed = pencil.is_fixed(L, A, P)
     if args.oracle and oracle.sampled_fixed(L, A, P) != fixed:
         raise TropError("oracle mismatch: sampled walk disagrees")
-    _write(args, {"fixed": fixed})
+    return {"fixed": fixed}
 
 
-def cmd_construct_config(args):
-    obj = _read_input(args)
-    A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
-    L = jsonio.line_from_json(jsonio._expect(obj, "line", dict))
-    C = compat.construct_configuration(L, A)
-    _write(args, jsonio.config_to_json(C))
+def cmd_construct_config(args, obj, A):
+    L = jsonio.line_from_json(expect(obj, "line", dict), A.n)
+    return jsonio.config_to_json(compat.construct_configuration(L, A))
 
 
-def cmd_enumerate_types(args):
-    obj = _read_input(args)
-    A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
+def cmd_enumerate_types(args, obj, A):
     types = compat.enumerate_types(A.n)
     ids = {k for k, _ in compat.compatible_types(A)}
-    _write(
-        args,
-        {
-            "total": compat.type_count(A.n),
-            "compatible": len(ids),
-            "types": [
-                dict(jsonio.topology_to_json(T), compatible=k in ids)
-                for k, T in enumerate(types)
-            ],
-        },
-    )
+    return {
+        "total": compat.type_count(A.n),
+        "compatible": len(ids),
+        "types": [
+            dict(jsonio.topology_to_json(T), compatible=k in ids) for k, T in enumerate(types)
+        ],
+    }
 
 
-def cmd_realize_type(args):
-    obj = _read_input(args)
-    A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
-    type_id = jsonio._expect(obj, "type_id", int)
-    T = compat.type_by_id(A.n, type_id)
+def cmd_realize_type(args, obj, A):
+    T = compat.type_by_id(A.n, expect(obj, "type_id", int))
     if T is None:
         raise TropError("type_id out of range")
-    L = compat.realize_type(A, T, seed=args.seed)
-    _write(args, jsonio.line_to_json(L))
+    return jsonio.line_to_json(compat.realize_type(A, T, seed=args.seed))
 
 
-def cmd_compat_check(args):
-    obj = _read_input(args)
-    A = jsonio.support_from_json(jsonio._expect(obj, "support", dict))
+def cmd_compat_check(args, obj, A):
     if "line" in obj:
-        T = jsonio.line_from_json(obj["line"])
+        T = jsonio.line_from_json(expect(obj, "line", dict), A.n)
     else:
-        T = jsonio.topology_from_json(jsonio._expect(obj, "topology", dict))
+        T = jsonio.topology_from_json(expect(obj, "topology", dict), A.n)
     verdict = compat.is_compatible(T, A)
-    _write(
-        args,
-        {
-            "compatible": verdict.ok,
-            "witness": list(verdict.witness) if verdict.witness else None,
-        },
-    )
+    return {"compatible": verdict.ok, "witness": list(verdict.witness) if verdict.witness else None}
 
 
+# The flags a subcommand may read besides --input and --output.
+_FLAGS = {
+    "--svg": dict(help="also write an SVG drawing here"),
+    "--oracle": dict(action="store_true", help="cross-check with the slow reference"),
+    "--seed": dict(type=int, default=0, help="seed of the random draws (default 0)"),
+    "--mode": dict(choices=("strict", "lenient"), help="add a maximality verdict"),
+}
+
+# subcommand -> (handler, the flags of _FLAGS it reads)
 _COMMANDS = {
-    "curve": cmd_curve,
-    "subdivision": cmd_subdivision,
-    "check-general": cmd_check_general,
-    "stable-pencil": cmd_stable_pencil,
-    "fixed-locus": cmd_fixed_locus,
-    "is-fixed": cmd_is_fixed,
-    "construct-config": cmd_construct_config,
-    "enumerate-types": cmd_enumerate_types,
-    "realize-type": cmd_realize_type,
-    "compat-check": cmd_compat_check,
+    "curve": (cmd_curve, ("--svg",)),
+    "subdivision": (cmd_subdivision, ("--mode",)),
+    "check-general": (cmd_check_general, ()),
+    "stable-pencil": (cmd_stable_pencil, ("--oracle", "--seed")),
+    "fixed-locus": (cmd_fixed_locus, ("--svg",)),
+    "is-fixed": (cmd_is_fixed, ("--oracle",)),
+    "construct-config": (cmd_construct_config, ()),
+    "enumerate-types": (cmd_enumerate_types, ()),
+    "realize-type": (cmd_realize_type, ("--seed",)),
+    "compat-check": (cmd_compat_check, ()),
 }
 
 
@@ -213,14 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact computations with linear pencils of min-plus plane curves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", default="-", help="input JSON file (default stdin)")
         p.add_argument("--output", default="-", help="output JSON file (default stdout)")
-        p.add_argument("--svg", default=None, help="also write an SVG drawing here")
-        p.add_argument("--oracle", action="store_true", help="cross-check with the slow reference")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=("strict", "lenient"), default=None)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -237,16 +213,23 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    handler, _ = _COMMANDS[args.command]
     try:
-        _COMMANDS[args.command](args)
+        obj = _read_input(args)
+        A = jsonio.support_from_json(expect(obj, "support", dict))
+        _write(args, handler(args, obj, A))
         return 0
     except MalformedInput as e:
-        code, error = 2, e
-    except (TropError, ValueError) as e:
-        code, error = 1, e
+        code, error = 2, str(e)
+    except TropError as e:
+        code, error = 1, str(e)
     except InternalError as e:
-        code, error = 3, e
-    print(json.dumps({"error": str(error)}))
+        code, error = 3, str(e)
+    except BrokenPipeError:
+        raise
+    except Exception as e:  # any other exception is a bug in troppencil
+        code, error = 3, f"{type(e).__name__}: {e}"
+    print(json.dumps({"error": error}))
     return code
 
 

@@ -294,7 +294,7 @@ def iter_types(n: int):
     if n < 3:
         raise ValueError("need at least 3 leaves")
     if n > 10:
-        raise ValueError("type enumeration capped at n = 10")
+        raise TropError("type enumeration capped at n = 10")
     for _, adj in _grow(n, 4, _star3(n), 0, lambda adj, m: True):
         yield TreeTopology(n, adj)
 
@@ -370,9 +370,11 @@ def squared_distance_heights(A: SupportSet) -> ProjPoint:
     return ProjPoint([Fraction(h) for h in heights] )
 
 
-def find_strict_maximal_subdivision(
-    A: SupportSet, seed: int = 0, max_draws: int = 64
-) -> tuple:
+MAX_DRAWS = 64  # jittered height vectors tried for a strict-maximal subdivision
+MAX_HALVINGS = 64  # edge-length halvings tried to fit a line into one secondary cone
+
+
+def find_strict_maximal_subdivision(A: SupportSet, seed: int = 0) -> tuple:
     """A point-saturated triangulation of conv(A) with its height vector.
 
     The squared-distance lift keeps every point strictly on the lower hull
@@ -386,7 +388,7 @@ def find_strict_maximal_subdivision(
         return S, base
     rng = random.Random(seed)
     scale = Fraction(1, 4)
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         c = ProjPoint(
             [h + Fraction(rng.randint(0, 2**20), 2**20) * scale for h in base.coords]
         )
@@ -394,16 +396,10 @@ def find_strict_maximal_subdivision(
         if is_maximal(S, "strict"):
             return S, c
         scale /= 2
-    raise TropError(f"no strict-maximal subdivision found after {max_draws} draws")
+    raise TropError(f"no strict-maximal subdivision found after {MAX_DRAWS} draws")
 
 
-def realize_type(
-    A: SupportSet,
-    T: TreeTopology,
-    seed: int = 0,
-    max_draws: int = 64,
-    max_halvings: int = 64,
-) -> EmbeddedLine:
+def realize_type(A: SupportSet, T: TreeTopology, seed: int = 0) -> EmbeddedLine:
     """An embedded line of the given compatible type whose vertices all
     stay inside one strict-maximal secondary cone (so the configuration
     constructor applies to it): anchor the type at the cone's height
@@ -412,10 +408,10 @@ def realize_type(
     verdict = is_compatible(T, A)
     if not verdict:
         raise TropError(f"not compatible: quartet {verdict.witness}")
-    S, c = find_strict_maximal_subdivision(A, seed=seed, max_draws=max_draws)
+    S, c = find_strict_maximal_subdivision(A, seed=seed)
     anchor = T.internal_nodes[0]
     eps = Fraction(1)
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         lengths = {frozenset((a, b)): eps for a, b in T.internal_edges}
         L = embed(T, lengths, anchor, c)
         if all(

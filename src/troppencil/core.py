@@ -11,6 +11,8 @@ throughout, matching the usual mathematical labelling.
 
 from __future__ import annotations
 
+import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -208,12 +210,17 @@ def component_count(nodes, links) -> int:
     return len({find(x) for x in parent})
 
 
+def clear_denominators(xs) -> tuple:
+    """(D, [D*x for x in xs]) for D the lcm of the denominators of the
+    rationals xs, the least D > 0 that makes every D*x an integer."""
+    D = lcm(*(x.denominator for x in xs))
+    return D, [x.numerator * (D // x.denominator) for x in xs]
+
+
 def primitive(vec) -> tuple:
     """The primitive integer vector (gcd of entries 1) pointing along a
     nonzero rational vector: clear denominators, then divide by the gcd."""
-    vec = [rat(v) for v in vec]
-    den = lcm(*(v.denominator for v in vec))
-    ints = [int(v * den) for v in vec]
+    _, ints = clear_denominators([rat(v) for v in vec])
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
@@ -227,10 +234,18 @@ def rational_to_json(x: Fraction):
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_from_json(obj) -> Fraction:
-    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise ValueError(f"malformed rational: {obj!r}")
-    try:
+    """A JSON integer, or a string "p" or "p/q" of decimal digits with an
+    optional sign on p and q > 0.  Nothing else: a decimal point or an
+    exponent would let a few bytes of input stand for a huge number."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"malformed rational: {obj!r}") from e
+    if isinstance(obj, str) and (m := _RATIONAL.fullmatch(obj)):
+        try:
+            return Fraction(int(m[1]), int(m[2] or 1))
+        except (ValueError, ZeroDivisionError):
+            pass  # q = 0, or more digits than int() converts
+    raise ValueError(f"malformed rational: {reprlib.repr(obj)}")

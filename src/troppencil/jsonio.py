@@ -1,9 +1,12 @@
 """JSON (de)serialization for every wire format the CLI speaks.
 
-Rationals travel as integers or strings "p/q" (lowest terms, positive
-denominator); projective points as coordinate arrays (any representative
-accepted, canonical emitted); trees as edge lists with null lengths on
-leaf edges plus an anchored coordinate vector.
+Rationals travel as integers or strings "p/q" (emitted in lowest terms
+with a positive denominator; read as `core.rational_from_json` states);
+projective points as coordinate arrays (any representative accepted,
+canonical emitted); trees as edge lists with null lengths on leaf edges
+plus an anchored coordinate vector.  Each decoder raises MalformedInput
+naming the field at fault, including when a field disagrees with the
+size of the support.
 """
 
 from __future__ import annotations
@@ -16,46 +19,48 @@ from .trees import EmbeddedLine, TreeTopology, embed
 
 
 class MalformedInput(Exception):
-    """Structurally bad input: wrong JSON shape or malformed rationals."""
+    """Structurally bad input: wrong JSON shape or malformed rationals.
+    The messages raised here start with the path of the field at fault."""
 
 
-def _expect(obj, key, kind=None):
+def expect(obj, path: str, kind=None):
+    """The field at the end of the dotted `path` of obj, checked to be
+    present and, when `kind` is given, of that type; errors name the path."""
+    key = path.rpartition(".")[2]
     if not isinstance(obj, dict) or key not in obj:
-        raise MalformedInput(f"missing field {key!r}")
+        raise MalformedInput(f"{path} is missing")
     val = obj[key]
     # bool is a subclass of int, but true and false are not numbers here
     if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
-        raise MalformedInput(f"field {key!r} has wrong type")
+        raise MalformedInput(f"{path} must be of type {kind.__name__}")
     return val
+
+
+def _rational(obj, field: str):
+    try:
+        return rational_from_json(obj)
+    except ValueError as e:
+        raise MalformedInput(f"{field}: {e}") from e
 
 
 def point_to_json(P: ProjPoint) -> list:
     return [rational_to_json(c) for c in P.coords]
 
 
-def point_from_json(obj) -> ProjPoint:
-    if not isinstance(obj, list) or len(obj) < 2:
-        raise MalformedInput(f"bad projective point: {obj!r}")
-    try:
-        return ProjPoint([rational_from_json(c) for c in obj])
-    except ValueError as e:
-        raise MalformedInput(str(e)) from e
-
-
-def _plane_point(obj, field: str) -> ProjPoint:
-    """A point of TP^2 given in the named field: exactly 3 coordinates."""
-    if not isinstance(obj, list) or len(obj) != 3:
-        raise MalformedInput(f"{field} must be a list of 3 coordinates")
-    return point_from_json(obj)
+def point_from_json(obj, field: str, dim: int) -> ProjPoint:
+    """The projective point with `dim` coordinates in the named field."""
+    if not isinstance(obj, list) or len(obj) != dim:
+        raise MalformedInput(f"{field} must be a list of {dim} coordinates")
+    return ProjPoint([_rational(c, field) for c in obj])
 
 
 def support_from_json(obj) -> SupportSet:
-    degree = _expect(obj, "degree", int)
-    pts = _expect(obj, "points", list)
-    if not all(isinstance(p, list) and len(p) == 3 for p in pts):
-        raise MalformedInput("support points must be triples")
-    if not all(isinstance(c, int) and not isinstance(c, bool) for p in pts for c in p):
-        raise MalformedInput("support points must be integer triples")
+    degree = expect(obj, "support.degree", int)
+    pts = expect(obj, "support.points", list)
+    if not all(
+        isinstance(p, list) and len(p) == 3 and all(type(c) is int for c in p) for p in pts
+    ):
+        raise MalformedInput("support.points must be integer triples")
     try:
         return SupportSet(degree, tuple(tuple(p) for p in pts))
     except ValueError as e:
@@ -66,9 +71,20 @@ def config_to_json(config) -> dict:
     return {"points": [point_to_json(P) for P in config]}
 
 
-def config_from_json(obj) -> list:
-    points = _expect(obj, "points", list)
-    return [_plane_point(p, f"configuration.points[{k}]") for k, p in enumerate(points)]
+def config_from_json(obj, n: int) -> list:
+    """The n - 2 points of TP^2 that a configuration for n support points has."""
+    points = expect(obj, "configuration.points", list)
+    if len(points) != n - 2:
+        raise MalformedInput(f"configuration.points has {len(points)} points, not {n - 2}")
+    return [point_from_json(p, f"configuration.points[{k}]", 3) for k, p in enumerate(points)]
+
+
+def verdict_to_json(verdict) -> dict:
+    """A generality verdict: the flag and the first tied pair, if any."""
+    return {
+        "general": verdict.general,
+        "singular_pair": list(verdict.singular_pair) if verdict.singular_pair else None,
+    }
 
 
 def subdivision_to_json(S: RegularSubdivision) -> dict:
@@ -92,29 +108,27 @@ def curve_to_json(curve: CurveGraph) -> dict:
 
 
 def topology_to_json(T: TreeTopology) -> dict:
-    edges = []
-    for v in sorted(T.adj):
-        for w in sorted(T.adj[v]):
-            if v < w:
-                edges.append({"a": v, "b": w})
     return {
         "n": T.n,
-        "edges": edges,
+        "edges": [{"a": v, "b": w} for v in sorted(T.adj) for w in T.adj[v] if v < w],
         "leaf_map": {str(i): T.node_of_leaf(i) for i in range(1, T.n + 1)},
     }
 
 
-def topology_from_json(obj) -> TreeTopology:
-    n = _expect(obj, "n", int)
+def topology_from_json(obj, n: int, field: str = "topology") -> TreeTopology:
+    """The tree with n leaves in the named field."""
+    leaves = expect(obj, f"{field}.n", int)
+    if leaves != n:
+        raise MalformedInput(f"{field} has {leaves} leaves, the support has {n} points")
     adj = {}
-    for e in _expect(obj, "edges", list):
-        a, b = _expect(e, "a", int), _expect(e, "b", int)
+    for k, e in enumerate(expect(obj, f"{field}.edges", list)):
+        a, b = expect(e, f"{field}.edges[{k}].a", int), expect(e, f"{field}.edges[{k}].b", int)
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     try:
-        return TreeTopology(n, adj)
+        return TreeTopology(leaves, adj)
     except ValueError as e:
-        raise MalformedInput(f"bad tree: {e}") from e
+        raise MalformedInput(f"{field}: bad tree: {e}") from e
 
 
 def line_to_json(L: EmbeddedLine) -> dict:
@@ -133,23 +147,12 @@ def line_to_json(L: EmbeddedLine) -> dict:
     relabel = {v: topo.n + 1 + i for i, v in enumerate(order)}
     node = lambda v: v if topo.is_leaf(v) else relabel[v]
 
-    edges = []
-    for v in sorted(topo.adj):
-        for w in topo.adj[v]:
-            a, b = sorted((node(v), node(w)))
-            if (a, b) not in {(e["a"], e["b"]) for e in edges}:
-                edges.append({"a": a, "b": b})
-    edges.sort(key=lambda e: (e["a"], e["b"]))
-    lengths = {
-        tuple(sorted((node(a), node(b)))): ell for a, b, _, ell in L.edges
-    }
-    for e in edges:
-        ell = lengths.get((e["a"], e["b"]))
-        e["length"] = None if ell is None else rational_to_json(ell)
+    pairs = sorted({tuple(sorted((node(v), node(w)))) for v in topo.adj for w in topo.adj[v]})
+    lengths = {tuple(sorted((node(a), node(b)))): rational_to_json(ell) for a, b, _, ell in L.edges}
     anchor = topo.node_of_leaf(1)
     return {
         "n": topo.n,
-        "edges": edges,
+        "edges": [{"a": a, "b": b, "length": lengths.get((a, b))} for a, b in pairs],
         "leaf_map": {str(i): node(topo.node_of_leaf(i)) for i in range(1, topo.n + 1)},
         "anchor": {
             "node": relabel[anchor],
@@ -158,26 +161,25 @@ def line_to_json(L: EmbeddedLine) -> dict:
     }
 
 
-def line_from_json(obj) -> EmbeddedLine:
-    topo = topology_from_json(obj)
+def line_from_json(obj, n: int) -> EmbeddedLine:
+    """The embedded line with n leaves in the field "line"."""
+    topo = topology_from_json(obj, n, "line")
     lengths = {}
-    for e in _expect(obj, "edges", list):
+    for k, e in enumerate(obj["edges"]):  # checked by topology_from_json
         a, b = e["a"], e["b"]
         if topo.is_leaf(a) or topo.is_leaf(b):
             continue
         if e.get("length") is None:
-            raise MalformedInput(f"internal edge ({a},{b}) needs a length")
-        try:
-            lengths[frozenset((a, b))] = rational_from_json(e["length"])
-        except ValueError as err:
-            raise MalformedInput(str(err)) from err
-    anchor = _expect(obj, "anchor", dict)
-    node = _expect(anchor, "node", int)
+            raise MalformedInput(f"line: internal edge ({a},{b}) needs a length")
+        lengths[frozenset((a, b))] = _rational(e["length"], f"line.edges[{k}].length")
+    anchor = expect(obj, "line.anchor", dict)
+    node = expect(anchor, "line.anchor.node", int)
+    coords = expect(anchor, "line.anchor.coords", list)
+    coords = tuple(_rational(c, "line.anchor.coords") for c in coords)
     try:
-        coords = [rational_from_json(c) for c in _expect(anchor, "coords", list)]
-        return embed(topo, lengths, node, tuple(coords))
+        return embed(topo, lengths, node, coords)
     except ValueError as e:
-        raise MalformedInput(str(e)) from e
+        raise MalformedInput(f"line: {e}") from e
 
 
 def plucker_to_json(p) -> dict:

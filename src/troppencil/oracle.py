@@ -112,7 +112,7 @@ def brute_tropdet(square) -> tuple:
     """(minimum, number of optimal bijections) by full enumeration."""
     k = len(square)
     if k > 8:
-        raise ValueError("brute-force tropdet capped at size 8")
+        raise TropError("brute-force tropdet capped at size 8")
     best, mult = None, 0
     for perm in permutations(range(k)):
         s = square[0][perm[0]]
@@ -231,11 +231,14 @@ class PerturbationError(TropError):
     pass
 
 
-def perturbed_pencil(A: SupportSet, config, seed: int = 0, attempts: int = 8) -> EmbeddedLine:
+ATTEMPTS = 8  # perturbations drawn before perturbed_pencil gives up
+
+
+def perturbed_pencil(A: SupportSet, config, seed: int = 0) -> EmbeddedLine:
     """Stable pencil as the limit of a first-order perturbed configuration.
 
     Each point is nudged by seed-dependent infinitesimals until every
-    maximal minor becomes uniquely optimal (re-drawn up to `attempts`
+    maximal minor becomes uniquely optimal (re-drawn up to ATTEMPTS
     times); the pencil of the perturbed configuration is computed entirely
     in first-order arithmetic and evaluated at eps -> 0.  The result is
     independent of the seed.
@@ -244,7 +247,7 @@ def perturbed_pencil(A: SupportSet, config, seed: int = 0, attempts: int = 8) ->
     if len(config) != A.n - 2:
         raise ValueError(f"need {A.n - 2} points, got {len(config)}")
     last = None
-    for attempt in range(attempts):
+    for attempt in range(ATTEMPTS):
         rng = random.Random(1000 * seed + attempt)
         eps_points = []
         for P in config:
@@ -262,7 +265,7 @@ def perturbed_pencil(A: SupportSet, config, seed: int = 0, attempts: int = 8) ->
             last = e
             continue
         return _eps_limit(brute_plucker_to_tree(p))
-    raise PerturbationError(f"perturbation not generic after {attempts} draws: {last}")
+    raise PerturbationError(f"perturbation not generic after {ATTEMPTS} draws: {last}")
 
 
 def _eps_plucker(A: SupportSet, eps_points) -> PlueckerVector:

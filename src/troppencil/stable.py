@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
-from .core import InternalError, ProjPoint, SupportSet, dot, rat
+from .core import InternalError, ProjPoint, SupportSet, clear_denominators, dot, rat
 from .subdivision import curve_contains
 from .trees import EmbeddedLine, PlueckerVector, plucker_to_tree
 
@@ -55,8 +54,8 @@ def tropdet(square) -> TropdetResult:
     k = len(M)
     if any(len(row) != k for row in M):
         raise ValueError("matrix is not square")
-    D = lcm(*(x.denominator for row in M for x in row))
-    N = [[x.numerator * (D // x.denominator) for x in row] for row in M]
+    D, flat = clear_denominators([x for row in M for x in row])
+    N = [flat[i * k : (i + 1) * k] for i in range(k)]
     assignment, u, v = _assignment(N)
     total = sum(N[i][assignment[i]] for i in range(k))
     return TropdetResult(Fraction(total, D), tuple(assignment), _is_unique(N, assignment, u, v))
@@ -204,21 +203,22 @@ def stable_pencil(A: SupportSet, config) -> EmbeddedLine:
     return plucker_to_tree(plucker_of_config(A, config))
 
 
-def curves_through(A: SupportSet, config, L: EmbeddedLine, samples: int = 3) -> bool:
-    """Check that the curve of every vertex of L, and of `samples` points
+SAMPLES = 3  # interior points checked per bounded edge and per ray
+
+
+def curves_through(A: SupportSet, config, L: EmbeddedLine) -> bool:
+    """Check that the curve of every vertex of L, and of SAMPLES points
     per bounded edge and ray, passes through every configuration point."""
     config = list(config)
-    if samples < 1:
-        raise ValueError("samples must be positive")
     coeffs = [L.coords[v] for v in L.topology.internal_nodes]
     for a, b, side, ell in L.edges:
         q = L.coords[a]
-        for k in range(1, samples + 1):
-            t = ell * Fraction(k, samples + 1)
+        for k in range(1, SAMPLES + 1):
+            t = ell * Fraction(k, SAMPLES + 1)
             coeffs.append(tuple(c + (t if i + 1 in side else 0) for i, c in enumerate(q)))
     for v, leaf in L.rays:
         q = L.coords[v]
-        for k in range(1, samples + 1):
+        for k in range(1, SAMPLES + 1):
             t = Fraction(k)
             coeffs.append(tuple(c + (t if i + 1 == leaf else 0) for i, c in enumerate(q)))
     return all(

@@ -29,13 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .core import (
     ProjPoint,
     SupportSet,
     TropError,
     between,
+    clear_denominators,
     dot,
     min_profile,
     orient2d,
@@ -117,8 +117,8 @@ def regular_subdivision(A: SupportSet, c: ProjPoint) -> RegularSubdivision:
     """Lower-hull subdivision of conv(A) induced by the lifting heights c."""
     if c.dim != A.n:
         raise ValueError(f"coefficient vector has {c.dim} entries, support has {A.n}")
-    D = lcm(*(x.denominator for x in c.coords))
-    lifts = [(r, s, x.numerator * (D // x.denominator)) for (r, s, _), x in zip(A.points, c.coords)]
+    _, hs = clear_denominators(c.coords)
+    lifts = [(r, s, h) for (r, s, _), h in zip(A.points, hs)]
     cells = set()
     for (r1, s1, h1), (r2, s2, h2), (r3, s3, h3) in combinations(lifts, 3):
         O = (r2 - r1) * (s3 - s1) - (s2 - s1) * (r3 - r1)

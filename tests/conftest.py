@@ -12,14 +12,16 @@ All randomness is seeded per test; generators live here so the many
 differential suites draw from the same distributions.
 """
 
+import io
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
 
 import pytest
 
-from troppencil import ProjPoint, SupportSet
+from troppencil import ProjPoint, SupportSet, cli
 from troppencil.compat import type_by_id, type_count
 from troppencil.pencil import SubtreeSet
 from troppencil.trees import TreeTopology, embed
@@ -208,3 +210,17 @@ def subtree_intersection(S: SubtreeSet, T: SubtreeSet) -> SubtreeSet:
             riv[key] = (lo, hi)
     # vertices only survive when both sets carry them
     return SubtreeSet(S.line, verts, eiv, riv)
+
+
+def run_in_process(argv, text):
+    """`cli.main(argv)` with `text` on stdin: (exit code, stdout,
+    stderr).  Any exception that escapes `main` fails the caller, just as
+    a traceback fails `test_cli.run_cli`."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.StringIO(text)
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        code = cli.main(argv)
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved

@@ -1,12 +1,14 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import make_lsq
+from conftest import make_lsq, rand_line, run_in_process
 from troppencil import cli, compat, jsonio, stable
 from troppencil.core import ProjPoint
 from troppencil.trees import TreeTopology
@@ -53,7 +55,7 @@ def test_curve_command(tmp_path):
 
 def test_curve_draws_only_when_asked(tmp_path):
     # a coordinate beyond float range is exact here, but cannot be drawn
-    payload = {"support": SQ_JSON, "c": [0, 0, 0, "1e400"]}
+    payload = {"support": SQ_JSON, "c": [0, 0, 0, "1" + "0" * 400]}
     code, out = run_cli("curve", payload)
     assert code == 0 and len(out["vertices"]) == 2
     svg = tmp_path / "curve.svg"
@@ -88,7 +90,7 @@ def test_check_general_command():
         "check-general",
         {"support": SQ_JSON, "configuration": {"points": [[0, 0, 0]]}},
     )
-    assert code == 1 and "error" in out
+    assert code == 2 and "configuration.points" in out["error"]
 
 
 def test_stable_pencil_fixed_locus_pipeline(tmp_path):
@@ -185,9 +187,9 @@ def test_realize_type_command():
     good = next(i for i, t in enumerate(types["types"]) if t["compatible"])
     code, out = run_cli("realize-type", {"support": SQ_JSON, "type_id": good})
     assert code == 0
-    L = jsonio.line_from_json(out)
+    L = jsonio.line_from_json(out, 4)
     # the realized line reproduces the requested topology
-    wanted = jsonio.topology_from_json(types["types"][good])
+    wanted = jsonio.topology_from_json(types["types"][good], 4)
     assert L.topology == wanted
     # and feeding it back through construct-config round-trips (determinism)
     code2, out2 = run_cli("construct-config", {"support": SQ_JSON, "line": out})
@@ -209,7 +211,7 @@ def test_realize_type_beyond_enumeration():
     assert type_id == 161049 and compat.type_by_id(11, type_id) == T
     code, out = run_cli("realize-type", {"support": QUARTIC11_JSON, "type_id": type_id})
     assert code == 0
-    assert jsonio.line_from_json(out).topology == T
+    assert jsonio.line_from_json(out, A.n).topology == T
 
 
 def test_enumerate_types_states_its_limit():
@@ -256,7 +258,7 @@ def test_compat_check_command():
 
 def test_json_round_trip_determinism():
     line = jsonio.line_to_json(make_lsq())
-    assert jsonio.line_to_json(jsonio.line_from_json(line)) == line
+    assert jsonio.line_to_json(jsonio.line_from_json(line, 4)) == line
     code1, out1 = run_cli(
         "stable-pencil",
         {"support": SQ_JSON, "configuration": {"points": [[0, 0, 0], [2, 1, 0]]}},
@@ -266,7 +268,7 @@ def test_json_round_trip_determinism():
         {"support": SQ_JSON, "configuration": {"points": [[0, 0, 0], [2, 1, 0]]}},
     )
     assert out1 == out2
-    assert jsonio.line_from_json(out1["line"]) == make_lsq()
+    assert jsonio.line_from_json(out1["line"], 4) == make_lsq()
 
 
 def test_bad_json_is_exit_2():
@@ -299,6 +301,100 @@ def test_internal_error_is_exit_3(monkeypatch, tmp_path, capsys):
     assert code == 3
     assert json.loads(out) == {"error": "potentials are not optimal"}
     assert "Traceback" not in err
+
+
+def test_any_other_exception_is_exit_3(monkeypatch):
+    # a stray ValueError is a bug, not a domain error
+    def broken(A, c):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "regular_subdivision", broken)
+    code, out, err = run_in_process(["subdivision"], json.dumps({"support": SQ_JSON, "c": [0] * 4}))
+    assert code == 3 and json.loads(out) == {"error": "ValueError: boom"}
+    assert "Traceback" not in err
+
+
+# the flags each subcommand reads besides --input and --output
+READS = {
+    "curve": {"--svg"},
+    "subdivision": {"--mode"},
+    "check-general": set(),
+    "stable-pencil": {"--oracle", "--seed"},
+    "fixed-locus": {"--svg"},
+    "is-fixed": {"--oracle"},
+    "construct-config": set(),
+    "enumerate-types": set(),
+    "realize-type": {"--seed"},
+    "compat-check": set(),
+}
+FLAG_ARGV = {"--svg": ["--svg", "x.svg"], "--oracle": ["--oracle"], "--seed": ["--seed", "5"],
+             "--mode": ["--mode", "strict"]}
+
+
+def test_each_subcommand_takes_only_its_own_flags(capsys):
+    for command, reads in READS.items():
+        for flag, argv in FLAG_ARGV.items():
+            if flag in reads:
+                cli.build_parser().parse_args([command, "--input", "-", "--output", "-", *argv])
+                continue
+            with pytest.raises(SystemExit) as exit_:
+                cli.main([command, *argv])
+            assert exit_.value.code == 2
+            assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--output", "--svg"])
+def test_unwritable_file_is_exit_2(flag, tmp_path):
+    path = tmp_path / "no such directory" / "out"
+    code, out = run_cli("curve", {"support": SQ_JSON, "c": [1, 0, 0, 0]}, flag, str(path))
+    assert code == 2 and out["error"].startswith(f"{flag}: cannot write")
+
+
+def test_empty_file_flags_mean_the_defaults():
+    # "" reads stdin, writes stdout and draws nothing, as "-" and no --svg do
+    payload = {"support": SQ_JSON, "c": [1, 0, 0, 0]}
+    empty = run_cli("curve", payload, "--input", "", "--output", "", "--svg", "")
+    assert empty == run_cli("curve", payload) and empty[0] == 0
+
+
+LINE5 = jsonio.line_to_json(rand_line(random.Random(5), 5))
+TOPOLOGY5 = jsonio.topology_to_json(TreeTopology.star(5))
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("curve", {"support": SQ_JSON, "c": [0, 0, 0]}, "c"),
+        ("subdivision", {"support": SQ_JSON, "c": [0, 0, 0, 0, 0]}, "c"),
+        ("stable-pencil", {"support": SQ_JSON, "configuration": {"points": [[0, 0, 0]] * 3}},
+         "configuration.points"),
+        ("fixed-locus", {"support": SQ_JSON, "line": LINE5}, "line"),
+        ("is-fixed", {"support": SQ_JSON, "line": LINE5, "point": [0, 0, 0]}, "line"),
+        ("construct-config", {"support": SQ_JSON, "line": LINE5}, "line"),
+        ("compat-check", {"support": SQ_JSON, "line": LINE5}, "line"),
+        ("compat-check", {"support": SQ_JSON, "topology": TOPOLOGY5}, "topology"),
+    ],
+)
+def test_fields_must_agree_with_the_support(command, payload, field):
+    code, out, err = run_in_process([command], json.dumps(payload))
+    assert code == 2 and json.loads(out)["error"].startswith(f"{field} "), out
+    assert "Traceback" not in err
+
+
+def test_oversized_numbers_are_exit_2():
+    # an integer past int()'s digit limit: the field that holds it is named
+    text = '{"support": %s, "c": [0, 0, 0, %s]}' % (json.dumps(SQ_JSON), "9" * 5000)
+    code, out, _ = run_in_process(["subdivision"], text)
+    assert code == 2 and json.loads(out)["error"].startswith("c: malformed rational")
+    text = '{"support": %s, "type_id": %s}' % (json.dumps(SQ_JSON), "9" * 5000)
+    code, out, _ = run_in_process(["realize-type"], text)
+    assert code == 2 and json.loads(out)["error"] == "type_id must be of type int"
+    # 10^(10^7) in 10 bytes: refused before any arithmetic
+    start = time.perf_counter()
+    text = json.dumps({"support": SQ_JSON, "c": [0, 0, 0, "1e10000000"]})
+    code, out, _ = run_in_process(["subdivision"], text)
+    assert code == 2 and json.loads(out)["error"].startswith("c: malformed rational")
+    assert time.perf_counter() - start < 1
 
 
 def test_closed_stdout_ends_quietly():
@@ -365,8 +461,8 @@ def test_demo_runs(demo, tmp_path):
 
 def test_point_round_trip():
     P = ProjPoint((2, 1, 0))
-    assert jsonio.point_from_json(jsonio.point_to_json(P)) == P
+    assert jsonio.point_from_json(jsonio.point_to_json(P), "point", 3) == P
     # any representative is accepted on input
-    assert jsonio.point_from_json([3, 2, 1]) == P
+    assert jsonio.point_from_json([3, 2, 1], "point", 3) == P
     with pytest.raises(jsonio.MalformedInput):
-        jsonio.point_from_json([0.5, 1, 0])
+        jsonio.point_from_json([0.5, 1, 0], "point", 3)

@@ -150,7 +150,7 @@ def test_enumerate_types_counts():
     assert len(enumerate_types(5)) == 15
     assert len(enumerate_types(6)) == 105
     assert len({T.split_set() for T in enumerate_types(6)}) == 105
-    with pytest.raises(ValueError):
+    with pytest.raises(TropError):
         enumerate_types(11)
 
 

@@ -102,6 +102,10 @@ def test_rational_json_round_trip():
         assert rational_from_json(rational_to_json(x)) == x
     assert rational_to_json(Fraction(4, 2)) == 2
     assert rational_to_json(Fraction(-7, 2)) == "-7/2"
-    for bad in (0.5, True, "x/y", "1/0", None):
+    assert rational_from_json("+3") == 3 and rational_from_json("-6/4") == Fraction(-3, 2)
+    # only integers and "[+-]p" or "[+-]p/q": a decimal or an exponent would
+    # let a short input stand for a huge number
+    for bad in (0.5, True, "x/y", "1/0", None, "0.5", "1e400", "1e10000000", " 3", "3\n",
+                "1_000", "1/-2", "1/+2", "--1", "", "/2", "1/", "1" * 5000):
         with pytest.raises(ValueError):
             rational_from_json(bad)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_lsq, rand_config, rand_line, rand_support
-from troppencil.core import ProjPoint
+from troppencil.core import ProjPoint, TropError
 from troppencil.oracle import (
     EpsRational,
     brute_tropdet,
@@ -33,7 +33,7 @@ def test_brute_tropdet_examples():
     assert brute_tropdet([[0, 0], [1, 1]]) == (1, 2)
     assert brute_tropdet([[0, 0], [1, 3]]) == (1, 1)
     assert brute_tropdet([[Fraction(5, 3)]]) == (Fraction(5, 3), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TropError):
         brute_tropdet([[0] * 9 for _ in range(9)])
 
 

@@ -2,17 +2,16 @@
 derandomize=True and no example database every run sees the same few
 examples, so the suite stays deterministic and fast."""
 
-import io
 import json
 import random
-import sys
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PRIMES, rand_line, rand_support
-from troppencil import cli, jsonio
+from conftest import PRIMES, rand_line, rand_support, run_in_process
+from troppencil import jsonio
 from troppencil.compat import compatible_types, realize_type, type_by_id, type_count
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -22,7 +21,7 @@ BOUNDED = settings(derandomize=True, database=None, max_examples=25, deadline=No
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 14), contract_p=st.sampled_from([0.0, 0.4]))
 def test_line_json_round_trip(seed, n, contract_p):
     L = rand_line(random.Random(seed), n, contract_p=contract_p)
-    assert jsonio.line_from_json(jsonio.line_to_json(L)) == L
+    assert jsonio.line_from_json(jsonio.line_to_json(L), n) == L
 
 
 @st.composite
@@ -49,16 +48,34 @@ RATIONALS = st.one_of(
     st.integers(-(10**6), 10**6),
     st.builds("{}/{}".format, st.integers(-(10**6), 10**6), st.sampled_from(PRIMES)),
 )
-# one fault per case, or none in half the cases
-COMMON_FAULTS = ["duplicate point", "short point", "non-number point", "bad degree",
-                 "missing field", "not an object"]
+# Each structural fault -> the field its error must name.  The other
+# faults ("random line", "as topology", "any type id", ...) build
+# well-formed input that the domain may refuse (exit 1).
+SUPPORT_FAULTS = ["duplicate point", "short point", "non-number point", "bad degree"]
+HEIGHT_FAULTS = ["short heights", "long heights", "non-number height", "heights not a list"]
+CONFIG_FAULTS = ["other point count", "bad configuration point", "configuration not an object"]
+LINE_FAULTS = ["other leaf count", "bad length", "bad edge", "bad anchor", "line not an object"]
+FIELD_OF = dict.fromkeys(SUPPORT_FAULTS, "support")
+FIELD_OF.update(dict.fromkeys(HEIGHT_FAULTS, "c"))
+FIELD_OF.update(dict.fromkeys(CONFIG_FAULTS, "configuration"))
+FIELD_OF.update(dict.fromkeys(LINE_FAULTS, "line"))
+FIELD_OF.update({"type id not an int": "type_id", "bad point": "point",
+                 "other leaf count topology": "topology"})
 FAULTS = {
-    "subdivision": ["short heights", "long heights", "non-number height", "heights not a list"],
+    "subdivision": HEIGHT_FAULTS,
+    "curve": HEIGHT_FAULTS,
+    "check-general": CONFIG_FAULTS,
+    "stable-pencil": CONFIG_FAULTS,
+    "fixed-locus": LINE_FAULTS + ["random line"],
+    "is-fixed": LINE_FAULTS + ["random line", "bad point"],
+    "construct-config": LINE_FAULTS + ["random line"],
+    "compat-check": LINE_FAULTS + ["random line", "as topology", "other leaf count topology"],
+    "enumerate-types": [],
     "realize-type": ["any type id", "type id out of range", "type id not an int"],
-    "construct-config": ["random line", "other leaf count", "bad length", "bad edge",
-                         "bad anchor", "line not an object"],
 }
-FAULTS["curve"] = FAULTS["subdivision"]
+# the field each command reads besides the support
+FIELD = {"subdivision": "c", "curve": "c", "check-general": "configuration",
+         "stable-pencil": "configuration", "realize-type": "type_id"}
 
 
 def _support_json(A, fault, draw):
@@ -70,7 +87,7 @@ def _support_json(A, fault, draw):
     elif fault == "non-number point":
         obj["points"][-1][draw(st.integers(0, 2))] = draw(JUNK)
     elif fault == "bad degree":
-        obj["degree"] = draw(st.one_of(JUNK, st.integers(-1, 5)))
+        obj["degree"] = draw(st.one_of(JUNK, st.integers(-1, 5).filter(lambda d: d != A.degree)))
     return obj
 
 
@@ -80,6 +97,33 @@ def _heights(A, fault, draw):
     if fault == "non-number height":
         hs[draw(st.integers(0, size - 1))] = draw(JUNK)
     return draw(JUNK) if fault == "heights not a list" else hs
+
+
+def _plane_point(draw, fault):
+    """Three rationals, or with fault a junk value, a wrong length or one
+    junk coordinate."""
+    P = draw(st.lists(RATIONALS, min_size=3, max_size=3))
+    if not fault:
+        return P
+    kind = draw(st.sampled_from(["junk", "short", "long", "junk coordinate"]))
+    if kind == "junk":
+        return draw(JUNK)
+    if kind == "junk coordinate":
+        P[draw(st.integers(0, 2))] = draw(JUNK)
+        return P
+    return P[:2] if kind == "short" else P + [0]
+
+
+def _configuration(A, fault, draw):
+    if fault == "configuration not an object":
+        return draw(JUNK)
+    count = A.n - 2
+    if fault == "other point count":
+        count = draw(st.integers(0, A.n).filter(lambda k: k != A.n - 2))
+    points = [_plane_point(draw, False) for _ in range(count)]
+    if fault == "bad configuration point":
+        points[draw(st.integers(0, count - 1))] = _plane_point(draw, True)
+    return {"points": points}
 
 
 def _type_id(A, fault, draw):
@@ -94,61 +138,78 @@ def _type_id(A, fault, draw):
 
 def _line(A, fault, draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    if fault not in FAULTS["construct-config"]:
+    if fault not in LINE_FAULTS + ["random line", "other leaf count topology"]:
         _, T = next(compatible_types(A))
         return jsonio.line_to_json(realize_type(A, T, seed=rng.randrange(4)))
     if fault == "line not an object":
         return draw(JUNK)
-    obj = jsonio.line_to_json(rand_line(rng, A.n + (fault == "other leaf count")))
+    obj = jsonio.line_to_json(rand_line(rng, A.n + fault.startswith("other leaf count")))
     if fault == "bad length":  # the first internal edge
         next(e for e in obj["edges"] if e["length"] is not None)["length"] = draw(JUNK)
     elif fault == "bad edge":
         obj["edges"][0] = draw(JUNK)
     elif fault == "bad anchor":
-        obj["anchor"]["coords"] = draw(st.one_of(JUNK, st.lists(RATIONALS, max_size=4)))
+        obj["anchor"]["coords"] = draw(
+            st.one_of(JUNK, st.lists(RATIONALS, max_size=A.n + 1).filter(lambda xs: len(xs) != A.n))
+        )
     return obj
 
 
 @st.composite
-def cli_payloads(draw, command):
-    """A payload for `command` on a random support of 4..8 points: well
-    formed, or with one fault."""
-    faults = COMMON_FAULTS + FAULTS[command]
-    fault = draw(st.sampled_from([None] * len(faults) + faults))
-    A = rand_support(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(4, 8)))
+def cli_payloads(draw, command, fault):
+    """(field, payload): a payload for `command` on a random support of
+    4..8 points (4..6 for enumerate-types, whose output lists every type)
+    with the given fault, and the field its error must name, or None when
+    the payload is well formed."""
+    top = 6 if command == "enumerate-types" else 8
+    A = rand_support(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(4, top)))
     obj = {"support": _support_json(A, fault, draw)}
-    if command in ("subdivision", "curve"):
+    if FIELD.get(command) == "c":
         obj["c"] = _heights(A, fault, draw)
+    elif FIELD.get(command) == "configuration":
+        obj["configuration"] = _configuration(A, fault, draw)
     elif command == "realize-type":
         obj["type_id"] = _type_id(A, fault, draw)
-    else:
-        obj["line"] = _line(A, fault, draw)
+    elif command != "enumerate-types":
+        key = "topology" if fault in ("as topology", "other leaf count topology") else "line"
+        obj[key] = _line(A, fault, draw)
+    if command == "is-fixed":
+        obj["point"] = _plane_point(draw, fault == "bad point")
     if fault == "missing field":
-        del obj[draw(st.sampled_from(sorted(obj)))]
-    return draw(JUNK) if fault == "not an object" else obj
+        key = draw(st.sampled_from(sorted(obj)))
+        del obj[key]
+        # with no line, compat-check reads a topology
+        return "topology" if (command, key) == ("compat-check", "line") else key, obj
+    if fault == "not an object":
+        return "support", draw(JUNK)
+    return FIELD_OF.get(fault), obj
 
 
-def run_in_process(argv, payload):
-    """`cli.main(argv)` with the payload on stdin: (exit code, stdout,
-    stderr).  Any exception that escapes `main` fails the caller, just as
-    a traceback fails `test_cli.run_cli`."""
-    saved = sys.stdin, sys.stdout, sys.stderr
-    sys.stdin = io.StringIO(json.dumps(payload))
-    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-    try:
-        code = cli.main(argv)
-        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
-    finally:
-        sys.stdin, sys.stdout, sys.stderr = saved
+def _run_payload(command, fault, field, payload):
+    """Run `command` on the payload: a structural fault must exit 2 with
+    the message starting with its field, anything else 0 or 1."""
+    code, out, err = run_in_process([command], json.dumps(payload))
+    assert "Traceback" not in err, err
+    result = json.loads(out)
+    if field:
+        assert code == 2, (fault, result)
+        assert re.match(rf"{re.escape(field)}\b", result["error"]), (fault, result)
+    else:
+        assert code in (0, 1), (fault, result)
+        assert (code == 0) == ("error" not in result)
 
 
-@pytest.mark.parametrize("command", ["subdivision", "curve", "realize-type", "construct-config"])
-@settings(BOUNDED, max_examples=60)
+@pytest.mark.parametrize("command", sorted(FAULTS))
+@settings(BOUNDED, max_examples=6)
 @given(data=st.data())
 def test_cli_random_json(command, data):
-    payload = data.draw(cli_payloads(command))
-    code, out, err = run_in_process([command], payload)
-    assert "Traceback" not in err, err
-    assert code in (0, 1, 2)
-    result = json.loads(out)
-    assert (code == 0) == ("error" not in result)
+    # every fault in turn, so each one is drawn in every example
+    for fault in ["missing field", "not an object", *SUPPORT_FAULTS, *FAULTS[command]]:
+        _run_payload(command, fault, *data.draw(cli_payloads(command, fault)))
+
+
+@pytest.mark.parametrize("command", sorted(FAULTS))
+@settings(BOUNDED, max_examples=30)
+@given(data=st.data())
+def test_cli_random_wellformed_json(command, data):
+    _run_payload(command, None, *data.draw(cli_payloads(command, None)))
