@@ -69,5 +69,5 @@ for P in C:
 S = pi_set(L, {2, 3})
 print("\nPi(L, {2,3}) pieces:")
 print("  vertices:", sorted(S.vertices))
-print("  ray intervals:", S.ray_iv)
+print("  ray intervals:", {key: iv for key, iv in S.iv.items() if key in L.rays})
 print("Pi(L, {1}) is empty:", pi_set(L, {1}).is_empty())

@@ -92,7 +92,7 @@ class SupportSet:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(tuple(int(c) for c in p) for p in self.points)
+        pts = tuple(tuple(p) for p in self.points)
         object.__setattr__(self, "points", pts)
         if self.degree < 1:
             raise ValueError("degree must be positive")
@@ -100,7 +100,7 @@ class SupportSet:
             raise ValueError("support set needs at least 3 points")
         seen = set()
         for p in pts:
-            if len(p) != 3 or any(c < 0 for c in p):
+            if len(p) != 3 or any(type(c) is not int or c < 0 for c in p):
                 raise ValueError(f"bad support point {p}")
             if sum(p) != self.degree:
                 raise ValueError(f"point {p} does not have degree {self.degree}")

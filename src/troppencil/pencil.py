@@ -3,14 +3,16 @@
 A point P of TP^2 is fixed for the pencil parameterized by a line L with
 support A iff the translated line G = L + A.P lies inside Pi_2, the locus
 where the coordinate minimum is attained at least twice.  That containment
-is decided exactly by one walk over the bounded edges and rays of G,
-`_regimes`: along an edge in direction e_J the coordinates split into a
-growing group J and a constant group, so the J group holds the minimum up
-to the breakpoint t* where the two group minima cross, and the other group
-from t* on.  Per edge the walk keeps t* and each group's argmin at the
-first node; `skeleton_level` reads the group multiplicities from it,
-`pi_set` its interval per edge, and `pi_gamma` the coordinates that ever
-attain the minimum.
+is decided exactly by one walk over the branches of G, `_regimes`.  A
+branch is a bounded edge or a ray, which is an edge whose far end lies at
+infinity; the line keeps both in one table (`EmbeddedLine.branches`), so
+every reader below has one code path for them.  Along a branch in
+direction e_J the coordinates split into a growing group J and a constant
+group, so the J group holds the minimum up to the breakpoint t* where the
+two group minima cross, and the other group from t* on.  Per branch the
+walk keeps t* and each group's argmin at the first node; `skeleton_level`
+reads the group multiplicities from it, `pi_set` its interval per branch,
+and `pi_gamma` the coordinates that ever attain the minimum.
 
 The locus itself is enumerated per the two witness patterns at points
 c of L: three leaves in pairwise distinct components of L - {c}, or two
@@ -19,7 +21,8 @@ equalities and inequalities for P, solved exactly in the z = 0 chart.
 
 Pi(G, I) denotes the subset of G where every coordinate in I attains the
 global minimum; these subsets are closed connected subtrees, represented
-below as vertex sets plus closed parameter intervals per edge and ray.
+below as vertex sets plus one closed parameter interval per branch, whose
+upper end is None when it runs out to infinity along a ray.
 A nonempty one is a point x plus every branch at x that holds no leaf of
 I, and x is its gate: the first point of it met from any leaf of I.
 """
@@ -31,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import plane
-from .core import ProjPoint, SupportSet, TropError, component_count, dot, min_profile, rat
+from .core import ProjPoint, SupportSet, TropError, dot, min_profile, rat
 from .trees import EmbeddedLine
 
 
@@ -52,20 +55,18 @@ def shifted_line(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> EmbeddedLine:
 
 
 def _regimes(G: EmbeddedLine) -> list:
-    """Per edge or ray of G in direction e_J, with q its first node:
-    (key, J, length or None, argmin of q on J, argmin on the rest, t*)."""
-    walks = [((a, b), G.coords[a], side, ell) for a, b, side, ell in G.edges]
-    walks += [((v, leaf), G.coords[v], frozenset((leaf,)), None) for v, leaf in G.rays]
+    """Per branch (a, b) of G in direction e_J, a its first node:
+    (key, J, length or None, argmin of a on J, argmin on the rest, t*)."""
     out = []
-    for key, q, J, ell in walks:
+    for a, b, J, ell in G.branches:
         mu, arg = [None, None], [[], []]  # the rest at index 0, the J group at 1
-        for i, x in enumerate(q, 1):
+        for i, x in enumerate(G.coords[a], 1):
             s = i in J
             if not arg[s] or x < mu[s]:
                 mu[s], arg[s] = x, [i]
             elif x == mu[s]:
                 arg[s].append(i)
-        out.append((key, J, ell, frozenset(arg[1]), frozenset(arg[0]), mu[0] - mu[1]))
+        out.append(((a, b), J, ell, frozenset(arg[1]), frozenset(arg[0]), mu[0] - mu[1]))
     return out
 
 
@@ -91,106 +92,76 @@ def is_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:
 
 @dataclass(frozen=True)
 class LinePoint:
-    """A point of an embedded line: a vertex, an edge-interior point at
-    parameter t from the edge's first node, or a ray-interior point."""
+    """A point of an embedded line: a vertex, or the point at parameter
+    t > 0 from the first node of a branch (a bounded edge or a ray) that
+    is not one of its ends."""
 
     kind: str  # "vertex" | "edge" | "ray"
-    loc: tuple  # node id, or (a, b), or (node, leaf)
+    loc: tuple  # node id, or the branch key (a, b)
     t: Fraction | None = None
 
 
-def make_point(G: EmbeddedLine, kind: str, loc, t=None) -> LinePoint:
-    """Build a LinePoint, normalizing edge/ray endpoints to vertices."""
-    if kind == "vertex":
-        return LinePoint("vertex", loc)
+def make_point(G: EmbeddedLine, key, t) -> LinePoint:
+    """The point at parameter t along the branch key of G; its ends come
+    back as vertices.  Raises KeyError when key is no branch of G."""
+    a, b, _, ell = G.edge(key)
     t = rat(t)
-    if kind == "edge":
-        a, b, side, ell = G.edge(loc)
-        if t == 0:
-            return LinePoint("vertex", a)
-        if t == ell:
-            return LinePoint("vertex", b)
-        if not 0 < t < ell:
-            raise ValueError("edge parameter out of range")
-        return LinePoint("edge", (a, b), t)
-    if kind == "ray":
-        if t == 0:
-            return LinePoint("vertex", loc[0])
-        if t < 0:
-            raise ValueError("ray parameter out of range")
-        return LinePoint("ray", tuple(loc), t)
-    raise ValueError(f"unknown point kind {kind!r}")
+    if t == 0:
+        return LinePoint("vertex", a)
+    if t == ell:
+        return LinePoint("vertex", b)
+    if t < 0 or ell is not None and t > ell:
+        raise ValueError("branch parameter out of range")
+    return LinePoint("ray" if ell is None else "edge", (a, b), t)
 
 
 def coords_at(G: EmbeddedLine, p: LinePoint) -> tuple:
     """Raw coordinates of a line point."""
     if p.kind == "vertex":
         return G.coords[p.loc]
-    if p.kind == "edge":
-        a, b, side, ell = G.edge(p.loc)
-        q = G.coords[a]
-        return tuple(q[i] + (p.t if i + 1 in side else 0) for i in range(G.n))
-    v, leaf = p.loc
-    q = G.coords[v]
-    return tuple(q[i] + (p.t if i + 1 == leaf else 0) for i in range(G.n))
+    a, _, side, _ = G.edge(p.loc)
+    return tuple(x + (p.t if i in side else 0) for i, x in enumerate(G.coords[a], 1))
 
 
 def leaf_partition_at(G: EmbeddedLine, p: LinePoint) -> list:
     """Leaf sets of the components of G - {p}."""
-    topo = G.topology
     if p.kind == "vertex":
-        return topo.leaf_partition(p.loc)
-    if p.kind == "edge":
-        a, b = p.loc
-        return [topo.leaves_beyond(b, a), topo.leaves_beyond(a, b)]
-    leaf = p.loc[1]
-    return [frozenset(range(1, G.n + 1)) - {leaf}, frozenset((leaf,))]
+        return G.topology.leaf_partition(p.loc)
+    side = G.edge(p.loc)[2]
+    return [frozenset(range(1, G.n + 1)) - side, side]
 
 
 class SubtreeSet:
-    """A closed subset of an embedded line: vertices plus closed parameter
-    intervals on edges ((lo, hi) within [0, length]) and rays ((lo, hi) with
-    hi None for unbounded)."""
+    """A closed subset of an embedded line: vertices plus one closed
+    parameter interval (lo, hi) per branch it meets, within [0, length] on
+    an edge; hi is None when the interval is unbounded, on a ray."""
 
-    __slots__ = ("line", "vertices", "edge_iv", "ray_iv")
+    __slots__ = ("line", "vertices", "iv")
 
-    def __init__(self, line: EmbeddedLine, vertices=(), edge_iv=None, ray_iv=None):
+    def __init__(self, line: EmbeddedLine, vertices=(), iv=None):
         self.line = line
         verts = set(vertices)
-        eiv = {}
-        for key, (lo, hi) in (edge_iv or {}).items():
-            a, b, side, ell = line.edge(key)
-            lo, hi = max(lo, Fraction(0)), min(hi, ell)
-            if lo > hi:
-                continue
-            if lo == 0:
-                verts.add(a)
-            if hi == ell:
-                verts.add(b)
-            if hi > 0 and lo < ell:  # a lone end point is just its vertex
-                eiv[(a, b)] = (lo, hi)
-        riv = {}
-        for key, (lo, hi) in (ray_iv or {}).items():
+        self.iv = {}
+        for key, (lo, hi) in (iv or {}).items():
+            a, b, _, ell = line.edge(key)
             lo = max(lo, Fraction(0))
+            if ell is not None:
+                hi = ell if hi is None else min(hi, ell)
             if hi is not None and lo > hi:
                 continue
             if lo == 0:
-                verts.add(key[0])
-            if hi is None or hi > 0:
-                riv[tuple(key)] = (lo, hi)
+                verts.add(a)
+            if ell is not None and hi == ell:
+                verts.add(b)
+            if (hi is None or hi > 0) and (ell is None or lo < ell):
+                self.iv[(a, b)] = (lo, hi)  # a lone end point is just its vertex
         self.vertices = frozenset(verts)
-        self.edge_iv = eiv
-        self.ray_iv = riv
 
     def is_empty(self) -> bool:
-        return not self.vertices and not self.edge_iv and not self.ray_iv
+        return not self.vertices and not self.iv
 
     def key(self):
-        return (
-            self.vertices,
-            tuple(sorted(self.edge_iv.items())),
-            tuple(sorted(self.ray_iv.items())),
-        )
+        return (self.vertices, tuple(sorted(self.iv.items())))
 
     def __eq__(self, other):
         return isinstance(other, SubtreeSet) and self.key() == other.key()
@@ -198,53 +169,12 @@ class SubtreeSet:
     def __hash__(self):
         return hash(self.key())
 
-    def boundary_points(self) -> list:
-        """Vertices of the set plus interval endpoints, as LinePoints."""
-        pts = [LinePoint("vertex", v) for v in sorted(self.vertices)]
-        for key, (lo, hi) in sorted(self.edge_iv.items()):
-            for t in {lo, hi}:
-                p = make_point(self.line, "edge", key, t)
-                if p.kind == "edge":
-                    pts.append(p)
-        for key, (lo, hi) in sorted(self.ray_iv.items()):
-            ends = {lo} if hi is None else {lo, hi}
-            for t in ends:
-                p = make_point(self.line, "ray", key, t)
-                if p.kind == "ray":
-                    pts.append(p)
-        return pts
-
-    def finite_points(self) -> list | None:
-        """All points when the set is finite, None when it has a segment."""
-        for lo, hi in self.edge_iv.values():
-            if lo != hi:
-                return None
-        for lo, hi in self.ray_iv.values():
-            if hi is None or lo != hi:
-                return None
-        return self.boundary_points()
-
-    def component_count(self) -> int:
-        items = [("v", v) for v in self.vertices]
-        items += [("e", k) for k in self.edge_iv]
-        items += [("r", k) for k in self.ray_iv]
-        links = []
-        for key, (lo, hi) in self.edge_iv.items():
-            a, b, side, ell = self.line.edge(key)
-            if lo == 0 and a in self.vertices:
-                links.append((("e", key), ("v", a)))
-            if hi == ell and b in self.vertices:
-                links.append((("e", key), ("v", b)))
-        for key, (lo, hi) in self.ray_iv.items():
-            if lo == 0 and key[0] in self.vertices:
-                links.append((("r", key), ("v", key[0])))
-        return component_count(items, links)
 
 def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
     """Pi(G, I): points of G where every coordinate in I is a global min."""
     I = frozenset(I)
     verts = {v for v in G.topology.internal_nodes if I <= min_profile(G.coords[v]).argmin}
-    eiv, riv = {}, {}
+    iv = {}
     for key, J, ell, argJ, arg0, tstar in _regimes(G):
         if not (I & J <= argJ and I - J <= arg0):
             continue
@@ -254,8 +184,8 @@ def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
         if I - J:  # the rest holds it from t* on
             lo = max(lo, tstar)
         if hi is None or lo <= hi:
-            (riv if ell is None else eiv)[key] = (lo, hi)
-    return SubtreeSet(G, verts, eiv, riv)
+            iv[key] = (lo, hi)
+    return SubtreeSet(G, verts, iv)
 
 
 def _gate(G: EmbeddedLine, S: SubtreeSet, i: int) -> LinePoint:
@@ -263,24 +193,24 @@ def _gate(G: EmbeddedLine, S: SubtreeSet, i: int) -> LinePoint:
     i in I: the top of S on ray i, or else the first point of S on the path
     from v_i towards S."""
     v = G.topology.node_of_leaf(i)
-    if (v, i) in S.ray_iv:
-        return make_point(G, "ray", (v, i), S.ray_iv[(v, i)][1])
+    if (v, i) in S.iv:
+        return make_point(G, (v, i), S.iv[(v, i)][1])
     if S.vertices:
         target = min(S.vertices)
-    elif S.ray_iv:  # S lies inside one ray, or else one edge
-        key, (lo, _) = next(iter(S.ray_iv.items()))
-        return make_point(G, "ray", key, lo)
-    else:
-        a, b = next(iter(S.edge_iv))
-        target = a if i in G.edge((a, b))[2] else b
+    else:  # S lies inside one branch
+        key, (lo, _) = next(iter(S.iv.items()))
+        a, b, side, ell = G.edge(key)
+        if ell is None:  # inside one ray
+            return make_point(G, key, lo)
+        target = a if i in side else b
     path = G.topology.path(v, target)
     for u, w in zip(path, path[1:]):
         if u in S.vertices:
             return LinePoint("vertex", u)
         key = (u, w) if u < w else (w, u)
-        if key in S.edge_iv:
+        if key in S.iv:
             # the end of the interval nearer u
-            return make_point(G, "edge", key, S.edge_iv[key][u > w])
+            return make_point(G, key, S.iv[key][u > w])
     return LinePoint("vertex", target)
 
 
@@ -301,7 +231,7 @@ def pi_attachment(G: EmbeddedLine, I) -> LinePoint | None:
     if len(gates) == 1:
         (x,) = gates
         free = [j for part in leaf_partition_at(G, x) if not part & I for j in part]
-        if all(S.ray_iv.get((topo.node_of_leaf(j), j), (0, 0))[1] is None for j in free):
+        if all(S.iv.get((topo.node_of_leaf(j), j), (0, 0))[1] is None for j in free):
             return x
     raise TropError(f"Pi(G, {sorted(I)}) has no unique attachment point")
 
@@ -343,12 +273,6 @@ class FixedLocusCell:
     equalities: tuple  # affine forms, = 0
     inequalities: tuple  # affine forms, >= 0
     geometry: object  # plane geometry, never None in fixed_locus output
-
-    def contains(self, P: ProjPoint) -> bool:
-        x, y = P[0], P[1]
-        return all(plane.evaluate(f, x, y) == 0 for f in self.equalities) and all(
-            plane.evaluate(f, x, y) >= 0 for f in self.inequalities
-        )
 
 
 def _term_forms(A: SupportSet, raw) -> list:

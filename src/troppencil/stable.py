@@ -211,16 +211,11 @@ def curves_through(A: SupportSet, config, L: EmbeddedLine) -> bool:
     per bounded edge and ray, passes through every configuration point."""
     config = list(config)
     coeffs = [L.coords[v] for v in L.topology.internal_nodes]
-    for a, b, side, ell in L.edges:
+    for a, _, side, ell in L.branches:
         q = L.coords[a]
         for k in range(1, SAMPLES + 1):
-            t = ell * Fraction(k, SAMPLES + 1)
-            coeffs.append(tuple(c + (t if i + 1 in side else 0) for i, c in enumerate(q)))
-    for v, leaf in L.rays:
-        q = L.coords[v]
-        for k in range(1, SAMPLES + 1):
-            t = Fraction(k)
-            coeffs.append(tuple(c + (t if i + 1 == leaf else 0) for i, c in enumerate(q)))
+            t = Fraction(k) if ell is None else ell * Fraction(k, SAMPLES + 1)
+            coeffs.append(tuple(c + (t if i in side else 0) for i, c in enumerate(q, 1)))
     return all(
         curve_contains(A, ProjPoint(cvec), P) for cvec in coeffs for P in config
     )

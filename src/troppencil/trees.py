@@ -35,6 +35,10 @@ class PlueckerError(TropError):
 
 
 def _coerce(x):
+    """Ints, strings and Fractions as Fractions; other exact ordered-field
+    values (oracle.EpsRational) as they are.  Floats would break exact ties."""
+    if isinstance(x, float):
+        raise TypeError(f"not an exact rational: {x!r}")
     return rat(x) if isinstance(x, (int, str, Fraction)) else x
 
 
@@ -242,12 +246,14 @@ class EmbeddedLine:
     """A tropical line: topology plus one consistent raw coordinate lift.
 
     For every internal edge (a, b), coords(b) - coords(a) equals
-    length * e_I where I = leaves beyond b; lengths are positive.  The
-    edges are derived and checked once, in the constructor, and kept in a
-    dict keyed by (a, b); translates share them.
+    length * e_I where I = leaves beyond b; lengths are positive.  A ray is
+    an edge whose far end, the leaf, lies at infinity.  The constructor
+    checks every branch once and keeps one table of them, keyed (a, b): the
+    internal edges (a, b, I, length) with a < b, then the rays (node, leaf,
+    {leaf}, None) in sorted order.  Translates share the table.
     """
 
-    __slots__ = ("topology", "coords", "_edges")
+    __slots__ = ("topology", "coords", "_branches")
 
     def __init__(self, topology: TreeTopology, coords: dict):
         self.topology = topology
@@ -257,7 +263,7 @@ class EmbeddedLine:
         for cs in self.coords.values():
             if len(cs) != topology.n:
                 raise ValueError("coordinate vectors must have one entry per leaf")
-        self._edges = {}
+        self._branches = {}
         for a, b in topology.internal_edges:
             side = topology.leaves_beyond(a, b)
             # the difference must be length * e_side modulo the all-ones vector
@@ -266,29 +272,37 @@ class EmbeddedLine:
                 raise ValueError(f"edge ({a},{b}) does not follow the e_I rule")
             if not ell > 0:
                 raise ValueError("non-positive length")
-            self._edges[(a, b)] = (a, b, side, ell)
+            self._branches[(a, b)] = (a, b, side, ell)
+        for v, i in sorted((topology.node_of_leaf(i), i) for i in range(1, topology.n + 1)):
+            self._branches[(v, i)] = (v, i, frozenset((i,)), None)
 
     @property
     def n(self) -> int:
         return self.topology.n
 
     @property
+    def branches(self) -> list:
+        """(a, b, leaves-beyond-b, length or None) per edge, then per ray."""
+        return list(self._branches.values())
+
+    @property
     def edges(self) -> list:
         """(a, b, leaves-beyond-b, length) per internal edge, a < b."""
-        return list(self._edges.values())
-
-    def edge(self, key) -> tuple:
-        """(a, b, leaves-beyond-b, length) of the internal edge key = (a, b), a < b."""
-        return self._edges[key]
+        return self.branches[: len(self.coords) - 1]  # a tree has one edge less than nodes
 
     @property
     def rays(self) -> list:
         """(internal node, leaf) per unbounded edge."""
-        return sorted((self.topology.node_of_leaf(i), i) for i in range(1, self.n + 1))
+        return list(self._branches)[len(self.coords) - 1 :]
+
+    def edge(self, key) -> tuple:
+        """The branch key = (a, b): an internal edge (a < b) or a ray
+        (node, leaf)."""
+        return self._branches[key]
 
     def edge_lengths(self) -> dict:
         """Lattice length per split (keyed by the side without leaf n)."""
-        return {side: self._edges[e][3] for e, side in self.topology.splits()}
+        return {side: self._branches[e][3] for e, side in self.topology.splits()}
 
     def translate(self, shift) -> "EmbeddedLine":
         """The line translated by a vector of TP^(n-1).  Edge directions
@@ -297,7 +311,7 @@ class EmbeddedLine:
         if len(shift) != self.n:
             raise ValueError("shift must have one entry per leaf")
         out = object.__new__(EmbeddedLine)
-        out.topology, out._edges = self.topology, self._edges
+        out.topology, out._branches = self.topology, self._branches
         out.coords = {v: tuple(c + s for c, s in zip(cs, shift)) for v, cs in self.coords.items()}
         return out
 
@@ -366,13 +380,9 @@ def line_contains(L: EmbeddedLine, c: ProjPoint) -> bool:
     for v in L.topology.internal_nodes:
         if ProjPoint(L.coords[v]) == c:
             return True
-    for a, b, side, ell in L.edges:
+    for a, _, side, ell in L.branches:
         t = _ray_parameter(L.coords[a], c.coords, side, L.n)
-        if t is not None and 0 <= t <= ell:
-            return True
-    for v, leaf in L.rays:
-        t = _ray_parameter(L.coords[v], c.coords, frozenset((leaf,)), L.n)
-        if t is not None and t >= 0:
+        if t is not None and 0 <= t and (ell is None or t <= ell):
             return True
     return False
 

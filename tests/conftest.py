@@ -21,9 +21,10 @@ from math import ceil
 
 import pytest
 
-from troppencil import ProjPoint, SupportSet, cli
+from troppencil import ProjPoint, SupportSet, cli, plane
 from troppencil.compat import type_by_id, type_count
-from troppencil.pencil import SubtreeSet
+from troppencil.core import component_count as core_component_count
+from troppencil.pencil import LinePoint, SubtreeSet, make_point
 from troppencil.trees import TreeTopology, embed
 
 
@@ -161,15 +162,20 @@ def point_valence(G, p) -> int:
 
 
 def locus_contains(cells, P) -> bool:
-    return any(c.contains(P) for c in cells)
+    """P satisfies the closed linear description of one of the cells."""
+    x, y = P[0], P[1]
+    return any(
+        all(plane.evaluate(f, x, y) == 0 for f in c.equalities)
+        and all(plane.evaluate(f, x, y) >= 0 for f in c.inequalities)
+        for c in cells
+    )
 
 
 def full_set(G) -> SubtreeSet:
     return SubtreeSet(
         G,
         set(G.topology.internal_nodes),
-        {(a, b): (Fraction(0), ell) for a, b, _, ell in G.edges},
-        {key: (Fraction(0), None) for key in G.rays},
+        {(a, b): (Fraction(0), ell) for a, b, _, ell in G.branches},
     )
 
 
@@ -178,38 +184,52 @@ def subtree_spanning(G, I) -> SubtreeSet:
     plus the connecting paths)."""
     I = sorted(set(I))
     if not I:
-        return SubtreeSet(G, set(), {}, {})
+        return SubtreeSet(G)
     topo = G.topology
-    verts = set()
-    eiv = {}
-    riv = {(topo.node_of_leaf(i), i): (Fraction(0), None) for i in I}
+    verts = {topo.node_of_leaf(i) for i in I}
+    iv = {(topo.node_of_leaf(i), i): (Fraction(0), None) for i in I}
     for i, j in combinations(I, 2):
         path = topo.path(topo.node_of_leaf(i), topo.node_of_leaf(j))
         verts.update(path)
         for a, b in zip(path, path[1:]):
             key = (a, b) if a < b else (b, a)
-            eiv[key] = (Fraction(0), G.edge(key)[3])
-    verts.update(topo.node_of_leaf(i) for i in I)
-    return SubtreeSet(G, verts, eiv, riv)
+            iv[key] = (Fraction(0), G.edge(key)[3])
+    return SubtreeSet(G, verts, iv)
 
 
 def subtree_intersection(S: SubtreeSet, T: SubtreeSet) -> SubtreeSet:
-    verts = S.vertices & T.vertices
-    eiv = {}
-    for key in S.edge_iv.keys() & T.edge_iv.keys():
-        lo = max(S.edge_iv[key][0], T.edge_iv[key][0])
-        hi = min(S.edge_iv[key][1], T.edge_iv[key][1])
-        if lo <= hi:
-            eiv[key] = (lo, hi)
-    riv = {}
-    for key in S.ray_iv.keys() & T.ray_iv.keys():
-        lo = max(S.ray_iv[key][0], T.ray_iv[key][0])
-        h1, h2 = S.ray_iv[key][1], T.ray_iv[key][1]
-        hi = h1 if h2 is None else h2 if h1 is None else min(h1, h2)
+    iv = {}
+    for key in S.iv.keys() & T.iv.keys():
+        lo = max(S.iv[key][0], T.iv[key][0])
+        his = [h for h in (S.iv[key][1], T.iv[key][1]) if h is not None]
+        hi = min(his) if his else None
         if hi is None or lo <= hi:
-            riv[key] = (lo, hi)
+            iv[key] = (lo, hi)
     # vertices only survive when both sets carry them
-    return SubtreeSet(S.line, verts, eiv, riv)
+    return SubtreeSet(S.line, S.vertices & T.vertices, iv)
+
+
+def finite_points(S: SubtreeSet) -> list | None:
+    """All points of S when it is finite, None when it holds a segment."""
+    if any(lo != hi for lo, hi in S.iv.values()):
+        return None
+    # a one-point interval lies inside its branch: SubtreeSet keeps no lone end
+    pts = [LinePoint("vertex", v) for v in sorted(S.vertices)]
+    return pts + [make_point(S.line, key, lo) for key, (lo, _) in sorted(S.iv.items())]
+
+
+def component_count(S: SubtreeSet) -> int:
+    """Connected components of S: an interval joins the vertex at each of
+    its ends that it reaches."""
+    items = [("v", v) for v in S.vertices] + [("b", k) for k in S.iv]
+    links = []
+    for key, (lo, hi) in S.iv.items():
+        a, b, _, ell = S.line.edge(key)
+        if lo == 0 and a in S.vertices:
+            links.append((("b", key), ("v", a)))
+        if ell is not None and hi == ell and b in S.vertices:
+            links.append((("b", key), ("v", b)))
+    return core_component_count(items, links)
 
 
 def run_in_process(argv, text):

@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    component_count,
     plant_line,
     point_valence,
     rand_config,
@@ -200,7 +201,7 @@ def test_criterion_6_skeleton_suite():
         for mask in range(1, 2 ** n):
             J = frozenset(i + 1 for i in range(n) if mask >> i & 1)
             S = pi_set(G, J)
-            if S.component_count() > 1:
+            if component_count(S) > 1:
                 violations += 1
             if S.is_empty():
                 continue

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,13 @@ def test_support_set_validation():
         SupportSet(2, ((0, 0, 2), (1, 0, 1), (2, 0, 1)))  # degree mismatch
     with pytest.raises(ValueError, match="two-dimensional"):
         SupportSet(2, ((0, 0, 2), (1, 0, 1), (2, 0, 0)))  # collinear
+
+
+def test_support_set_refuses_non_integer_coordinates():
+    # int() used to truncate these: (-0.5, 1.5, 1) was read as (0, 1, 1)
+    for bad in ((-0.5, 1.5, 1), (0, True, 1), (Fraction(1), 1, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"bad support point {bad}")):
+            SupportSet(2, (bad, (1, 0, 1), (0, 0, 2)))
 
 
 def test_rational_json_round_trip():

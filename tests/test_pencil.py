@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    component_count,
+    finite_points,
     full_set,
     locus_contains,
     make_lsq,
@@ -25,6 +27,7 @@ from troppencil.pencil import (
     fixed_locus_pieces,
     is_fixed,
     leaf_partition_at,
+    make_point,
     pi_attachment,
     pi_gamma,
     pi_gamma_location,
@@ -122,8 +125,7 @@ def test_pi_set_examples(SQ):
     # coordinates 2 and 3 are both minimal exactly on {w} union ray 4
     S = pi_set(L, {2, 3})
     assert S.vertices == frozenset({w})
-    assert not S.edge_iv
-    assert S.ray_iv == {(w, 4): (Fraction(0), None)}
+    assert S.iv == {(w, 4): (Fraction(0), None)}
     assert pi_set(L, {1}).is_empty()
     assert pi_set(L, []) == full_set(L)
 
@@ -137,13 +139,13 @@ def test_pi_set_connected_random():
             for _ in range(4):
                 J = frozenset(rng.sample(range(1, n + 1), size))
                 S = pi_set(G, J)
-                assert S.component_count() <= 1
+                assert component_count(S) <= 1
                 if size < 2:
                     # the subtree spanned by one leaf is its whole ray, and
                     # the overlap may legitimately be a segment of it
                     continue
                 inter = subtree_intersection(subtree_spanning(G, J), S)
-                pts = inter.finite_points()
+                pts = finite_points(inter)
                 assert pts is not None and len(set(pts)) <= 1
 
 
@@ -223,7 +225,7 @@ def _samples(G):
 def _holds(S, p):
     if p.kind == "vertex":
         return p.loc in S.vertices
-    iv = (S.edge_iv if p.kind == "edge" else S.ray_iv).get(p.loc)
+    iv = S.iv.get(p.loc)
     return iv is not None and iv[0] <= p.t and (iv[1] is None or p.t <= iv[1])
 
 
@@ -274,6 +276,39 @@ def test_attachment_unique_across_subsets():
         assert points == {LinePoint("vertex", p)}
 
 
+def test_make_point_on_every_branch():
+    # one path for edges and rays: the point at t on branch (a, b) sits at
+    # coords[a] + t * e_side in TP^(n-1) (the raw lift of a vertex may differ
+    # by a multiple of (1, ..., 1)), and the ends come back as vertices
+    rng = random.Random(44)
+    for n in range(4, 10):
+        for _ in range(4):
+            G = rand_line(rng, n, contract_p=rng.choice([0, 0.4]))
+            for a, b, side, ell in G.branches:
+                for t in (0, 1, 7) if ell is None else (0, ell / 3, ell):
+                    p = make_point(G, (a, b), t)
+                    q = G.coords[a]
+                    assert ProjPoint(coords_at(G, p)) == ProjPoint(
+                        [x + (t if i in side else 0) for i, x in enumerate(q, 1)]
+                    )
+                    if t == 0:
+                        assert p == LinePoint("vertex", a)
+                    elif t == ell:
+                        assert p == LinePoint("vertex", b)
+                    else:
+                        assert p == LinePoint("ray" if ell is None else "edge", (a, b), t)
+                with pytest.raises(ValueError, match="out of range"):
+                    make_point(G, (a, b), -1 if ell is None else ell + 1)
+                # a reversed branch is no branch of G
+                with pytest.raises(KeyError):
+                    make_point(G, (b, a), 1)
+            v = G.topology.node_of_leaf(1)
+            for w in G.topology.internal_nodes:
+                if w != v:  # leaf 1 hangs off v alone
+                    with pytest.raises(KeyError):
+                        make_point(G, (w, 1), 1)
+
+
 def test_branches_partition_line():
     rng = random.Random(39)
     for _ in range(15):
@@ -302,7 +337,7 @@ def test_attachment_off_vertices():
     assert pi_attachment(G, {1, 2}) == x
     G = make_lsq().translate((-2, -2, -1, 0))
     x = LinePoint("ray", (5, 2), Fraction(1))
-    assert pi_set(G, {1}).ray_iv == {(5, 2): (Fraction(1), None)}
+    assert pi_set(G, {1}).iv == {(5, 2): (Fraction(1), None)}
     assert pi_attachment(G, {1}) == x
     assert pi_attachment(G, {1, 2}) == x
 

@@ -7,9 +7,10 @@ import pytest
 from conftest import make_lsq, rand_line, rand_support, rand_topology
 from troppencil.compat import enumerate_types
 from troppencil.core import ProjPoint
-from troppencil.oracle import brute_plucker_to_tree
+from troppencil.oracle import EpsRational, brute_plucker_to_tree
 from troppencil.stable import solve_minors
 from troppencil.trees import (
+    EmbeddedLine,
     PlueckerError,
     PlueckerVector,
     TreeTopology,
@@ -35,6 +36,27 @@ def test_embed_rejects_nonpositive_length():
     T = TreeTopology.from_splits(4, [frozenset({1, 2})])
     with pytest.raises(ValueError, match="non-positive length"):
         embed(T, {frozenset({1, 2}): Fraction(0)}, T.node_of_leaf(1), (0, 0, 0, 0))
+
+
+def test_floats_are_refused():
+    T = TreeTopology.from_splits(4, [frozenset({1, 2})])
+    v = T.node_of_leaf(1)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        embed(T, {frozenset({1, 2}): 0.5}, v, (0, 0, 0, 0))
+    with pytest.raises(TypeError, match="not an exact rational"):
+        embed(T, {frozenset({1, 2}): 1}, v, (0.1, 0, 0, 0))
+    L = make_lsq()
+    u = L.topology.node_of_leaf(1)
+    coords = {**L.coords, u: (0.5,) + L.coords[u][1:]}
+    with pytest.raises(TypeError, match="not an exact rational"):
+        EmbeddedLine(L.topology, coords)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        L.translate((0.5, 0, 0, 0))
+    with pytest.raises(TypeError, match="not an exact rational"):
+        PlueckerVector(4, {**LSQ_PAIRS, (1, 2): 0.5})
+    # first-order infinitesimals are exact, and still pass
+    L_eps = embed(T, {frozenset({1, 2}): EpsRational(0, 1)}, v, (0, 0, 0, 0))
+    assert L_eps.edges[0][3] == EpsRational(0, 1)
 
 
 def test_star_line_has_no_internal_edges():
