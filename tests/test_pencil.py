@@ -287,9 +287,8 @@ def test_make_point_on_every_branch():
             for a, b, side, ell in G.branches:
                 for t in (0, 1, 7) if ell is None else (0, ell / 3, ell):
                     p = make_point(G, (a, b), t)
-                    q = G.coords[a]
                     assert ProjPoint(coords_at(G, p)) == ProjPoint(
-                        [x + (t if i in side else 0) for i, x in enumerate(q, 1)]
+                        [x + (t if i in side else 0) for i, x in enumerate(G.coords[a], 1)]
                     )
                     if t == 0:
                         assert p == LinePoint("vertex", a)
