@@ -192,10 +192,6 @@ class SupportGraph:
     n: int
     edges: frozenset  # pairs (vertex id, support index)
 
-    def neighborhood(self, support_subset) -> frozenset:
-        sub = set(support_subset)
-        return frozenset(w for w, l in self.edges if l in sub)
-
     def component_count(self) -> int:
         nodes = [("w", w) for w in self.vertex_ids] + [
             ("a", l) for l in range(1, self.n + 1)

@@ -32,12 +32,11 @@ class InternalError(Exception):
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4' and Fractions to an exact Fraction."""
+    """Coerce ints, strings like '3/4' and Fractions to an exact Fraction.
+    A bool is refused: True is no coordinate."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -94,8 +93,8 @@ class SupportSet:
     def __post_init__(self):
         pts = tuple(tuple(p) for p in self.points)
         object.__setattr__(self, "points", pts)
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
+        if type(self.degree) is not int or self.degree < 1:
+            raise ValueError(f"degree must be a positive int, not {self.degree!r}")
         if len(pts) < 3:
             raise ValueError("support set needs at least 3 points")
         seen = set()

@@ -14,10 +14,10 @@ walk keeps t* and each group's argmin at the first node; `skeleton_level`
 reads the group multiplicities from it, `pi_set` its interval per branch,
 and `pi_gamma` the coordinates that ever attain the minimum.
 
-The locus itself is enumerated per the two witness patterns at points
-c of L: three leaves in pairwise distinct components of L - {c}, or two
-leaf pairs in two distinct components; each candidate yields linear
-equalities and inequalities for P, solved exactly in the z = 0 chart.
+The locus itself is enumerated per witness point c of L: a vertex with
+three leaves in pairwise distinct components of L - {c}, or an edge point
+with a leaf pair on each side; each candidate yields two linear equalities
+and some inequalities for P, solved exactly in the z = 0 chart.
 
 Pi(G, I) denotes the subset of G where every coordinate in I attains the
 global minimum; these subsets are closed connected subtrees, represented
@@ -291,6 +291,14 @@ def _sub(f, g):
 def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
     """All cells of {P : is_fixed(L, A, P)}, pruned to nonempty geometry.
 
+    Two leaf pairs (i, j), (k, l) in two components of L - {v} at a vertex
+    v need no loop of their own.  The component holding (i, j) has two
+    leaves, so it is no single ray but lies across an internal edge e at
+    v, and e's system at t = 0 (or at t = length when v is e's larger-id
+    end) is exactly the vertex system.  Every equality is a difference of
+    two terms of distinct support points, so both gradients are nonzero,
+    as `plane.solve` requires.
+
     Zero-dimensional duplicates are removed; boundary points of segment
     cells may still reappear as vertex cells, by design (cells are closed).
     """
@@ -314,16 +322,6 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
                             cells.append(
                                 FixedLocusCell(("vertex", v), (i, j, k), eqs, below[i], geom)
                             )
-        # two leaf pairs in two distinct components
-        for pa, pb in combinations(range(len(parts)), 2):
-            for i, j in combinations(sorted(parts[pa]), 2):
-                for k, l in combinations(sorted(parts[pb]), 2):
-                    eqs = (_sub(T[i], T[j]), _sub(T[k], T[l]), _sub(T[i], T[k]))
-                    geom = plane.solve(eqs, below[i])
-                    if geom is not None:
-                        cells.append(
-                            FixedLocusCell(("vertex", v), (i, j, k, l), eqs, below[i], geom)
-                        )
     for a, b, side, ell in L.edges:
         T = _term_forms(A, L.coords[a])
         inside = sorted(side)

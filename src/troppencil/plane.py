@@ -1,10 +1,9 @@
 """Exact affine feasibility in the z = 0 chart of TP^2.
 
 Constraints are affine forms (a, b, c) standing for a*x + b*y + c, with
-rational coefficients.  Cells carry equalities (= 0) and inequalities
-(>= 0); since TP^2 is two-dimensional and every cell of interest comes
-with at least one nontrivial equality, feasible sets are points, segments,
-rays or full lines, and we solve them exactly by pairwise intersection.
+rational coefficients.  A fixed-locus cell has two equalities (= 0) with
+nonzero gradients and some inequalities (>= 0), so its feasible set is a
+point, segment, ray or full line, solved exactly in one case split.
 """
 
 from __future__ import annotations
@@ -53,43 +52,23 @@ class LineGeom:
 def solve(eqs, ineqs):
     """Feasible set of {eqs = 0, ineqs >= 0}; None when empty.
 
-    Expects at least one nontrivial equality (true for every fixed-locus
-    cell), so the answer is at most one-dimensional.
+    Takes exactly two equalities, each with a nonzero gradient (true for
+    every fixed-locus cell: its equalities are differences of terms of
+    distinct support points), so the answer is at most one-dimensional.
     """
-    live = []
-    for f in eqs:
-        if f[0] == 0 and f[1] == 0:
-            if f[2] != 0:
-                return None
-            continue
-        live.append(f)
-    if not live:
-        raise ValueError("need at least one nontrivial equality")
-
-    for i in range(len(live)):
-        for j in range(i + 1, len(live)):
-            a1, b1, c1 = live[i]
-            a2, b2, c2 = live[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            x = Fraction(b1 * c2 - b2 * c1, det)
-            y = Fraction(a2 * c1 - a1 * c2, det)
-            if any(evaluate(f, x, y) != 0 for f in live):
-                return None
-            if any(evaluate(f, x, y) < 0 for f in ineqs):
-                return None
-            return PointGeom(x, y)
-
-    # all equalities parallel: a common line, or inconsistent
-    a, b, c = live[0]
-    base = (Fraction(-c, a), Fraction(0)) if b == 0 else (Fraction(0), Fraction(-c, b))
-    direction = _canon_direction((-b, a))
-    probe = (base[0] + direction[0], base[1] + direction[1])
-    for f in live[1:]:
-        if evaluate(f, *base) != 0 or evaluate(f, *probe) != 0:
+    (a1, b1, c1), (a2, b2, c2) = eqs
+    det = a1 * b2 - a2 * b1
+    if det != 0:
+        x = Fraction(b1 * c2 - b2 * c1, det)
+        y = Fraction(a2 * c1 - a1 * c2, det)
+        if any(evaluate(f, x, y) < 0 for f in ineqs):
             return None
-    return _restrict_line(base, direction, ineqs)
+        return PointGeom(x, y)
+    # parallel lines: they coincide, or never meet
+    base = (Fraction(-c1, a1), Fraction(0)) if b1 == 0 else (Fraction(0), Fraction(-c1, b1))
+    if evaluate(eqs[1], *base) != 0:
+        return None
+    return _restrict_line(base, _canon_direction((-b1, a1)), ineqs)
 
 
 def _canon_direction(d) -> tuple:
@@ -141,8 +120,6 @@ def canonical_pieces(geoms) -> list:
     points = set()
     lines = {}  # (direction, offset) -> list of (lo, hi) in the s = D.X parameter
     for g in geoms:
-        if g is None:
-            continue
         if isinstance(g, PointGeom):
             points.add((g.x, g.y))
             continue

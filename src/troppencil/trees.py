@@ -300,10 +300,6 @@ class EmbeddedLine:
         (node, leaf)."""
         return self._branches[key]
 
-    def edge_lengths(self) -> dict:
-        """Lattice length per split (keyed by the side without leaf n)."""
-        return {side: self._branches[e][3] for e, side in self.topology.splits()}
-
     def translate(self, shift) -> "EmbeddedLine":
         """The line translated by a vector of TP^(n-1).  Edge directions
         and lengths do not change, so the translate shares them."""

@@ -232,6 +232,17 @@ def component_count(S: SubtreeSet) -> int:
     return core_component_count(items, links)
 
 
+def edge_lengths(L) -> dict:
+    """Lattice length per split of L (keyed by the side without leaf n)."""
+    return {side: L.edge(e)[3] for e, side in L.topology.splits()}
+
+
+def neighborhood(G, support_subset) -> frozenset:
+    """The vertices of the support graph G adjacent to a support subset."""
+    sub = set(support_subset)
+    return frozenset(w for w, l in G.edges if l in sub)
+
+
 def run_in_process(argv, text):
     """`cli.main(argv)` with `text` on stdin: (exit code, stdout,
     stderr).  Any exception that escapes `main` fails the caller, just as

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     component_count,
+    neighborhood,
     plant_line,
     point_valence,
     rand_config,
@@ -260,7 +261,7 @@ def test_criterion_8_support_graph_suite(realized_instances):
             if n <= 6:
                 for size in range(len(rest) + 1):
                     for B in combinations(rest, size):
-                        if len(G.neighborhood(B)) < len(B):
+                        if len(neighborhood(G, B)) < len(B):
                             violations.append("Hall condition")
             psi = unique_matching(G, (i, j))
             total = sum(M[rows[v]][psi[v] - 1] for v in psi)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -432,6 +433,22 @@ def test_bench_smoke():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "smoke passed" in proc.stdout
+
+
+def test_bench_traced_names_resolve():
+    # a renamed library function must fail here, not only in a traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for table in (tracing.SPANNED, tracing.COUNTED):
+        for layer, funcs in table.items():
+            home = importlib.import_module(f"troppencil.{layer}")
+            for qual in funcs:
+                owner, _, attr = qual.rpartition(".")
+                # the tracer wraps a method through its class __dict__
+                space = vars(getattr(home, owner)) if owner else vars(home)
+                assert callable(space.get(attr)), f"{layer}.{qual}"
 
 
 @pytest.mark.parametrize(

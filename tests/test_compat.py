@@ -4,7 +4,7 @@ from itertools import combinations, islice, permutations
 
 import pytest
 
-from conftest import make_lsq, rand_config, rand_support
+from conftest import make_lsq, neighborhood, rand_config, rand_support
 from troppencil.compat import (
     compatible_types,
     construct_configuration,
@@ -250,7 +250,7 @@ def test_hall_condition_exhaustive(SQ):
         rest = [l for l in range(1, 5) if l not in (i, j)]
         for size in range(len(rest) + 1):
             for B in combinations(rest, size):
-                assert len(G.neighborhood(B)) >= len(B)
+                assert len(neighborhood(G, B)) >= len(B)
 
 
 def test_gv_structure_random():

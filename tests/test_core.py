@@ -11,9 +11,11 @@ from troppencil.core import (
     dot,
     min_profile,
     orient2d,
+    rat,
     rational_from_json,
     rational_to_json,
 )
+from troppencil.trees import TreeTopology, embed
 
 
 def test_min_profile_examples():
@@ -103,6 +105,29 @@ def test_support_set_refuses_non_integer_coordinates():
     for bad in ((-0.5, 1.5, 1), (0, True, 1), (Fraction(1), 1, 0)):
         with pytest.raises(ValueError, match=re.escape(f"bad support point {bad}")):
             SupportSet(2, (bad, (1, 0, 1), (0, 0, 2)))
+
+
+def test_support_set_refuses_non_int_degree():
+    # 2.0 and True used to be kept as the degree
+    for bad, pts in ((2.0, ((0, 0, 2), (1, 0, 1), (0, 1, 1))),
+                     (True, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+                     (Fraction(2), ((0, 0, 2), (1, 0, 1), (0, 1, 1))),
+                     (0, ((0, 0, 0), (0, 0, 0), (0, 0, 0)))):
+        with pytest.raises(ValueError, match=re.escape(f"degree must be a positive int, not {bad!r}")):
+            SupportSet(bad, pts)
+
+
+def test_rat_refuses_bool():
+    # bool is an int subclass: ProjPoint((True, 0, 0)) used to be ProjPoint(1, 0, 0)
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            rat(bad)
+    with pytest.raises(TypeError):
+        ProjPoint((True, 0, 0))
+    topo = TreeTopology.star(3)
+    with pytest.raises(TypeError):
+        embed(topo, {}, topo.internal_nodes[0], (0, False, 0))
+    assert rat(3) == 3 and rat("3/4") == Fraction(3, 4)
 
 
 def test_rational_json_round_trip():

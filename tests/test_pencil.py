@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import (
     component_count,
+    edge_lengths,
     finite_points,
     full_set,
     locus_contains,
@@ -14,12 +16,14 @@ from conftest import (
     rand_config,
     rand_line,
     rand_support,
+    rand_topology,
     skeleton_bound,
     subtree_intersection,
     subtree_spanning,
 )
 from troppencil import plane
 from troppencil.core import ProjPoint, TropError, min_profile
+from troppencil.oracle import sampled_fixed
 from troppencil.pencil import (
     LinePoint,
     coords_at,
@@ -43,7 +47,7 @@ def test_shifted_line(SQ):
     L = make_lsq()
     G = shifted_line(L, SQ, ProjPoint((2, 1, 0)))
     assert G.topology == L.topology
-    assert G.edge_lengths() == L.edge_lengths()
+    assert edge_lengths(G) == edge_lengths(L)
     u = L.topology.node_of_leaf(1)
     assert ProjPoint(G.coords[u]) == ProjPoint((3, 3, 3, 4))
 
@@ -117,6 +121,56 @@ def test_locus_cells_match_membership():
                 samples = [g.origin]
             for x, y in samples:
                 assert is_fixed(L, A, ProjPoint((x, y, 0)))
+
+
+def _two_pair_point(A, c, i, j, k, l):
+    """The single point of TP^2 where terms i, j, k, l of the vertex with
+    coordinates c all tie (T_i = T_j, T_k = T_l, T_i = T_k), or None."""
+
+    def row(p, q):
+        (rp, sp, _), (rq, sq, _) = A.point(p), A.point(q)
+        return (rp - rq, sp - sq, c[p - 1] - c[q - 1])
+
+    rows = [row(i, j), row(k, l), row(i, k)]
+    for f, g in combinations(rows, 2):
+        det = f[0] * g[1] - f[1] * g[0]
+        if det:
+            x = Fraction(f[1] * g[2] - g[1] * f[2], det)
+            y = Fraction(g[0] * f[2] - f[0] * g[2], det)
+            if all(h[0] * x + h[1] * y + h[2] == 0 for h in rows):
+                return ProjPoint((x, y, 0))
+            return None
+    return None  # three parallel lines: no isolated point
+
+
+def test_vertex_two_pair_points_in_locus():
+    # fixed_locus has no loop for two leaf pairs in two components at a
+    # vertex: the edge cells must hold those isolated points, which random
+    # query points almost never hit
+    rng = random.Random(41)
+    fixed = 0
+    for m in range(150):
+        n = 4 + m % 5
+        if m % 3 == 2:  # integer grid
+            T = rand_topology(rng, n)
+            lengths = {frozenset(e): Fraction(rng.randint(1, 4)) for e in T.internal_edges}
+            L = embed(T, lengths, T.internal_nodes[0], tuple(rng.randint(-4, 4) for _ in range(n)))
+        else:  # random, or contracted
+            L = rand_line(rng, n, contract_p=0.4 * (m % 3))
+        A = rand_support(rng, n)
+        cells = fixed_locus(L, A)
+        assert all(
+            len(c.indices) == 3 and len(c.equalities) == 2 for c in cells if c.witness[0] == "vertex"
+        )
+        for v in L.topology.internal_nodes:
+            for pa, pb in combinations(L.topology.leaf_partition(v), 2):
+                for i, j in combinations(sorted(pa), 2):
+                    for k, l in combinations(sorted(pb), 2):
+                        P = _two_pair_point(A, L.coords[v], i, j, k, l)
+                        if P is not None and sampled_fixed(L, A, P):
+                            fixed += 1
+                            assert locus_contains(cells, P)
+    assert fixed >= 5
 
 
 def test_pi_set_examples(SQ):

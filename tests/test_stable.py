@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import PRIMES, prime_rational, rand_config, rand_support
+from conftest import PRIMES, edge_lengths, prime_rational, rand_config, rand_support
 from troppencil import stable
 from troppencil.core import InternalError, ProjPoint, TropError
 from troppencil.oracle import brute_tropdet
@@ -95,7 +95,7 @@ def test_stable_pencil_degenerate_fixtures(SQ):
     assert ProjPoint(L2.coords[L2.topology.internal_nodes[0]]) == ProjPoint((1, 0, 0, 0))
     Linf = stable_pencil(SQ, [ProjPoint((0, 0, 0)), ProjPoint((0, 1, 0))])
     assert Linf.topology == TreeTopology.from_splits(4, [frozenset({1, 2})])
-    assert Linf.edge_lengths() == {frozenset({1, 2}): Fraction(1)}
+    assert edge_lengths(Linf) == {frozenset({1, 2}): Fraction(1)}
 
 
 def test_curves_through_examples(SQ, TRI, CFG, LSQ):
