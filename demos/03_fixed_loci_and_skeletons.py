@@ -1,11 +1,13 @@
 """Fixed loci: the points that every curve of a pencil passes through.
 
 P is fixed for the pencil L exactly when the translated tree L + A.P sits
-inside the locus Pi_2 where the smallest coordinate repeats.  That test is
-a finite walk over the tree.  The locus itself is enumerated from the two
-witness patterns (three leaves in three branches at a vertex, or two leaf
-pairs on the two sides of an edge point), each giving a 2x2 exact linear
-system in the plane.
+inside the locus Pi_2 where the smallest coordinate repeats.  That test
+reads the argmin at each vertex of the translate: along an edge every
+argmin is met at an end, so only a leaf ray whose coordinate ties for the
+minimum at its vertex can lower the count.  The locus itself is
+enumerated from the two witness patterns (three leaves in three branches
+at a vertex, or two leaf pairs on the two sides of an edge point), each
+giving a 2x2 exact linear system in the plane.
 
 Run:  python3 demos/03_fixed_loci_and_skeletons.py
 """

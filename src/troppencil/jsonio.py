@@ -116,19 +116,28 @@ def topology_to_json(T: TreeTopology) -> dict:
 
 
 def topology_from_json(obj, n: int, field: str = "topology") -> TreeTopology:
-    """The tree with n leaves in the named field."""
+    """The tree with n leaves in the named field.  Each edge may be listed
+    once, in either orientation; a `leaf_map`, optional, must name the node
+    that the edges attach each leaf to."""
     leaves = expect(obj, f"{field}.n", int)
     if leaves != n:
         raise MalformedInput(f"{field} has {leaves} leaves, the support has {n} points")
     adj = {}
     for k, e in enumerate(expect(obj, f"{field}.edges", list)):
         a, b = expect(e, f"{field}.edges[{k}].a", int), expect(e, f"{field}.edges[{k}].b", int)
+        if b in adj.get(a, ()):
+            raise MalformedInput(f"{field}.edges[{k}] repeats the edge ({a},{b})")
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     try:
-        return TreeTopology(leaves, adj)
+        topo = TreeTopology(leaves, adj)
     except ValueError as e:
         raise MalformedInput(f"{field}: bad tree: {e}") from e
+    want = {str(i): topo.node_of_leaf(i) for i in range(1, n + 1)}
+    got = obj.get("leaf_map", want)
+    if got != want or any(type(w) is not int for w in got.values()):
+        raise MalformedInput(f"{field}.leaf_map must map each leaf to its node in {field}.edges")
+    return topo
 
 
 def line_to_json(L: EmbeddedLine) -> dict:

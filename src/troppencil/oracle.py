@@ -308,12 +308,12 @@ def _eps_limit(L_eps: EmbeddedLine) -> EmbeddedLine:
         w = relabel[find(topo.node_of_leaf(leaf))]
         adj[leaf] = {w}
         adj[w].add(leaf)
+    lengths = {}
     for a, b, side, ell in L_eps.edges:
         if ell.value > 0:
             ra, rb = relabel[find(a)], relabel[find(b)]
             adj[ra].add(rb)
             adj[rb].add(ra)
-    coords = {}
-    for rep in reps:
-        coords[relabel[rep]] = tuple(c.value for c in L_eps.coords[rep])
-    return EmbeddedLine(TreeTopology(n, adj), coords)
+            lengths[frozenset((ra, rb))] = ell.value
+    anchor = [c.value for c in L_eps.coords[reps[0]]]
+    return embed(TreeTopology(n, adj), lengths, relabel[reps[0]], anchor)

@@ -3,16 +3,15 @@
 A point P of TP^2 is fixed for the pencil parameterized by a line L with
 support A iff the translated line G = L + A.P lies inside Pi_2, the locus
 where the coordinate minimum is attained at least twice.  That containment
-is decided exactly by one walk over the branches of G, `_regimes`.  A
-branch is a bounded edge or a ray, which is an edge whose far end lies at
-infinity; the line keeps both in one table (`EmbeddedLine.branches`), so
-every reader below has one code path for them.  Along a branch in
-direction e_J the coordinates split into a growing group J and a constant
-group, so the J group holds the minimum up to the breakpoint t* where the
-two group minima cross, and the other group from t* on.  Per branch the
-walk keeps t* and each group's argmin at the first node; `skeleton_level`
-reads the group multiplicities from it, `pi_set` its interval per branch,
-and `pi_gamma` the coordinates that ever attain the minimum.
+is decided at the internal vertices of G (`skeleton_level`).
+
+A branch is a bounded edge or a ray, which is an edge whose far end lies
+at infinity; the line keeps both in one table (`EmbeddedLine.branches`).
+Along a branch in direction e_J the coordinates split into a growing group
+J and a constant group, so the J group holds the minimum up to the
+breakpoint t* where the two group minima cross, and the other group from
+t* on.  `pi_set` walks the branches with that rule; `skeleton_level` and
+`pi_gamma` read only its consequences at the vertices.
 
 The locus itself is enumerated per witness point c of L: a vertex with
 three leaves in pairwise distinct components of L - {c}, or an edge point
@@ -51,34 +50,29 @@ def shifted_line(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> EmbeddedLine:
 
 
 # ---------------------------------------------------------------------------
-# skeleton walk
-
-
-def _regimes(G: EmbeddedLine) -> list:
-    """Per branch (a, b) of G in direction e_J, a its first node:
-    (key, J, length or None, argmin of a on J, argmin on the rest, t*)."""
-    out = []
-    for a, b, J, ell in G.branches:
-        mu, arg = [None, None], [[], []]  # the rest at index 0, the J group at 1
-        for i, x in enumerate(G.coords[a], 1):
-            s = i in J
-            if not arg[s] or x < mu[s]:
-                mu[s], arg[s] = x, [i]
-            elif x == mu[s]:
-                arg[s].append(i)
-        out.append(((a, b), J, ell, frozenset(arg[1]), frozenset(arg[0]), mu[0] - mu[1]))
-    return out
+# skeleton level
 
 
 def skeleton_level(G: EmbeddedLine) -> int:
-    """The largest t with G contained in Pi_t (t = 1 always holds)."""
-    level = min(min_profile(G.coords[v]).multiplicity for v in G.topology.internal_nodes)
-    for _, _, ell, argJ, arg0, tstar in _regimes(G):
-        if tstar > 0:
-            level = min(level, len(argJ))
-        if ell is None or tstar < ell:
-            level = min(level, len(arg0))
-    return level
+    """The largest t with G contained in Pi_t (t = 1 always holds).
+
+    With M_v the argmin of G's coordinates at the internal vertex v, it is
+    max(1, min over v of |M_v| - [M_v holds a leaf whose ray starts at v]).
+    Take a branch from v in direction e_J, with breakpoint t*.
+    - On a bounded edge of length l, the growing group holds the minimum
+      on (0, t*) with the argmin it has at v, the constant group holds it
+      on (t*, l) with the argmin it has at the far end, and both hold it
+      at t*; so each point of the edge has as many attainers as one of
+      its ends, or more.
+    - On leaf i's ray, the other coordinates hold the minimum beyond
+      max(t*, 0): M_v - {i} when i is in M_v, else M_v.  (With M_v = {i},
+      the floor of 1 is attained at v already.)
+    """
+    level = G.n
+    for v, cs in G.coords.items():
+        argmin = min_profile(cs).argmin
+        level = min(level, len(argmin) - any(w in argmin for w in G.topology.adj[v]))
+    return max(1, level)
 
 
 def is_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:
@@ -175,16 +169,20 @@ def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
     I = frozenset(I)
     verts = {v for v in G.topology.internal_nodes if I <= min_profile(G.coords[v]).argmin}
     iv = {}
-    for key, J, ell, argJ, arg0, tstar in _regimes(G):
-        if not (I & J <= argJ and I - J <= arg0):
+    for a, b, J, ell in G.branches:
+        q = G.coords[a]
+        muJ = min(q[i - 1] for i in J)
+        mu0 = min(x for i, x in enumerate(q, 1) if i not in J)
+        if any(q[i - 1] != (muJ if i in J else mu0) for i in I):
             continue
+        tstar = mu0 - muJ
         lo, hi = Fraction(0), ell  # None means unbounded (rays)
         if I & J:  # the J group holds the minimum up to t*
             hi = tstar if hi is None else min(hi, tstar)
         if I - J:  # the rest holds it from t* on
             lo = max(lo, tstar)
         if hi is None or lo <= hi:
-            iv[key] = (lo, hi)
+            iv[(a, b)] = (lo, hi)
     return SubtreeSet(G, verts, iv)
 
 
@@ -245,13 +243,10 @@ def pi_gamma(G: EmbeddedLine) -> ProjPoint:
 def pi_gamma_location(G: EmbeddedLine) -> LinePoint:
     if skeleton_level(G) < 2:
         raise TropError("line not in Pi_2")
-    # the coordinates that attain the minimum somewhere on G
-    imax = set().union(*(min_profile(G.coords[v]).argmin for v in G.topology.internal_nodes))
-    for _, _, ell, argJ, arg0, tstar in _regimes(G):
-        if tstar >= 0:
-            imax |= argJ
-        if ell is None or tstar <= ell:
-            imax |= arg0
+    # Inside Pi_2 every coordinate that attains the minimum somewhere on G
+    # attains it at a vertex (see skeleton_level): on a ray the other
+    # coordinates take over at t* <= 0.
+    imax = frozenset().union(*(min_profile(cs).argmin for cs in G.coords.values()))
     p = pi_attachment(G, imax)
     if p is None:
         raise TropError("no coordinate ever attains the minimum")

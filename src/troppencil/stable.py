@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import InternalError, ProjPoint, SupportSet, clear_denominators, dot, rat
-from .subdivision import curve_contains
+from .core import InternalError, SupportSet, clear_denominators, dot, rat
+from .pencil import is_fixed
 from .trees import EmbeddedLine, PlueckerVector, plucker_to_tree
 
 
@@ -203,19 +203,7 @@ def stable_pencil(A: SupportSet, config) -> EmbeddedLine:
     return plucker_to_tree(plucker_of_config(A, config))
 
 
-SAMPLES = 3  # interior points checked per bounded edge and per ray
-
-
 def curves_through(A: SupportSet, config, L: EmbeddedLine) -> bool:
-    """Check that the curve of every vertex of L, and of SAMPLES points
-    per bounded edge and ray, passes through every configuration point."""
-    config = list(config)
-    coeffs = [L.coords[v] for v in L.topology.internal_nodes]
-    for a, _, side, ell in L.branches:
-        q = L.coords[a]
-        for k in range(1, SAMPLES + 1):
-            t = Fraction(k) if ell is None else ell * Fraction(k, SAMPLES + 1)
-            coeffs.append(tuple(c + (t if i in side else 0) for i, c in enumerate(q, 1)))
-    return all(
-        curve_contains(A, ProjPoint(cvec), P) for cvec in coeffs for P in config
-    )
+    """True iff every curve of the pencil L passes through every point of
+    the configuration, that is, iff each point is fixed for L."""
+    return all(is_fixed(L, A, P) for P in config)

@@ -247,34 +247,13 @@ class EmbeddedLine:
 
     For every internal edge (a, b), coords(b) - coords(a) equals
     length * e_I where I = leaves beyond b; lengths are positive.  A ray is
-    an edge whose far end, the leaf, lies at infinity.  The constructor
-    checks every branch once and keeps one table of them, keyed (a, b): the
-    internal edges (a, b, I, length) with a < b, then the rays (node, leaf,
-    {leaf}, None) in sorted order.  Translates share the table.
+    an edge whose far end, the leaf, lies at infinity.  `embed` builds a
+    line and its one table of branches, keyed (a, b): the internal edges
+    (a, b, I, length) with a < b, then the rays (node, leaf, {leaf}, None)
+    in sorted order.  Translates share the table.
     """
 
     __slots__ = ("topology", "coords", "_branches")
-
-    def __init__(self, topology: TreeTopology, coords: dict):
-        self.topology = topology
-        self.coords = {v: tuple(_coerce(c) for c in cs) for v, cs in coords.items()}
-        if set(self.coords) != set(topology.internal_nodes):
-            raise ValueError("coordinates must cover exactly the internal nodes")
-        for cs in self.coords.values():
-            if len(cs) != topology.n:
-                raise ValueError("coordinate vectors must have one entry per leaf")
-        self._branches = {}
-        for a, b in topology.internal_edges:
-            side = topology.leaves_beyond(a, b)
-            # the difference must be length * e_side modulo the all-ones vector
-            ell = _ray_parameter(self.coords[a], self.coords[b], side, topology.n)
-            if ell is None:
-                raise ValueError(f"edge ({a},{b}) does not follow the e_I rule")
-            if not ell > 0:
-                raise ValueError("non-positive length")
-            self._branches[(a, b)] = (a, b, side, ell)
-        for v, i in sorted((topology.node_of_leaf(i), i) for i in range(1, topology.n + 1)):
-            self._branches[(v, i)] = (v, i, frozenset((i,)), None)
 
     @property
     def n(self) -> int:
@@ -339,34 +318,43 @@ def embed(topology: TreeTopology, lengths, anchor_node: int, anchor_coords) -> E
 
     `lengths` maps internal edges to positive lattice lengths; keys may be
     frozensets {a, b} of node ids or the split's leaf side (either side).
+    Each edge is placed once, and its branch goes into the line's table.
     """
     if anchor_node not in topology.adj or topology.is_leaf(anchor_node):
         raise ValueError(f"anchor node {anchor_node} is not an internal node")
     if isinstance(anchor_coords, ProjPoint):
         anchor_coords = anchor_coords.coords
     coords = {anchor_node: tuple(_coerce(c) for c in anchor_coords)}
+    if len(coords[anchor_node]) != topology.n:
+        raise ValueError("coordinate vectors must have one entry per leaf")
 
-    def edge_length(a, b, side):
-        for key in (frozenset((a, b)), side, topology.leaves_beyond(b, a)):
+    def edge_length(a, b, side, other):
+        for key in (frozenset((a, b)), side, other):
             if key in lengths:
                 return _coerce(lengths[key])
         raise ValueError(f"no length given for edge ({a},{b})")
 
-    stack = [anchor_node]
+    edges, stack = {}, [anchor_node]
     while stack:
         a = stack.pop()
         for b in topology.adj[a]:
             if topology.is_leaf(b) or b in coords:
                 continue
-            side = topology.leaves_beyond(a, b)
-            ell = edge_length(a, b, side)
+            side, other = topology.leaves_beyond(a, b), topology.leaves_beyond(b, a)
+            ell = edge_length(a, b, side, other)
             if not ell > 0:
                 raise ValueError("non-positive length")
             coords[b] = tuple(
                 c + (ell if i + 1 in side else 0) for i, c in enumerate(coords[a])
             )
+            key = (a, b) if a < b else (b, a)
+            edges[key] = (*key, side if a < b else other, ell)
             stack.append(b)
-    return EmbeddedLine(topology, coords)
+    L = object.__new__(EmbeddedLine)
+    L.topology, L.coords, L._branches = topology, coords, dict(sorted(edges.items()))
+    for v, i in sorted((topology.node_of_leaf(i), i) for i in range(1, topology.n + 1)):
+        L._branches[(v, i)] = (v, i, frozenset((i,)), None)
+    return L
 
 
 def line_contains(L: EmbeddedLine, c: ProjPoint) -> bool:

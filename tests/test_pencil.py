@@ -39,7 +39,7 @@ from troppencil.pencil import (
     shifted_line,
     skeleton_level,
 )
-from troppencil.stable import stable_pencil
+from troppencil.stable import curves_through, stable_pencil
 from troppencil.trees import TreeTopology, embed
 
 
@@ -283,24 +283,50 @@ def _holds(S, p):
     return iv is not None and iv[0] <= p.t and (iv[1] is None or p.t <= iv[1])
 
 
+def _grid_line(rng, n):
+    """A line with integer lengths and coordinates, so coordinates tie often."""
+    T = rand_topology(rng, n, contract_p=rng.choice([0, 0.4]))
+    lengths = {frozenset(e): Fraction(rng.randint(1, 3)) for e in T.internal_edges}
+    return embed(T, lengths, T.internal_nodes[0], tuple(rng.randint(-3, 3) for _ in range(n)))
+
+
+def _locus_points(L, A):
+    """The point pieces and the segment and ray ends of the fixed locus."""
+    out = []
+    for g in fixed_locus_pieces(L, A):
+        if isinstance(g, plane.PointGeom):
+            out.append((g.x, g.y))
+        elif isinstance(g, plane.SegmentGeom):
+            out += [g.start, g.end]
+        elif isinstance(g, plane.RayGeom):
+            out.append(g.origin)
+    return [ProjPoint((x, y, 0)) for x, y in out]
+
+
 def test_readers_match_sampled_argmins():
     # skeleton_level, pi_set and pi_gamma_location against the argmin at
-    # sample points, on random lines and on translates by fixed points
+    # sample points: on random lines, planted lines at levels 1..3, and
+    # translates of stable pencils and integer-grid lines by fixed points
     rng = random.Random(43)
     lines = []
-    for _ in range(30):
+    for m in range(30):
         n = rng.randint(4, 7)
         lines.append(rand_line(rng, n, contract_p=rng.choice([0, 0.4])))
+        lines.append(plant_line(rng, n, 1 + m % 3)[0])
         A, C = rand_support(rng, n), rand_config(rng, n)
         L = stable_pencil(A, C)
         lines += [shifted_line(L, A, P) for P in C[:2]]
+        L = _grid_line(rng, n)
+        lines += [shifted_line(L, A, P) for P in _locus_points(L, A)[:2]]
     fixed = 0
+    levels = set()
     for G in lines:
         n = G.n
         samples = _samples(G)
         argmins = [min_profile(coords_at(G, p)).argmin for p in samples]
         level = skeleton_level(G)
         assert level == min(len(m) for m in argmins)
+        levels.add(level)
         subsets = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))) for _ in range(4)]
         subsets += [rng.choice(argmins) for _ in range(4)]
         for I in subsets:
@@ -312,7 +338,50 @@ def test_readers_match_sampled_argmins():
         else:
             with pytest.raises(TropError, match="not in Pi_2"):
                 pi_gamma_location(G)
-    assert fixed >= 20
+    assert fixed >= 100 and levels >= {1, 2, 3}
+
+
+def test_skeleton_level_at_tied_leaf_rays():
+    # A vertex decides the level on its own except on a leaf ray whose
+    # coordinate ties for the minimum there (t* = 0): beyond the vertex
+    # that coordinate drops out of the argmin.
+    star = TreeTopology.star(4)  # one contracted vertex of valence 4
+    T = TreeTopology.from_splits(5, [frozenset({1, 2})])
+    w = T.node_of_leaf(3)  # valence 4: leaves 3, 4, 5 and the edge to 1, 2
+    cases = [
+        (embed(star, {}, 5, (0, 0, 5, 5)), 1),  # argmin {1, 2}, leaf 1 at it
+        (embed(star, {}, 5, (0, 0, 0, 5)), 2),  # argmin {1, 2, 3}
+        (embed(star, {}, 5, (0, 0, 0, 0)), 3),
+        (embed(T, {frozenset({1, 2}): 2}, w, (1, 1, 0, 0, 5)), 1),
+        (embed(T, {frozenset({1, 2}): 2}, w, (1, 1, 0, 0, 0)), 2),
+        (embed(T, {frozenset({1, 2}): 2}, w, (1, 1, 3, 0, 0)), 1),
+    ]
+    for G, want in cases:
+        vertex_counts = [min_profile(G.coords[v]).multiplicity for v in G.topology.internal_nodes]
+        assert min(vertex_counts) > want  # only the rays bring the level down
+        assert skeleton_level(G) == want
+        assert want == min(min_profile(coords_at(G, p)).multiplicity for p in _samples(G))
+
+
+def test_curves_through_is_fixedness():
+    # every curve of L passes through P exactly when P is fixed for L
+    rng = random.Random(45)
+    verdicts = []
+    for m in range(60):
+        n = rng.randint(4, 7)
+        A = rand_support(rng, n)
+        if m % 3 == 0:
+            C = rand_config(rng, n)
+            L = stable_pencil(A, C)
+            if m % 2:  # one point moved off the pencil's base locus, most likely
+                C[0] = rand_config(rng, 3)[0]
+        else:  # locus points first, then random points to fill up
+            L = _grid_line(rng, n) if m % 3 == 2 else rand_line(rng, n, contract_p=0.4 * (m % 2))
+            C = (_locus_points(L, A) + rand_config(rng, n))[: n - 2]
+        verdict = curves_through(A, C, L)
+        assert verdict == all(sampled_fixed(L, A, P) for P in C)
+        verdicts.append(verdict)
+    assert 10 <= sum(verdicts) <= 50
 
 
 def test_attachment_unique_across_subsets():

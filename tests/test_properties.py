@@ -54,7 +54,8 @@ RATIONALS = st.one_of(
 SUPPORT_FAULTS = ["duplicate point", "short point", "non-number point", "bad degree"]
 HEIGHT_FAULTS = ["short heights", "long heights", "non-number height", "heights not a list"]
 CONFIG_FAULTS = ["other point count", "bad configuration point", "configuration not an object"]
-LINE_FAULTS = ["other leaf count", "bad length", "bad edge", "bad anchor", "line not an object"]
+LINE_FAULTS = ["other leaf count", "bad length", "bad edge", "repeated edge", "wrong leaf map",
+               "bad anchor", "line not an object"]
 FIELD_OF = dict.fromkeys(SUPPORT_FAULTS, "support")
 FIELD_OF.update(dict.fromkeys(HEIGHT_FAULTS, "c"))
 FIELD_OF.update(dict.fromkeys(CONFIG_FAULTS, "configuration"))
@@ -148,6 +149,17 @@ def _line(A, fault, draw):
         next(e for e in obj["edges"] if e["length"] is not None)["length"] = draw(JUNK)
     elif fault == "bad edge":
         obj["edges"][0] = draw(JUNK)
+    elif fault == "repeated edge":  # in either orientation, with another length
+        e = dict(draw(st.sampled_from(obj["edges"])))
+        if draw(st.booleans()):
+            e["a"], e["b"] = e["b"], e["a"]
+        if e["length"] is not None:
+            e["length"] = draw(st.integers(1, 9))
+        obj["edges"].insert(draw(st.integers(0, len(obj["edges"]))), e)
+    elif fault == "wrong leaf map":
+        leaf = str(draw(st.integers(1, A.n)))
+        nodes = {e[k] for e in obj["edges"] for k in "ab"} - {obj["leaf_map"][leaf]}
+        obj["leaf_map"][leaf] = draw(st.one_of(JUNK, st.sampled_from(sorted(nodes))))
     elif fault == "bad anchor":
         obj["anchor"]["coords"] = draw(
             st.one_of(JUNK, st.lists(RATIONALS, max_size=A.n + 1).filter(lambda xs: len(xs) != A.n))

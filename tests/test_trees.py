@@ -10,10 +10,10 @@ from troppencil.core import ProjPoint
 from troppencil.oracle import EpsRational, brute_plucker_to_tree
 from troppencil.stable import solve_minors
 from troppencil.trees import (
-    EmbeddedLine,
     PlueckerError,
     PlueckerVector,
     TreeTopology,
+    _ray_parameter,
     embed,
     line_contains,
     plucker_to_tree,
@@ -45,18 +45,39 @@ def test_floats_are_refused():
         embed(T, {frozenset({1, 2}): 0.5}, v, (0, 0, 0, 0))
     with pytest.raises(TypeError, match="not an exact rational"):
         embed(T, {frozenset({1, 2}): 1}, v, (0.1, 0, 0, 0))
-    L = make_lsq()
-    u = L.topology.node_of_leaf(1)
-    coords = {**L.coords, u: (0.5,) + L.coords[u][1:]}
     with pytest.raises(TypeError, match="not an exact rational"):
-        EmbeddedLine(L.topology, coords)
-    with pytest.raises(TypeError, match="not an exact rational"):
-        L.translate((0.5, 0, 0, 0))
+        make_lsq().translate((0.5, 0, 0, 0))
     with pytest.raises(TypeError, match="not an exact rational"):
         PlueckerVector(4, {**LSQ_PAIRS, (1, 2): 0.5})
     # first-order infinitesimals are exact, and still pass
     L_eps = embed(T, {frozenset({1, 2}): EpsRational(0, 1)}, v, (0, 0, 0, 0))
     assert L_eps.edges[0][3] == EpsRational(0, 1)
+
+
+def test_embed_branches_follow_e_I_rule():
+    # embed places each vertex and files its branch in one pass, so every
+    # table entry must agree with the coordinates it placed
+    rng = random.Random(29)
+    lines = []
+    for n in range(4, 10):
+        for contract_p in (0, 0.4):
+            lines += [rand_line(rng, n, contract_p=contract_p) for _ in range(4)]
+        T = rand_topology(rng, n, contract_p=0.3)
+        lengths = {
+            frozenset(e): EpsRational(rng.randint(0, 3), rng.randint(1, 5)) for e in T.internal_edges
+        }
+        anchor = [EpsRational(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(n)]
+        lines.append(embed(T, lengths, T.internal_nodes[-1], anchor))
+    for L in lines:
+        topo, n = L.topology, L.n
+        assert [(a, b) for a, b, _, _ in L.edges] == topo.internal_edges
+        for a, b, side, ell in L.edges:
+            assert side == topo.leaves_beyond(a, b)
+            assert ell > 0 and _ray_parameter(L.coords[a], L.coords[b], side, n) == ell
+        assert L.rays == sorted((topo.node_of_leaf(i), i) for i in range(1, n + 1))
+        assert all(L.edge((v, i)) == (v, i, {i}, None) for v, i in L.rays)
+    with pytest.raises(ValueError, match="one entry per leaf"):
+        embed(TreeTopology.star(3), {}, 4, (0, 0))
 
 
 def test_star_line_has_no_internal_edges():
