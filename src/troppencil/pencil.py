@@ -5,6 +5,12 @@ support A iff the translated line G = L + A.P lies inside Pi_2, the locus
 where the coordinate minimum is attained at least twice.  That containment
 is decided at the internal vertices of G (`skeleton_level`).
 
+The vertex tests and the locus systems run on integers.  Multiplying every
+coordinate by the same D > 0 keeps each argmin, each tie and each sign, so
+a line keeps its coordinates times D, the lcm of their denominators
+(`EmbeddedLine.integer_rows`), and `is_fixed` clears P's denominators once
+and adds the integer shift to those rows instead of building L + A.P.
+
 A branch is a bounded edge or a ray, which is an edge whose far end lies
 at infinity; the line keeps both in one table (`EmbeddedLine.branches`).
 Along a branch in direction e_J the coordinates split into a growing group
@@ -33,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import plane
-from .core import ProjPoint, SupportSet, TropError, dot, min_profile, rat
+from .core import ProjPoint, SupportSet, TropError, clear_denominators, dot, rat
 from .trees import EmbeddedLine
 
 
@@ -53,6 +59,21 @@ def shifted_line(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> EmbeddedLine:
 # skeleton level
 
 
+def _argmin(row) -> frozenset:
+    """The 1-based indices attaining the minimum of a row."""
+    m = min(row)
+    return frozenset(i for i, x in enumerate(row, 1) if x == m)
+
+
+def _vertex_counts(adj: dict, rows):
+    """Per pair (v, row of a line's coordinates at v, times some D > 0),
+    |M_v| - [M_v holds a leaf whose ray starts at v], M_v = argmin of the
+    row; the scale changes no argmin."""
+    for v, row in rows:
+        argmin = _argmin(row)
+        yield len(argmin) - any(w in argmin for w in adj[v])
+
+
 def skeleton_level(G: EmbeddedLine) -> int:
     """The largest t with G contained in Pi_t (t = 1 always holds).
 
@@ -68,16 +89,27 @@ def skeleton_level(G: EmbeddedLine) -> int:
       max(t*, 0): M_v - {i} when i is in M_v, else M_v.  (With M_v = {i},
       the floor of 1 is attained at v already.)
     """
-    level = G.n
-    for v, cs in G.coords.items():
-        argmin = min_profile(cs).argmin
-        level = min(level, len(argmin) - any(w in argmin for w in G.topology.adj[v]))
-    return max(1, level)
+    _, rows = G.integer_rows()
+    return max(1, min(_vertex_counts(G.topology.adj, rows.items())))
 
 
 def is_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:
-    """True iff every curve of the pencil L passes through P."""
-    return skeleton_level(shifted_line(L, A, P)) >= 2
+    """True iff every curve of the pencil L passes through P.
+
+    That is skeleton_level(L + A.P) >= 2, decided on integers without
+    building the translate.  With D from `L.integer_rows()` and E the lcm
+    of the denominators of P = (x, y, 0), the translate's coordinates at v
+    times D * E are E * (D * x_v) + D * (r_i * E x + s_i * E y), all
+    integers; a positive scale keeps every argmin, so the vertex rule
+    reads the same counts."""
+    if A.n != L.n:
+        raise ValueError("support size and leaf count differ")
+    D, rows = L.integer_rows()
+    x, y, _ = P.coords
+    E, (Ex, Ey) = clear_denominators((x, y))
+    shift = [D * (r * Ex + s * Ey) for r, s, _ in A.points]
+    scaled = ((v, [E * X + h for X, h in zip(row, shift)]) for v, row in rows.items())
+    return all(count >= 2 for count in _vertex_counts(L.topology.adj, scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +199,7 @@ class SubtreeSet:
 def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
     """Pi(G, I): points of G where every coordinate in I is a global min."""
     I = frozenset(I)
-    verts = {v for v in G.topology.internal_nodes if I <= min_profile(G.coords[v]).argmin}
+    verts = {v for v, row in G.integer_rows()[1].items() if I <= _argmin(row)}
     iv = {}
     for a, b, J, ell in G.branches:
         q = G.coords[a]
@@ -246,7 +278,7 @@ def pi_gamma_location(G: EmbeddedLine) -> LinePoint:
     # Inside Pi_2 every coordinate that attains the minimum somewhere on G
     # attains it at a vertex (see skeleton_level): on a ray the other
     # coordinates take over at t* <= 0.
-    imax = frozenset().union(*(min_profile(cs).argmin for cs in G.coords.values()))
+    imax = frozenset().union(*map(_argmin, G.integer_rows()[1].values()))
     p = pi_attachment(G, imax)
     if p is None:
         raise TropError("no coordinate ever attains the minimum")
@@ -270,17 +302,26 @@ class FixedLocusCell:
     geometry: object  # plane geometry, never None in fixed_locus output
 
 
-def _term_forms(A: SupportSet, raw) -> list:
-    """Affine forms T_m(P) = raw_m + a_m . P in the z = 0 chart, 1-based."""
-    forms = [None]
-    for m in A.indices():
-        r, s, _ = A.point(m)
-        forms.append(plane.form(r, s, raw[m - 1]))
-    return forms
+def _term_forms(A: SupportSet, D: int, row) -> list:
+    """Affine forms D * T_m(P) = D * (a_m . P) + row_m in the z = 0 chart,
+    1-based, for row = D times a vertex's coordinates: all integers."""
+    return [None] + [(D * r, D * s, X) for (r, s, _), X in zip(A.points, row)]
 
 
 def _sub(f, g):
     return (f[0] - g[0], f[1] - g[1], f[2] - g[2])
+
+
+def _kept_cell(D: int, witness, indices, eqs, ineqs, geom) -> FixedLocusCell:
+    """The cell of integer forms D * T in the line's own units."""
+
+    def unscaled(f):
+        return tuple(Fraction(c, D) for c in f)
+
+    if witness[0] == "edge":
+        witness = (*witness[:2], unscaled(witness[2]))
+    eqs, ineqs = tuple(map(unscaled, eqs)), tuple(map(unscaled, ineqs))
+    return FixedLocusCell(witness, indices, eqs, ineqs, geom)
 
 
 def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
@@ -294,6 +335,11 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
     two terms of distinct support points, so both gradients are nonzero,
     as `plane.solve` requires.
 
+    The systems are solved on the integer forms D * T_m (see
+    `L.integer_rows()`): every form is D times the true one, which moves
+    no solution and flips no inequality.  A kept cell stores its forms
+    divided by D again.
+
     Zero-dimensional duplicates are removed; boundary points of segment
     cells may still reappear as vertex cells, by design (cells are closed).
     """
@@ -301,8 +347,9 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
         raise ValueError("support size and leaf count differ")
     cells = []
     topo = L.topology
+    D, rows = L.integer_rows()
     for v in topo.internal_nodes:
-        T = _term_forms(A, L.coords[v])
+        T = _term_forms(A, D, rows[v])
         # term i is minimal at P: every other term minus term i is >= 0
         below = [None] + [tuple(_sub(T[m], T[i]) for m in A.indices()) for i in A.indices()]
         parts = sorted(topo.leaf_partition(v), key=sorted)
@@ -314,27 +361,25 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
                         eqs = (_sub(T[i], T[j]), _sub(T[j], T[k]))
                         geom = plane.solve(eqs, below[i])
                         if geom is not None:
-                            cells.append(
-                                FixedLocusCell(("vertex", v), (i, j, k), eqs, below[i], geom)
-                            )
+                            witness = ("vertex", v)
+                            cells.append(_kept_cell(D, witness, (i, j, k), eqs, below[i], geom))
     for a, b, side, ell in L.edges:
-        T = _term_forms(A, L.coords[a])
+        T = _term_forms(A, D, rows[a])
         inside = sorted(side)
         outside = sorted(set(range(1, L.n + 1)) - side)
         for i, j in combinations(inside, 2):
             for k, l in combinations(outside, 2):
-                tform = _sub(T[k], T[i])  # edge parameter of the witness point
+                tform = _sub(T[k], T[i])  # D times the edge parameter of the witness point
                 eqs = (_sub(T[i], T[j]), _sub(T[k], T[l]))
                 ineqs = (
                     tuple(_sub(T[m], T[i]) for m in inside)
                     + tuple(_sub(T[m], T[k]) for m in outside)
-                    + (tform, _sub(plane.form(0, 0, ell), tform))
+                    + (tform, _sub((0, 0, int(D * ell)), tform))
                 )
                 geom = plane.solve(eqs, ineqs)
                 if geom is not None:
-                    cells.append(
-                        FixedLocusCell(("edge", (a, b), tform), (i, j, k, l), eqs, ineqs, geom)
-                    )
+                    witness = ("edge", (a, b), tform)
+                    cells.append(_kept_cell(D, witness, (i, j, k, l), eqs, ineqs, geom))
     # deduplicate zero-dimensional cells
     out, seen_points = [], set()
     for cell in cells:

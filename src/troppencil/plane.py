@@ -1,9 +1,13 @@
 """Exact affine feasibility in the z = 0 chart of TP^2.
 
-Constraints are affine forms (a, b, c) standing for a*x + b*y + c, with
-rational coefficients.  A fixed-locus cell has two equalities (= 0) with
-nonzero gradients and some inequalities (>= 0), so its feasible set is a
-point, segment, ray or full line, solved exactly in one case split.
+Constraints are affine forms (a, b, c) standing for a*x + b*y + c.  A
+fixed-locus cell has two equalities (= 0) with nonzero gradients and some
+inequalities (>= 0), so its feasible set is a point, segment, ray or full
+line, solved exactly in one case split.  `pencil.fixed_locus` hands over
+integer forms, each a positive multiple of the true one, which moves no
+solution.  When the equalities meet in one point (nx, ny) / det, each
+inequality is a sign test of a * nx + b * ny + c * det with det > 0, on
+integers; a `Fraction` point is built only when every test passes.
 """
 
 from __future__ import annotations
@@ -11,11 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import primitive, rat
-
-
-def form(a, b, c) -> tuple:
-    return (rat(a), rat(b), rat(c))
+from .core import primitive
 
 
 def evaluate(f, x, y) -> Fraction:
@@ -55,15 +55,19 @@ def solve(eqs, ineqs):
     Takes exactly two equalities, each with a nonzero gradient (true for
     every fixed-locus cell: its equalities are differences of terms of
     distinct support points), so the answer is at most one-dimensional.
+    Scaling any form by a positive number leaves the answer as it is.
     """
     (a1, b1, c1), (a2, b2, c2) = eqs
     det = a1 * b2 - a2 * b1
     if det != 0:
-        x = Fraction(b1 * c2 - b2 * c1, det)
-        y = Fraction(a2 * c1 - a1 * c2, det)
-        if any(evaluate(f, x, y) < 0 for f in ineqs):
+        # the point is (nx, ny) / det; with det > 0, f >= 0 there iff
+        # det * f = a * nx + b * ny + c * det >= 0
+        nx, ny = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+        if det < 0:
+            nx, ny, det = -nx, -ny, -det
+        if any(a * nx + b * ny + c * det < 0 for a, b, c in ineqs):
             return None
-        return PointGeom(x, y)
+        return PointGeom(Fraction(nx, det), Fraction(ny, det))
     # parallel lines: they coincide, or never meet
     base = (Fraction(-c1, a1), Fraction(0)) if b1 == 0 else (Fraction(0), Fraction(-c1, b1))
     if evaluate(eqs[1], *base) != 0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .core import ProjPoint, TropError, rat
 
@@ -253,7 +254,7 @@ class EmbeddedLine:
     in sorted order.  Translates share the table.
     """
 
-    __slots__ = ("topology", "coords", "_branches")
+    __slots__ = ("topology", "coords", "_branches", "_integer_rows")
 
     @property
     def n(self) -> int:
@@ -279,6 +280,21 @@ class EmbeddedLine:
         (node, leaf)."""
         return self._branches[key]
 
+    def integer_rows(self) -> tuple:
+        """(D, {v: D * coords[v]}) for D the lcm of the denominators of the
+        vertex coordinates, worked out on first use and kept.  Scaling by
+        D > 0 keeps every argmin, tie and sign, and D times an edge length
+        is an integer too: a length is a coordinate difference across its
+        edge.  Only for lines over Fraction, never for oracle.EpsRational."""
+        if self._integer_rows is None:
+            D = lcm(*(x.denominator for cs in self.coords.values() for x in cs))
+            rows = {
+                v: tuple(x.numerator * (D // x.denominator) for x in cs)
+                for v, cs in self.coords.items()
+            }
+            self._integer_rows = (D, rows)
+        return self._integer_rows
+
     def translate(self, shift) -> "EmbeddedLine":
         """The line translated by a vector of TP^(n-1).  Edge directions
         and lengths do not change, so the translate shares them."""
@@ -286,7 +302,7 @@ class EmbeddedLine:
         if len(shift) != self.n:
             raise ValueError("shift must have one entry per leaf")
         out = object.__new__(EmbeddedLine)
-        out.topology, out._branches = self.topology, self._branches
+        out.topology, out._branches, out._integer_rows = self.topology, self._branches, None
         out.coords = {v: tuple(c + s for c, s in zip(cs, shift)) for v, cs in self.coords.items()}
         return out
 
@@ -352,6 +368,7 @@ def embed(topology: TreeTopology, lengths, anchor_node: int, anchor_coords) -> E
             stack.append(b)
     L = object.__new__(EmbeddedLine)
     L.topology, L.coords, L._branches = topology, coords, dict(sorted(edges.items()))
+    L._integer_rows = None
     for v, i in sorted((topology.node_of_leaf(i), i) for i in range(1, topology.n + 1)):
         L._branches[(v, i)] = (v, i, frozenset((i,)), None)
     return L

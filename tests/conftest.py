@@ -24,7 +24,7 @@ import pytest
 from troppencil import ProjPoint, SupportSet, cli, plane
 from troppencil.compat import type_by_id, type_count
 from troppencil.core import component_count as core_component_count
-from troppencil.pencil import LinePoint, SubtreeSet, make_point
+from troppencil.pencil import LinePoint, SubtreeSet, fixed_locus_pieces, make_point
 from troppencil.trees import TreeTopology, embed
 
 
@@ -115,6 +115,15 @@ def rand_line(rng, n, span=10, contract_p=0.0):
     return embed(T, lengths, anchor, coords)
 
 
+def coprime_line(rng, n, contract_p=0.0):
+    """A random line with anchor coordinates over 5 and edge lengths over
+    7, so its vertex coordinates mix denominators 5, 7 and 35."""
+    T = rand_topology(rng, n, contract_p)
+    lengths = {frozenset(e): Fraction(rng.randint(1, 30), 7) for e in T.internal_edges}
+    anchor = T.internal_nodes[rng.randrange(len(T.internal_nodes))]
+    return embed(T, lengths, anchor, tuple(Fraction(rng.randint(-40, 40), 5) for _ in range(n)))
+
+
 def plant_line(rng, n, t):
     """A line with an m-valent vertex p forced into Pi(G, I) with
     |I - I_j| >= t for every component, so the whole line lies in Pi_t
@@ -169,6 +178,19 @@ def locus_contains(cells, P) -> bool:
         and all(plane.evaluate(f, x, y) >= 0 for f in c.inequalities)
         for c in cells
     )
+
+
+def locus_points(L, A) -> list:
+    """The point pieces and the segment and ray ends of the fixed locus."""
+    out = []
+    for g in fixed_locus_pieces(L, A):
+        if isinstance(g, plane.PointGeom):
+            out.append((g.x, g.y))
+        elif isinstance(g, plane.SegmentGeom):
+            out += [g.start, g.end]
+        elif isinstance(g, plane.RayGeom):
+            out.append(g.origin)
+    return [ProjPoint((x, y, 0)) for x, y in out]
 
 
 def full_set(G) -> SubtreeSet:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_lsq, rand_config, rand_line, rand_support
+from conftest import coprime_line, locus_points, make_lsq, rand_config, rand_line, rand_support
 from troppencil.core import ProjPoint, TropError
 from troppencil.oracle import (
     EpsRational,
@@ -11,7 +11,7 @@ from troppencil.oracle import (
     perturbed_pencil,
     sampled_fixed,
 )
-from troppencil.pencil import is_fixed
+from troppencil.pencil import is_fixed, shifted_line
 from troppencil.stable import stable_pencil, tropdet
 from troppencil.trees import TreeTopology, embed
 
@@ -79,6 +79,26 @@ def test_is_fixed_matches_sampled_random():
                  Fraction(rng.randint(-8, 8), rng.randint(1, 3)), 0)
             )
         assert is_fixed(L, A, P) == sampled_fixed(L, A, P)
+    # lines over 5 and 7 and points over 11 and 13, so that a scale missing
+    # a denominator shows; L - A.Q is fixed at P + Q iff L is fixed at P
+    fixed = 0
+    for m in range(80):
+        n = 4 + m % 5
+        A = rand_support(rng, n)
+        L = coprime_line(rng, n, contract_p=0.4 * (m % 2))
+        qx, qy = Fraction(rng.randint(-40, 40), 11), Fraction(rng.randint(-40, 40), 13)
+        LQ = shifted_line(L, A, ProjPoint((-qx, -qy, 0)))
+        points = locus_points(L, A)[:3] + [
+            ProjPoint((Fraction(rng.randint(-60, 60), 11), Fraction(rng.randint(-60, 60), 13), 0))
+            for _ in range(2)
+        ]
+        for P in points:
+            want = sampled_fixed(L, A, P)
+            assert is_fixed(L, A, P) == want
+            PQ = ProjPoint((P[0] + qx, P[1] + qy, 0))
+            assert is_fixed(LQ, A, PQ) == sampled_fixed(LQ, A, PQ) == want
+            fixed += want
+    assert fixed >= 100
 
 
 def test_perturbed_pencil_fixtures(SQ, CFG, LSQ):

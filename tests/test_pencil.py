@@ -6,10 +6,12 @@ import pytest
 
 from conftest import (
     component_count,
+    coprime_line,
     edge_lengths,
     finite_points,
     full_set,
     locus_contains,
+    locus_points,
     make_lsq,
     plant_line,
     point_valence,
@@ -173,6 +175,47 @@ def test_vertex_two_pair_points_in_locus():
     assert fixed >= 5
 
 
+def test_cells_keep_the_line_units():
+    # fixed_locus solves each system on D times its forms; the cells it
+    # returns hold the forms themselves, read off the line's coordinates
+    rng = random.Random(44)
+    counts = {"vertex": 0, "edge": 0}
+    for m in range(80):
+        n = 4 + m % 5
+        L = coprime_line(rng, n, contract_p=0.4 * (m % 2))
+        A = rand_support(rng, n)
+        for cell in fixed_locus(L, A):
+            kind, loc = cell.witness[:2]
+            x = L.coords[loc if kind == "vertex" else loc[0]]
+
+            def diff(p, q):
+                (rp, sp, _), (rq, sq, _) = A.point(p), A.point(q)
+                return (rp - rq, sp - sq, x[p - 1] - x[q - 1])
+
+            counts[kind] += 1
+            if kind == "vertex":
+                i, j, k = cell.indices
+                assert cell.equalities == (diff(i, j), diff(j, k))
+                assert cell.inequalities == tuple(diff(t, i) for t in A.indices())
+            else:
+                i, j, k, l = cell.indices
+                tform = diff(k, i)
+                assert cell.witness[2] == tform
+                assert cell.equalities == (diff(i, j), diff(k, l))
+                ell = L.edge(loc)[3]
+                assert cell.inequalities[-2:] == (tform, (-tform[0], -tform[1], ell - tform[2]))
+    assert counts["vertex"] >= 100 and counts["edge"] >= 20
+
+
+def test_support_size_must_match_leaf_count(TRI, TRI5):
+    L = make_lsq()
+    for A in (TRI, TRI5):
+        with pytest.raises(ValueError, match="support size and leaf count differ"):
+            is_fixed(L, A, ProjPoint((0, 0, 0)))
+        with pytest.raises(ValueError, match="support size and leaf count differ"):
+            fixed_locus(L, A)
+
+
 def test_pi_set_examples(SQ):
     L = make_lsq()
     w = L.topology.node_of_leaf(2)
@@ -290,19 +333,6 @@ def _grid_line(rng, n):
     return embed(T, lengths, T.internal_nodes[0], tuple(rng.randint(-3, 3) for _ in range(n)))
 
 
-def _locus_points(L, A):
-    """The point pieces and the segment and ray ends of the fixed locus."""
-    out = []
-    for g in fixed_locus_pieces(L, A):
-        if isinstance(g, plane.PointGeom):
-            out.append((g.x, g.y))
-        elif isinstance(g, plane.SegmentGeom):
-            out += [g.start, g.end]
-        elif isinstance(g, plane.RayGeom):
-            out.append(g.origin)
-    return [ProjPoint((x, y, 0)) for x, y in out]
-
-
 def test_readers_match_sampled_argmins():
     # skeleton_level, pi_set and pi_gamma_location against the argmin at
     # sample points: on random lines, planted lines at levels 1..3, and
@@ -317,7 +347,7 @@ def test_readers_match_sampled_argmins():
         L = stable_pencil(A, C)
         lines += [shifted_line(L, A, P) for P in C[:2]]
         L = _grid_line(rng, n)
-        lines += [shifted_line(L, A, P) for P in _locus_points(L, A)[:2]]
+        lines += [shifted_line(L, A, P) for P in locus_points(L, A)[:2]]
     fixed = 0
     levels = set()
     for G in lines:
@@ -377,7 +407,7 @@ def test_curves_through_is_fixedness():
                 C[0] = rand_config(rng, 3)[0]
         else:  # locus points first, then random points to fill up
             L = _grid_line(rng, n) if m % 3 == 2 else rand_line(rng, n, contract_p=0.4 * (m % 2))
-            C = (_locus_points(L, A) + rand_config(rng, n))[: n - 2]
+            C = (locus_points(L, A) + rand_config(rng, n))[: n - 2]
         verdict = curves_through(A, C, L)
         assert verdict == all(sampled_fixed(L, A, P) for P in C)
         verdicts.append(verdict)
