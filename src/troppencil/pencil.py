@@ -5,11 +5,12 @@ support A iff the translated line G = L + A.P lies inside Pi_2, the locus
 where the coordinate minimum is attained at least twice.  That containment
 is decided at the internal vertices of G (`skeleton_level`).
 
-The vertex tests and the locus systems run on integers.  Multiplying every
-coordinate by the same D > 0 keeps each argmin, each tie and each sign, so
-a line keeps its coordinates times D, the lcm of their denominators
-(`EmbeddedLine.integer_rows`), and `is_fixed` clears P's denominators once
-and adds the integer shift to those rows instead of building L + A.P.
+The vertex tests, `pi_set`'s branch walk and the locus systems run on
+integers.  Multiplying every coordinate by the same D > 0 keeps each
+argmin, each tie and each sign, so a line keeps its coordinates times D,
+the lcm of their denominators (`EmbeddedLine.integer_rows`), and
+`is_fixed` clears P's denominators once and adds the integer shift to
+those rows instead of building L + A.P.
 
 A branch is a bounded edge or a ray, which is an edge whose far end lies
 at infinity; the line keeps both in one table (`EmbeddedLine.branches`).
@@ -197,24 +198,29 @@ class SubtreeSet:
 
 
 def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
-    """Pi(G, I): points of G where every coordinate in I is a global min."""
+    """Pi(G, I): points of G where every coordinate in I is a global min.
+
+    Read off `G.integer_rows()`: the group minima, the breakpoint and the
+    length of each branch come out D times too large, so each interval end
+    is divided by D once."""
     I = frozenset(I)
-    verts = {v for v, row in G.integer_rows()[1].items() if I <= _argmin(row)}
+    D, rows = G.integer_rows()
+    verts = {v for v, row in rows.items() if I <= _argmin(row)}
     iv = {}
     for a, b, J, ell in G.branches:
-        q = G.coords[a]
+        q = rows[a]
         muJ = min(q[i - 1] for i in J)
         mu0 = min(x for i, x in enumerate(q, 1) if i not in J)
         if any(q[i - 1] != (muJ if i in J else mu0) for i in I):
             continue
         tstar = mu0 - muJ
-        lo, hi = Fraction(0), ell  # None means unbounded (rays)
+        lo, hi = 0, None if ell is None else int(D * ell)  # None: unbounded (rays)
         if I & J:  # the J group holds the minimum up to t*
             hi = tstar if hi is None else min(hi, tstar)
         if I - J:  # the rest holds it from t* on
             lo = max(lo, tstar)
         if hi is None or lo <= hi:
-            iv[(a, b)] = (lo, hi)
+            iv[(a, b)] = (Fraction(lo, D), None if hi is None else Fraction(hi, D))
     return SubtreeSet(G, verts, iv)
 
 

@@ -8,14 +8,16 @@ sum of one entry per row, one per remaining column.  The configuration is
 general iff every minor's optimum is attained by a single bijection.
 
 The assignment problem is solved by an exact potentials-based
-augmenting-path search over Python integers: each square is first
-multiplied by the least common multiple D of its denominators, which
-changes neither argmin sets nor ties, and the optimum is divided by D
-once at the end.  Uniqueness is certified on the reduced integer matrix:
-after subtracting optimal row/column potentials the optimal bijections
-are exactly the perfect matchings of the zero-entry bipartite graph, so
-the optimum is unique iff that graph has no alternating cycle through
-the matching found.
+augmenting-path search over Python integers.  `solve_minors` and
+`is_general` multiply the whole value matrix once by the least common
+multiple D of its denominators, which changes neither argmin sets nor
+ties; every minor's square is cut from those integer rows, and its
+optimum is divided by D once.  `tropdet` clears the denominators of the
+square it is given and runs the same kernel.  Uniqueness is certified
+on the reduced integer matrix: after subtracting optimal row/column
+potentials the optimal bijections are exactly the perfect matchings of
+the zero-entry bipartite graph, so the optimum is unique iff that graph
+has no alternating cycle through the matching found.
 
 The tropical determinants of all pairs always satisfy the quartet
 relations, so they are the pair coordinates of a line: the stable pencil
@@ -50,14 +52,17 @@ class TropdetResult:
 
 def tropdet(square) -> TropdetResult:
     """Minimum over bijections of the diagonal-sum, with a uniqueness flag."""
-    M = [[rat(x) for x in row] for row in square]
-    k = len(M)
-    if any(len(row) != k for row in M):
+    k = len(square)
+    if any(len(row) != k for row in square):
         raise ValueError("matrix is not square")
-    D, flat = clear_denominators([x for row in M for x in row])
-    N = [flat[i * k : (i + 1) * k] for i in range(k)]
+    D, flat = clear_denominators([rat(x) for row in square for x in row])
+    return _tropdet([flat[i * k : (i + 1) * k] for i in range(k)], D)
+
+
+def _tropdet(N, D: int) -> TropdetResult:
+    """tropdet of N / D, for an integer square N and an integer D > 0."""
     assignment, u, v = _assignment(N)
-    total = sum(N[i][assignment[i]] for i in range(k))
+    total = sum(row[c] for row, c in zip(N, assignment))
     return TropdetResult(Fraction(total, D), tuple(assignment), _is_unique(N, assignment, u, v))
 
 
@@ -111,50 +116,58 @@ def _assignment(M):
 
 
 def _is_unique(M, assignment, u, v) -> bool:
-    """No alternating cycle through the matching in the reduced-zero graph."""
+    """No alternating cycle through the matching in the reduced-zero graph.
+
+    Nodes 0..k-1 are the rows and k..2k-1 the columns; an unmatched zero
+    entry (i, j) is an arc i -> k + j, a matched one k + j -> i.  The same
+    scan checks that the potentials are dual-feasible and tight on the
+    matching."""
     k = len(M)
-    # sanity: potentials are dual-feasible and tight on the matching
-    for i in range(k):
-        for j in range(k):
-            red = M[i][j] - u[i] - v[j]
-            if red < 0 or (j == assignment[i] and red != 0):
+    succ = [[] for _ in range(2 * k)]
+    for i, row in enumerate(M):
+        ui, mine = u[i], assignment[i]
+        for j, x in enumerate(row):
+            red = x - ui - v[j]
+            if red < 0 or (j == mine and red != 0):
                 raise InternalError("potentials are not optimal")
-    # digraph on rows/columns: unmatched zero edges i -> j, matched j -> i
-    succ = {("r", i): [] for i in range(k)}
-    succ.update({("c", j): [] for j in range(k)})
-    for i in range(k):
-        for j in range(k):
-            if M[i][j] - u[i] - v[j] == 0:
-                if assignment[i] == j:
-                    succ[("c", j)].append(("r", i))
+            if red == 0:
+                if j == mine:
+                    succ[k + j].append(i)
                 else:
-                    succ[("r", i)].append(("c", j))
-    color = {}
+                    succ[i].append(k + j)
+    color = [0] * (2 * k)  # 0 unseen, 1 on the current path, 2 done
 
     def has_cycle(node) -> bool:
         color[node] = 1
         for nxt in succ[node]:
-            c = color.get(nxt)
-            if c == 1:
-                return True
-            if c is None and has_cycle(nxt):
+            if color[nxt] == 1 or (color[nxt] == 0 and has_cycle(nxt)):
                 return True
         color[node] = 2
         return False
 
-    return not any(color.get(nd) is None and has_cycle(nd) for nd in list(succ))
+    return not any(color[nd] == 0 and has_cycle(nd) for nd in range(2 * k))
 
 
 def minor_columns(n: int, i: int, j: int) -> list:
     return [l for l in range(1, n + 1) if l not in (i, j)]
 
 
-def minor_tropdet(M, n: int, i: int, j: int) -> TropdetResult:
+def minor_tropdet(M, n: int, i: int, j: int, *, D: int | None = None) -> TropdetResult:
     """tropdet of the maximal minor erasing support columns i and j;
-    the assignment is reported in 1-based support indices."""
+    the assignment is reported in 1-based support indices.  M is the value
+    matrix, or, with D given, D times it in integers (`_integer_rows`)."""
     cols = minor_columns(n, i, j)
-    res = tropdet([[row[c - 1] for c in cols] for row in M])
+    square = [[row[c - 1] for c in cols] for row in M]
+    res = tropdet(square) if D is None else _tropdet(square, D)
     return TropdetResult(res.value, tuple(cols[c] for c in res.assignment), res.unique)
+
+
+def _integer_rows(A: SupportSet, config) -> tuple:
+    """(D, D * value_matrix) for D the lcm of the matrix's denominators:
+    every minor's square comes out of it in integers, scaled once."""
+    M = value_matrix(A, config)
+    D, flat = clear_denominators([x for row in M for x in row])
+    return D, [flat[r : r + A.n] for r in range(0, len(flat), A.n)]
 
 
 @dataclass(frozen=True)
@@ -169,9 +182,9 @@ class GeneralityVerdict:
 def is_general(A: SupportSet, config) -> GeneralityVerdict:
     """General iff every maximal minor's tropical determinant is unique;
     reports the first singular pair otherwise."""
-    M = value_matrix(A, config)
+    D, N = _integer_rows(A, config)
     for i, j in combinations(A.indices(), 2):
-        if not minor_tropdet(M, A.n, i, j).unique:
+        if not minor_tropdet(N, A.n, i, j, D=D).unique:
             return GeneralityVerdict(False, (i, j))
     return GeneralityVerdict(True, None)
 
@@ -179,10 +192,10 @@ def is_general(A: SupportSet, config) -> GeneralityVerdict:
 def solve_minors(A: SupportSet, config) -> tuple:
     """(GeneralityVerdict, PlueckerVector) from one solve of every maximal
     minor; is_general alone stops at the first singular pair instead."""
-    M = value_matrix(A, config)
+    D, N = _integer_rows(A, config)
     values, singular = {}, None
     for i, j in combinations(A.indices(), 2):
-        res = minor_tropdet(M, A.n, i, j)
+        res = minor_tropdet(N, A.n, i, j, D=D)
         values[(i, j)] = res.value
         if singular is None and not res.unique:
             singular = (i, j)

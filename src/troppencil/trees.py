@@ -17,9 +17,15 @@ x_l = p_kl, x_k = max_{i,j} (p_ki + p_kj - p_ij).  Ties produce
 zero-length edges, which are contracted, so degenerate lines come out as
 trees with higher-valence vertices.
 
-Everything here is generic over an ordered field: the scalar type only
-needs +, -, comparisons and multiplication by small integers, so the same
-code runs over Fraction and over first-order infinitesimal perturbations.
+`plucker_to_tree` compares only sums of pair coordinates, which are
+linear in p, so it clears the denominators of p once (D), runs the quartet
+check and the split search on D * p in Python integers, and divides the
+edge lengths and the anchor coordinates by D just before `embed`; it takes
+Fraction vectors only.  `embed`, `translate` and `tree_to_plucker` are
+generic over an ordered field: the scalar type only needs +, -,
+comparisons and multiplication by small integers, so they run over
+Fraction and over first-order infinitesimal perturbations
+(oracle.EpsRational).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .core import ProjPoint, TropError, rat
+from .core import ProjPoint, TropError, clear_denominators, rat
 
 
 class PlueckerError(TropError):
@@ -486,22 +492,31 @@ def plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
     three.  The splits are found by inserting leaves 4..n one at a time
     (see _dominant_splits), in O(n^4) scalar operations.
     """
-    p.validate()
     n = p.n
+    D, flat = clear_denominators(list(p.values.values()))
     q = [[None] * (n + 1) for _ in range(n + 1)]
-    for key, v in p.values.items():
-        i, j = key
+    for (i, j), v in zip(p.values, flat):
         q[i][j] = q[j][i] = v
+    _check_quartets(q, n)
     splits = _dominant_splits(q, n)
     topology = TreeTopology.from_splits(n, splits.keys())
 
     # vertex next to leaf 1, then propagate along the split directions
     v1 = topology.node_of_leaf(1)
-    x = [None] * n
-    for l in range(2, n + 1):
-        x[l - 1] = q[1][l]
-    x[0] = max(q[1][i] + q[1][j] - q[i][j] for i, j in combinations(range(2, n + 1), 2))
-    return embed(topology, splits, v1, tuple(x))
+    top = max(q[1][i] + q[1][j] - q[i][j] for i, j in combinations(range(2, n + 1), 2))
+    x = tuple(Fraction(c, D) for c in [top] + q[1][2:])
+    return embed(topology, {s: Fraction(gap, D) for s, gap in splits.items()}, v1, x)
+
+
+def _check_quartets(q, n: int):
+    """`PlueckerVector.validate` on the symmetric pair table q, raising on
+    the same first quartet."""
+    for quartet in combinations(range(1, n + 1), 4):
+        i, j, k, l = quartet
+        sums = (q[i][j] + q[k][l], q[i][k] + q[j][l], q[i][l] + q[j][k])
+        m = min(sums)
+        if sums.count(m) < 2:
+            raise PlueckerError(f"not a Pluecker vector: quartet {quartet} fails")
 
 
 def _dominant_splits(q, n: int) -> dict:

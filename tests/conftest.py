@@ -71,6 +71,19 @@ def prime_rational(rng, primes=PRIMES):
     return Fraction(rng.randint(-10**6, 10**6), rng.choice(primes))
 
 
+# pairwise coprime denominators, one of them beyond 10^12: a vector
+# mixing them has a large common denominator and no shared factor to hide
+# a scale applied to only some of its entries
+COPRIME = (7, 11, 13, 10**12 + 39)
+
+
+def coprime_rational(rng, span=10, positive=False):
+    """A rational in [-span, span] (in (0, span] with `positive`) over a
+    denominator drawn from COPRIME."""
+    d = rng.choice(COPRIME)
+    return Fraction(rng.randint(1 if positive else -span * d, span * d), d)
+
+
 def rand_rational(rng, span=10, den=3):
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
@@ -122,6 +135,15 @@ def coprime_line(rng, n, contract_p=0.0):
     lengths = {frozenset(e): Fraction(rng.randint(1, 30), 7) for e in T.internal_edges}
     anchor = T.internal_nodes[rng.randrange(len(T.internal_nodes))]
     return embed(T, lengths, anchor, tuple(Fraction(rng.randint(-40, 40), 5) for _ in range(n)))
+
+
+def mixed_line(rng, n, contract_p=0.0):
+    """A random line whose edge lengths and anchor coordinates have
+    denominators drawn from COPRIME, each on its own."""
+    T = rand_topology(rng, n, contract_p)
+    lengths = {frozenset(e): coprime_rational(rng, 8, positive=True) for e in T.internal_edges}
+    anchor = T.internal_nodes[rng.randrange(len(T.internal_nodes))]
+    return embed(T, lengths, anchor, tuple(coprime_rational(rng) for _ in range(n)))
 
 
 def plant_line(rng, n, t):

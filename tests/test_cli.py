@@ -5,14 +5,17 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from conftest import make_lsq, rand_line, run_in_process
+from conftest import coprime_rational, make_lsq, rand_line, rand_support, run_in_process
 from troppencil import cli, compat, jsonio, stable
-from troppencil.core import ProjPoint
-from troppencil.trees import TreeTopology
+from troppencil.core import ProjPoint, rational_to_json
+from troppencil.oracle import brute_plucker_to_tree, brute_tropdet
+from troppencil.trees import PlueckerVector, TreeTopology
 
 SQ_JSON = {"degree": 2, "points": [[0, 0, 2], [1, 0, 1], [0, 1, 1], [1, 1, 0]]}
 TRI_JSON = {"degree": 1, "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -270,6 +273,34 @@ def test_json_round_trip_determinism():
     )
     assert out1 == out2
     assert jsonio.line_from_json(out1["line"], 4) == make_lsq()
+
+
+def test_stable_pencil_payload_matches_brute_twins():
+    """stable-pencil through cli.main against the enumerating twins:
+    `plucker` is the brute minors normalized to p_{n-1,n} = 0, and `line`
+    is the brute reconstruction of that vector.  Rational points mix
+    coprime denominators; integer-grid points tie minors."""
+    rng = random.Random(72)
+    for n in range(5, 10):
+        for grid in (False, True):
+            A = rand_support(rng, n)
+            if grid:
+                cells = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+                pts = [[x, y, 0] for x, y in rng.sample(cells, n - 2)]
+            else:
+                pts = [[str(coprime_rational(rng)), str(coprime_rational(rng)), 0] for _ in range(n - 2)]
+            payload = {"support": {"degree": A.degree, "points": A.points}, "configuration": {"points": pts}}
+            code, out, _ = run_in_process(["stable-pencil"], json.dumps(payload))
+            assert code == 0
+            out = json.loads(out)
+            M = stable.value_matrix(A, [ProjPoint([Fraction(c) for c in P]) for P in pts])
+            best = {
+                (i, j): brute_tropdet([[row[c - 1] for c in stable.minor_columns(n, i, j)] for row in M])[0]
+                for i, j in combinations(A.indices(), 2)
+            }
+            ref = best[(n - 1, n)]
+            assert out["plucker"] == {f"{i},{j}": rational_to_json(v - ref) for (i, j), v in best.items()}
+            assert out["line"] == jsonio.line_to_json(brute_plucker_to_tree(PlueckerVector(n, best)))
 
 
 def test_bad_json_is_exit_2():

@@ -4,7 +4,14 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import PRIMES, edge_lengths, prime_rational, rand_config, rand_support
+from conftest import (
+    PRIMES,
+    coprime_rational,
+    edge_lengths,
+    prime_rational,
+    rand_config,
+    rand_support,
+)
 from troppencil import stable
 from troppencil.core import InternalError, ProjPoint, TropError
 from troppencil.oracle import brute_tropdet
@@ -198,15 +205,21 @@ def test_tropdet_scaled_denominators_against_brute():
 
 
 def test_solve_minors_against_brute_minors():
+    """Minor by minor against enumeration.  The value matrix is scaled to
+    integers once, so mixed coprime denominators check that each optimum
+    is divided by that one scale; integer grids tie minors."""
     rng = random.Random(62)
     singular_configs = 0
-    for trial in range(40):
+    for trial in range(48):
         n = 5 + trial % 4
         A = rand_support(rng, n)
-        if trial % 2:
+        style = trial // 4 % 3
+        if style == 0:
             C = [ProjPoint((rng.randint(-3, 3), rng.randint(-3, 3), 0)) for _ in range(n - 2)]
-        else:
+        elif style == 1:
             C = rand_config(rng, n)
+        else:
+            C = [ProjPoint((coprime_rational(rng), coprime_rational(rng), 0)) for _ in range(n - 2)]
         verdict, p = solve_minors(A, C)
         M = value_matrix(A, C)
         brute = {
@@ -222,6 +235,7 @@ def test_solve_minors_against_brute_minors():
                 singular = (i, j)
         assert verdict.general == (singular is None)
         assert verdict.singular_pair == singular
+        assert is_general(A, C) == verdict
         singular_configs += singular is not None
     assert singular_configs >= 10  # the integer grids tie minors
 

@@ -4,7 +4,15 @@ from itertools import combinations
 
 import pytest
 
-from conftest import edge_lengths, make_lsq, rand_line, rand_support, rand_topology
+from conftest import (
+    COPRIME,
+    edge_lengths,
+    make_lsq,
+    mixed_line,
+    rand_line,
+    rand_support,
+    rand_topology,
+)
 from troppencil.compat import enumerate_types
 from troppencil.core import ProjPoint
 from troppencil.oracle import EpsRational, brute_plucker_to_tree
@@ -182,6 +190,31 @@ def test_plucker_relation_violation():
         )
 
 
+def test_quartet_violation_names_the_validate_quartet():
+    """Nudging one coordinate of a line's vector by a tiny rational breaks
+    the quartets where that pair sits across the split; plucker_to_tree
+    checks them on its integer table and names validate's first quartet."""
+    rng = random.Random(31)
+    broken = 0
+    for trial in range(40):
+        n = 4 + trial % 5
+        p = tree_to_plucker(mixed_line(rng, n))
+        values = {tuple(sorted(k)): v for k, v in p.values.items()}
+        pair = rng.choice(sorted(values))
+        values[pair] += Fraction(rng.choice((-1, 1)), COPRIME[-1] * rng.choice(COPRIME[:3]))
+        bad = PlueckerVector(n, values)
+        try:
+            bad.validate()
+        except PlueckerError as want:
+            broken += 1
+            with pytest.raises(PlueckerError) as got:
+                plucker_to_tree(bad)
+            assert str(got.value) == str(want)
+        else:
+            assert plucker_to_tree(bad) == brute_plucker_to_tree(bad)
+    assert broken >= 10
+
+
 def test_round_trip_random_trivalent():
     rng = random.Random(24)
     for _ in range(60):
@@ -222,6 +255,13 @@ def test_plucker_to_tree_matches_brute_twin():
             got = plucker_to_tree(p)
             _assert_same_line(got, brute_plucker_to_tree(p))
             _assert_same_line(got, L)
+    # mixed coprime denominators: one common scale for the whole vector,
+    # divided out of every length and anchor coordinate
+    for trial in range(16):
+        L = mixed_line(rng, 4 + trial % 5, contract_p=0.5 if trial % 2 else 0.0)
+        p = tree_to_plucker(L)
+        _assert_same_line(plucker_to_tree(p), brute_plucker_to_tree(p))
+        _assert_same_line(plucker_to_tree(p), L)
     # integer points tie minors, so these vectors give contracted trees
     tied = 0
     for trial in range(30):
