@@ -6,6 +6,10 @@ breakpoint walks, trees from Pluecker vectors by trying every leaf
 bipartition, and stable pencils as honest limits of first-order
 infinitesimal perturbations.  They ship with the library (not only the
 tests) so verdicts can be re-derived on demand.
+
+The infinitesimals (`EpsRational`) never leave this module: the
+perturbed pencil's minors and leaf-bipartition gaps are computed on
+them, and only the eps -> 0 limit, a line over `Fraction`, is embedded.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ class EpsRational:
     """A rational plus a first-order infinitesimal: value + eps * slope.
 
     Ordered lexicographically; products truncate at first order.  Supports
-    mixed arithmetic with ints and Fractions so generic code runs on it.
+    mixed arithmetic with ints and Fractions, so `brute_tropdet` and the
+    split search of `brute_plucker_to_tree` run on it unchanged.
     """
 
     __slots__ = ("value", "slope")
@@ -197,34 +202,28 @@ def brute_plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
     Zero gaps are ties, i.e. contracted edges.
     """
     p.validate()
-    n = p.n
-    splits = {}
+    gaps, x = _brute_splits(p.n, p.get)
+    splits = {I: gap for I, gap in gaps.items() if gap > 0}
+    topology = TreeTopology.from_splits(p.n, splits.keys())
+    return embed(topology, splits, topology.node_of_leaf(1), x)
+
+
+def _brute_splits(n: int, get) -> tuple:
+    """(gaps, x) for the pair coordinates get(i, j): the dominance gap of
+    every leaf bipartition, keyed by its side without leaf n, and the
+    coordinates of the vertex next to leaf 1, x_l = p_1l and
+    x_1 = max_{i,j} (p_1i + p_1j - p_ij)."""
+    gaps = {}
     for size in range(2, n - 1):
         for I in combinations(range(1, n), size):
-            Iset = frozenset(I)
-            comp = [k for k in range(1, n + 1) if k not in Iset]
-            gap = None
-            for i, j in combinations(I, 2):
-                for k, l in combinations(comp, 2):
-                    s_same = p.get(i, j) + p.get(k, l)
-                    s_cross = max(p.get(i, k) + p.get(j, l), p.get(i, l) + p.get(j, k))
-                    d = s_same - s_cross
-                    if gap is None or d < gap:
-                        gap = d
-            if gap > 0:
-                splits[Iset] = gap
-    topology = TreeTopology.from_splits(n, splits.keys())
-
-    # vertex next to leaf 1, then propagate along the split directions
-    v1 = topology.node_of_leaf(1)
-    x = [None] * n
-    for l in range(2, n + 1):
-        x[l - 1] = p.get(1, l)
-    x[0] = max(
-        p.get(1, i) + p.get(1, j) - p.get(i, j)
-        for i, j in combinations(range(2, n + 1), 2)
-    )
-    return embed(topology, splits, v1, tuple(x))
+            comp = [k for k in range(1, n + 1) if k not in I]
+            gaps[frozenset(I)] = min(
+                get(i, j) + get(k, l) - max(get(i, k) + get(j, l), get(i, l) + get(j, k))
+                for i, j in combinations(I, 2)
+                for k, l in combinations(comp, 2)
+            )
+    top = max(get(1, i) + get(1, j) - get(i, j) for i, j in combinations(range(2, n + 1), 2))
+    return gaps, (top, *(get(1, l) for l in range(2, n + 1)))
 
 
 class PerturbationError(TropError):
@@ -239,9 +238,16 @@ def perturbed_pencil(A: SupportSet, config, seed: int = 0) -> EmbeddedLine:
 
     Each point is nudged by seed-dependent infinitesimals until every
     maximal minor becomes uniquely optimal (re-drawn up to ATTEMPTS
-    times); the pencil of the perturbed configuration is computed entirely
-    in first-order arithmetic and evaluated at eps -> 0.  The result is
-    independent of the seed.
+    times); the splits of the perturbed pencil are found in first-order
+    arithmetic and evaluated at eps -> 0.  The result is independent of
+    the seed.
+
+    A split whose gap has value 0 and positive slope is an edge of
+    infinitesimal length, which contracts in the limit, so the limit tree
+    keeps the splits whose gap has a positive value, with that value as
+    length.  The value part of a lexicographic max is the max of the value
+    parts, so the limit's vertex next to leaf 1 sits at the value part of
+    the perturbed one.
     """
     config = list(config)
     if len(config) != A.n - 2:
@@ -252,68 +258,30 @@ def perturbed_pencil(A: SupportSet, config, seed: int = 0) -> EmbeddedLine:
         eps_points = []
         for P in config:
             xi, eta = rng.randint(-999, 999), rng.randint(-999, 999)
-            eps_points.append(
-                (
-                    EpsRational(P[0], Fraction(xi)),
-                    EpsRational(P[1], Fraction(eta)),
-                    EpsRational(Fraction(0)),
-                )
-            )
+            eps_points.append((EpsRational(P[0], Fraction(xi)), EpsRational(P[1], Fraction(eta))))
         try:
-            p = _eps_plucker(A, eps_points)
+            pairs = _eps_plucker(A, eps_points)
         except PerturbationError as e:
             last = e
             continue
-        return _eps_limit(brute_plucker_to_tree(p))
+        gaps, x = _brute_splits(A.n, lambda i, j: pairs[i, j])
+        lengths = {I: gap.value for I, gap in gaps.items() if gap.value > 0}
+        topology = TreeTopology.from_splits(A.n, lengths.keys())
+        return embed(topology, lengths, topology.node_of_leaf(1), [c.value for c in x])
     raise PerturbationError(f"perturbation not generic after {ATTEMPTS} draws: {last}")
 
 
-def _eps_plucker(A: SupportSet, eps_points) -> PlueckerVector:
+def _eps_plucker(A: SupportSet, eps_points) -> dict:
+    """The pair table {(i, j): p_ij}, both orders, of the perturbed points
+    (x, y) in the z = 0 chart; raises unless every minor is uniquely optimal."""
     n = A.n
-    M = []
-    for x, y, _ in eps_points:
-        r0 = EpsRational(Fraction(0))
-        M.append([A.point(l)[0] * x + A.point(l)[1] * y + r0 for l in A.indices()])
-    values = {}
+    M = [[r * x + s * y for r, s, _ in A.points] for x, y in eps_points]
+    pairs = {}
     for i, j in combinations(range(1, n + 1), 2):
         cols = [l for l in range(1, n + 1) if l not in (i, j)]
         sub = [[row[c - 1] for c in cols] for row in M]
         val, mult = brute_tropdet(sub)
         if mult != 1:
             raise PerturbationError(f"minor ({i},{j}) still has {mult} optima")
-        values[(i, j)] = val
-    return PlueckerVector(n, values)
-
-
-def _eps_limit(L_eps: EmbeddedLine) -> EmbeddedLine:
-    """Evaluate an infinitesimally-embedded line at eps -> 0, contracting
-    the edges whose length vanishes in the limit."""
-    topo = L_eps.topology
-    n = topo.n
-    parent = {v: v for v in topo.internal_nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b, side, ell in L_eps.edges:
-        if ell.value == 0:
-            parent[find(a)] = find(b)
-    reps = sorted({find(v) for v in topo.internal_nodes})
-    relabel = {rep: n + 1 + i for i, rep in enumerate(reps)}
-    adj = {relabel[rep]: set() for rep in reps}
-    for leaf in range(1, n + 1):
-        w = relabel[find(topo.node_of_leaf(leaf))]
-        adj[leaf] = {w}
-        adj[w].add(leaf)
-    lengths = {}
-    for a, b, side, ell in L_eps.edges:
-        if ell.value > 0:
-            ra, rb = relabel[find(a)], relabel[find(b)]
-            adj[ra].add(rb)
-            adj[rb].add(ra)
-            lengths[frozenset((ra, rb))] = ell.value
-    anchor = [c.value for c in L_eps.coords[reps[0]]]
-    return embed(TreeTopology(n, adj), lengths, relabel[reps[0]], anchor)
+        pairs[i, j] = pairs[j, i] = val
+    return pairs

@@ -9,15 +9,17 @@ general iff every minor's optimum is attained by a single bijection.
 
 The assignment problem is solved by an exact potentials-based
 augmenting-path search over Python integers.  `solve_minors` and
-`is_general` multiply the whole value matrix once by the least common
-multiple D of its denominators, which changes neither argmin sets nor
-ties; every minor's square is cut from those integer rows, and its
-optimum is divided by D once.  `tropdet` clears the denominators of the
-square it is given and runs the same kernel.  Uniqueness is certified
-on the reduced integer matrix: after subtracting optimal row/column
-potentials the optimal bijections are exactly the perfect matchings of
-the zero-entry bipartite graph, so the optimum is unique iff that graph
-has no alternating cycle through the matching found.
+`is_general` clear the denominators of the points' coordinates once (D)
+and form D times the value matrix in integers, which changes neither
+argmin sets nor ties; every minor's square is cut from those integer
+rows, and its optimum is divided by D once.  `tropdet` clears the
+denominators of the square it is given and runs the same kernel.  The
+rational matrix itself (`value_matrix`) is only for callers that read
+its entries.  Uniqueness is certified on the reduced integer matrix:
+after subtracting optimal row/column potentials the optimal bijections
+are exactly the perfect matchings of the zero-entry bipartite graph, so
+the optimum is unique iff that graph has no alternating cycle through
+the matching found.
 
 The tropical determinants of all pairs always satisfy the quartet
 relations, so they are the pair coordinates of a line: the stable pencil
@@ -30,17 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import InternalError, SupportSet, clear_denominators, dot, rat
+from .core import InternalError, SupportSet, clear_denominators, rat
 from .pencil import is_fixed
 from .trees import EmbeddedLine, PlueckerVector, plucker_to_tree
 
 
 def value_matrix(A: SupportSet, config) -> list:
     """The (n-2) x n matrix with entries a_l . P_k, over the z = 0 chart."""
-    config = list(config)
-    if len(config) != A.n - 2:
-        raise ValueError(f"need {A.n - 2} points, got {len(config)}")
-    return [[dot(A.point(l), P) for l in A.indices()] for P in config]
+    D, N = _integer_rows(A, config)
+    return [[Fraction(x, D) for x in row] for row in N]
 
 
 @dataclass(frozen=True)
@@ -163,11 +163,15 @@ def minor_tropdet(M, n: int, i: int, j: int, *, D: int | None = None) -> Tropdet
 
 
 def _integer_rows(A: SupportSet, config) -> tuple:
-    """(D, D * value_matrix) for D the lcm of the matrix's denominators:
-    every minor's square comes out of it in integers, scaled once."""
-    M = value_matrix(A, config)
-    D, flat = clear_denominators([x for row in M for x in row])
-    return D, [flat[r : r + A.n] for r in range(0, len(flat), A.n)]
+    """(D, D * value_matrix) for D the lcm of the denominators of the
+    points' x and y: in the z = 0 chart a_l . P = r_l x + s_l y, so each
+    entry is r_l X + s_l Y on the cleared coordinates X = D x, Y = D y,
+    and every minor's square comes out of the rows in integers."""
+    config = list(config)
+    if len(config) != A.n - 2:
+        raise ValueError(f"need {A.n - 2} points, got {len(config)}")
+    D, xy = clear_denominators([x for P in config for x in P.coords[:2]])
+    return D, [[r * X + s * Y for r, s, _ in A.points] for X, Y in zip(xy[::2], xy[1::2])]
 
 
 @dataclass(frozen=True)

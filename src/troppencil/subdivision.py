@@ -14,14 +14,16 @@ which is fine at the scale this library targets (n <= ~12).
 The test runs in integers.  The heights are scaled once by the lcm D of
 their denominators, so h = D*c is integral.  For a triple with
 orientation determinant O != 0, the plane through its lifts is
-O*(h - h1) = P*(r - r1) + Q*(s - s1) with integer P and Q, and point m
-lies below, on or above it as sign(O) * (O*(h_m - h1) - P*(r_m - r1)
-- Q*(s_m - s1)) is negative, zero or positive: the 4-point lifting
-determinant of Gelfand-Kapranov-Zelevinsky.  Multiplying every height by
-D > 0 multiplies each such determinant by D, so every sign, and with it
-every tie, is the one of the rational heights: the cells are exactly
-those of c.  Planes in `Fraction`s remain only where a caller wants the
-dual vertex coordinates (`cell_dual_point`, `dual_curve`).
+O*(h - h1) = P*(r - r1) + Q*(s - s1) with integer P and Q, all three
+negated when O < 0 (`_plane`), and point m lies below, on or above it as
+O*(h_m - h1) - P*(r_m - r1) - Q*(s_m - s1) is negative, zero or
+positive: the 4-point lifting determinant of
+Gelfand-Kapranov-Zelevinsky.  Multiplying every height by D > 0
+multiplies each such determinant by D, so every sign, and with it every
+tie, is the one of the rational heights: the cells are exactly those of
+c.  The same integer plane gives a cell's dual vertex: in the heights c
+it is c = (P*r + Q*s) / (O*D) + const, so the cell's terms tie at the
+point (-P/(O*D), -Q/(O*D), 0) (`cell_dual_point`, `dual_curve`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .core import (
     TropError,
     between,
     clear_denominators,
-    dot,
     min_profile,
     orient2d,
     primitive,
@@ -98,36 +99,37 @@ class CurveGraph:
     rays: tuple
 
 
-def _cell_plane(A: SupportSet, c: ProjPoint, cell) -> tuple:
-    """Coefficients (alpha, beta, gamma) of the lift plane h = alpha*r + beta*s + gamma."""
-    pts = [A.rs(i) for i in cell[:3]]
-    hs = [c[i - 1] for i in cell[:3]]
-    (r1, s1), (r2, s2), (r3, s3) = pts
-    det = (r2 - r1) * (s3 - s1) - (s2 - s1) * (r3 - r1)
-    if det == 0:
-        raise TropError("degenerate cell")
-    dh2, dh3 = hs[1] - hs[0], hs[2] - hs[0]
-    alpha = Fraction(dh2 * (s3 - s1) - dh3 * (s2 - s1), det)
-    beta = Fraction(dh3 * (r2 - r1) - dh2 * (r3 - r1), det)
-    gamma = hs[0] - alpha * r1 - beta * s1
-    return alpha, beta, gamma
-
-
-def regular_subdivision(A: SupportSet, c: ProjPoint) -> RegularSubdivision:
-    """Lower-hull subdivision of conv(A) induced by the lifting heights c."""
+def _lifts(A: SupportSet, c: ProjPoint) -> tuple:
+    """(D, [(r_i, s_i, h_i)]) with h = D*c integral, D the lcm of c's denominators."""
     if c.dim != A.n:
         raise ValueError(f"coefficient vector has {c.dim} entries, support has {A.n}")
-    _, hs = clear_denominators(c.coords)
-    lifts = [(r, s, h) for (r, s, _), h in zip(A.points, hs)]
-    cells = set()
-    for (r1, s1, h1), (r2, s2, h2), (r3, s3, h3) in combinations(lifts, 3):
-        O = (r2 - r1) * (s3 - s1) - (s2 - s1) * (r3 - r1)
-        if O == 0:
+    D, hs = clear_denominators(c.coords)
+    return D, [(r, s, h) for (r, s, _), h in zip(A.points, hs)]
+
+
+def _plane(l1, l2, l3):
+    """(O, P, Q) with O > 0 and O*(h - h1) = P*(r - r1) + Q*(s - s1) the
+    plane through three lifts (r, s, h), or None when they are collinear."""
+    (r1, s1, h1), (r2, s2, h2), (r3, s3, h3) = l1, l2, l3
+    O = (r2 - r1) * (s3 - s1) - (s2 - s1) * (r3 - r1)
+    if O == 0:
+        return None
+    P = (h2 - h1) * (s3 - s1) - (h3 - h1) * (s2 - s1)
+    Q = (h3 - h1) * (r2 - r1) - (h2 - h1) * (r3 - r1)
+    return (O, P, Q) if O > 0 else (-O, -P, -Q)
+
+
+def _lower_faces(A: SupportSet, c: ProjPoint) -> tuple:
+    """(D, {cell: (O, P, Q)}): every lower face of the lifts, as the sorted
+    indices on it, with the plane of the first triple found to span it."""
+    D, lifts = _lifts(A, c)
+    planes = {}
+    for l1, l2, l3 in combinations(lifts, 3):
+        plane = _plane(l1, l2, l3)
+        if plane is None:
             continue
-        P = (h2 - h1) * (s3 - s1) - (h3 - h1) * (s2 - s1)
-        Q = (h3 - h1) * (r2 - r1) - (h2 - h1) * (r3 - r1)
-        if O < 0:
-            O, P, Q = -O, -P, -Q
+        O, P, Q = plane
+        r1, s1, h1 = l1
         face = []
         for m, (r, s, h) in enumerate(lifts, 1):
             side = O * (h - h1) - P * (r - r1) - Q * (s - s1)
@@ -136,8 +138,19 @@ def regular_subdivision(A: SupportSet, c: ProjPoint) -> RegularSubdivision:
             if side == 0:
                 face.append(m)
         else:
-            cells.add(tuple(face))
-    return RegularSubdivision(A, tuple(sorted(cells)))
+            planes.setdefault(tuple(face), plane)
+    return D, planes
+
+
+def _dual_point(D: int, plane) -> ProjPoint:
+    """The point where the terms on the plane (O, P, Q) over D*c tie."""
+    O, P, Q = plane
+    return ProjPoint((Fraction(-P, O * D), Fraction(-Q, O * D), 0))
+
+
+def regular_subdivision(A: SupportSet, c: ProjPoint) -> RegularSubdivision:
+    """Lower-hull subdivision of conv(A) induced by the lifting heights c."""
+    return RegularSubdivision(A, tuple(sorted(_lower_faces(A, c)[1])))
 
 
 def curve_contains(A: SupportSet, c: ProjPoint, P: ProjPoint) -> bool:
@@ -149,21 +162,22 @@ def cell_dual_point(A: SupportSet, c: ProjPoint, cell) -> ProjPoint:
     """The unique P where the three terms of `cell` tie, checked minimal.
 
     Raises "degenerate cell" when the three support points are collinear
-    and "not a face" when any other term is <= the common value there
+    and "not a face" when any other lift lies on or below their plane
     (then the triangle is not a face of the subdivision).
     """
     cell = tuple(sorted(cell))
     if len(cell) != 3:
         raise ValueError("cell must be an index triple")
-    alpha, beta, gamma = _cell_plane(A, c, cell)
-    P = ProjPoint((-alpha, -beta, 0))
-    common = gamma
-    for m in A.indices():
-        if m in cell:
-            continue
-        if c[m - 1] + dot(A.point(m), P) <= common:
+    D, lifts = _lifts(A, c)
+    plane = _plane(*(lifts[i - 1] for i in cell))
+    if plane is None:
+        raise TropError("degenerate cell")
+    O, P, Q = plane
+    r1, s1, h1 = lifts[cell[0] - 1]
+    for m, (r, s, h) in enumerate(lifts, 1):
+        if m not in cell and O * (h - h1) - P * (r - r1) - Q * (s - s1) <= 0:
             raise TropError("not a face")
-    return P
+    return _dual_point(D, plane)
 
 
 def is_maximal(S: RegularSubdivision, mode: str = "strict") -> bool:
@@ -219,13 +233,13 @@ def _hull_vertices(ids, pts) -> list:
 
 def dual_curve(A: SupportSet, c: ProjPoint) -> CurveGraph:
     """The plane curve dual to the regular subdivision of (A, c)."""
-    S = regular_subdivision(A, c)
+    D, planes = _lower_faces(A, c)
+    S = RegularSubdivision(A, tuple(sorted(planes)))
     vertices = []
     cell_index = {}
     for cell in S.cells:
-        alpha, beta, _ = _cell_plane(A, c, _spanning_triple(A, cell))
         cell_index[cell] = len(vertices)
-        vertices.append(CurveVertex(ProjPoint((-alpha, -beta, 0)), cell))
+        vertices.append(CurveVertex(_dual_point(D, planes[cell]), cell))
 
     # Group 1-faces by their support-point set; shared by two cells => edge.
     face_cells = {}
@@ -244,13 +258,6 @@ def dual_curve(A: SupportSet, c: ProjPoint) -> CurveGraph:
         else:
             raise TropError(f"1-face {face} shared by {len(owners)} cells")
     return CurveGraph(S, tuple(vertices), tuple(edges), tuple(rays))
-
-
-def _spanning_triple(A: SupportSet, cell) -> tuple:
-    for tri in combinations(cell, 3):
-        if orient2d(*(A.rs(i) for i in tri)) != 0:
-            return tri
-    raise TropError("degenerate cell")
 
 
 def _ray_direction(A: SupportSet, face) -> tuple:

@@ -20,12 +20,10 @@ trees with higher-valence vertices.
 `plucker_to_tree` compares only sums of pair coordinates, which are
 linear in p, so it clears the denominators of p once (D), runs the quartet
 check and the split search on D * p in Python integers, and divides the
-edge lengths and the anchor coordinates by D just before `embed`; it takes
-Fraction vectors only.  `embed`, `translate` and `tree_to_plucker` are
-generic over an ordered field: the scalar type only needs +, -,
-comparisons and multiplication by small integers, so they run over
-Fraction and over first-order infinitesimal perturbations
-(oracle.EpsRational).
+edge lengths and the anchor coordinates by D just before `embed`.  Every
+scalar of a line or a pair vector is an exact `Fraction`: `embed`,
+`translate` and `PlueckerVector` coerce their inputs with `core.rat` and
+refuse anything else.
 """
 
 from __future__ import annotations
@@ -39,14 +37,6 @@ from .core import ProjPoint, TropError, clear_denominators, rat
 
 class PlueckerError(TropError):
     """Raised when a pair vector violates the quartet relation."""
-
-
-def _coerce(x):
-    """Ints, strings and Fractions as Fractions; other exact ordered-field
-    values (oracle.EpsRational) as they are.  Floats would break exact ties."""
-    if isinstance(x, float):
-        raise TypeError(f"not an exact rational: {x!r}")
-    return rat(x) if isinstance(x, (int, str, Fraction)) else x
 
 
 class TreeTopology:
@@ -291,7 +281,7 @@ class EmbeddedLine:
         vertex coordinates, worked out on first use and kept.  Scaling by
         D > 0 keeps every argmin, tie and sign, and D times an edge length
         is an integer too: a length is a coordinate difference across its
-        edge.  Only for lines over Fraction, never for oracle.EpsRational."""
+        edge."""
         if self._integer_rows is None:
             D = lcm(*(x.denominator for cs in self.coords.values() for x in cs))
             rows = {
@@ -304,7 +294,7 @@ class EmbeddedLine:
     def translate(self, shift) -> "EmbeddedLine":
         """The line translated by a vector of TP^(n-1).  Edge directions
         and lengths do not change, so the translate shares them."""
-        shift = tuple(_coerce(s) for s in shift)
+        shift = tuple(rat(s) for s in shift)
         if len(shift) != self.n:
             raise ValueError("shift must have one entry per leaf")
         out = object.__new__(EmbeddedLine)
@@ -346,14 +336,14 @@ def embed(topology: TreeTopology, lengths, anchor_node: int, anchor_coords) -> E
         raise ValueError(f"anchor node {anchor_node} is not an internal node")
     if isinstance(anchor_coords, ProjPoint):
         anchor_coords = anchor_coords.coords
-    coords = {anchor_node: tuple(_coerce(c) for c in anchor_coords)}
+    coords = {anchor_node: tuple(rat(c) for c in anchor_coords)}
     if len(coords[anchor_node]) != topology.n:
         raise ValueError("coordinate vectors must have one entry per leaf")
 
     def edge_length(a, b, side, other):
         for key in (frozenset((a, b)), side, other):
             if key in lengths:
-                return _coerce(lengths[key])
+                return rat(lengths[key])
         raise ValueError(f"no length given for edge ({a},{b})")
 
     edges, stack = {}, [anchor_node]
@@ -417,7 +407,7 @@ class PlueckerVector:
             i, j = sorted(key)
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad pair {key}")
-            vals[frozenset((i, j))] = _coerce(v)
+            vals[frozenset((i, j))] = rat(v)
         if len(vals) != n * (n - 1) // 2:
             raise ValueError("need a value for every pair")
         ref = vals[frozenset((n - 1, n))]
@@ -469,8 +459,7 @@ def tree_to_plucker(L: EmbeddedLine) -> PlueckerVector:
     def med_coords(i, j, k):
         return L.coords[topo.median(i, j, k)]
 
-    zero = next(iter(L.coords.values()))[0] * 0
-    p = {frozenset((n - 1, n)): zero}
+    p = {frozenset((n - 1, n)): 0}
     for i in range(1, n - 1):
         m = med_coords(i, n - 1, n)
         p[frozenset((i, n))] = m[i - 1] - m[n - 2]

@@ -1,10 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import PRIMES, prime_rational, rand_support
-from troppencil.core import ProjPoint, SupportSet, TropError, min_profile, support_values
+from conftest import PRIMES, coprime_rational, prime_rational, rand_support
+from troppencil.core import (
+    ProjPoint,
+    SupportSet,
+    TropError,
+    min_profile,
+    orient2d,
+    support_values,
+)
 from troppencil.oracle import brute_regular_subdivision
 from troppencil.subdivision import (
     cell_dual_point,
@@ -171,6 +179,49 @@ def test_lower_hull_against_brute_force():
     assert mismatches == []
     # the planted ties really reach the hull: some cells have four points
     assert tied >= 30
+
+
+def _tie_point(A, c, tri):
+    """The P where the three terms of tri tie, solved in Fractions by
+    Cramer's rule: (r_j - r_i) x + (s_j - s_i) y = c_i - c_j for j, k."""
+    i, j, k = tri
+    (ri, si), (rj, sj), (rk, sk) = (A.rs(m) for m in tri)
+    a, b, e = rj - ri, sj - si, c[i - 1] - c[j - 1]
+    f, g, h = rk - ri, sk - si, c[i - 1] - c[k - 1]
+    det = a * g - b * f
+    return ProjPoint(((e * g - b * h) / det, (a * h - e * f) / det, 0))
+
+
+def test_dual_points_at_rational_heights():
+    # heights over the COPRIME denominators, so that a dual point missing
+    # the height scale D or the orientation O of its integer plane shows
+    rng = random.Random(14)
+    faces = refused = 0
+    for trial in range(60):
+        A = _wide_support(rng)
+        if trial % 2:
+            heights = [coprime_rational(rng) for _ in A.indices()]
+        else:  # one affine lift, raised at some points: cells of 4 or more
+            a, b, g = (coprime_rational(rng) for _ in range(3))
+            heights = [
+                a * r + b * s + g + rng.choice((0, 0, coprime_rational(rng, positive=True)))
+                for r, s in (A.rs(i) for i in A.indices())
+            ]
+        c = ProjPoint(heights)
+        cells = set(brute_regular_subdivision(A, c).cells)
+        for tri in combinations(A.indices(), 3):
+            try:
+                P = cell_dual_point(A, c, tri)
+            except TropError:
+                assert tri not in cells
+                refused += any(set(tri) < set(cell) for cell in cells)
+                continue
+            assert tri in cells and P == _tie_point(A, c, tri)
+            faces += 1
+        for v in dual_curve(A, c).vertices:
+            tri = next(t for t in combinations(v.cell, 3) if orient2d(*(A.rs(i) for i in t)))
+            assert v.point == _tie_point(A, c, tri)
+    assert faces >= 120 and refused >= 200
 
 
 def test_duality_on_random_instances():

@@ -57,9 +57,9 @@ def test_floats_are_refused():
         make_lsq().translate((0.5, 0, 0, 0))
     with pytest.raises(TypeError, match="not an exact rational"):
         PlueckerVector(4, {**LSQ_PAIRS, (1, 2): 0.5})
-    # first-order infinitesimals are exact, and still pass
-    L_eps = embed(T, {frozenset({1, 2}): EpsRational(0, 1)}, v, (0, 0, 0, 0))
-    assert L_eps.edges[0][3] == EpsRational(0, 1)
+    # exact, but not rational: infinitesimals live only in the oracle
+    with pytest.raises(TypeError, match="not an exact rational"):
+        embed(T, {frozenset({1, 2}): EpsRational(0, 1)}, v, (0, 0, 0, 0))
 
 
 def test_embed_branches_follow_e_I_rule():
@@ -70,12 +70,7 @@ def test_embed_branches_follow_e_I_rule():
     for n in range(4, 10):
         for contract_p in (0, 0.4):
             lines += [rand_line(rng, n, contract_p=contract_p) for _ in range(4)]
-        T = rand_topology(rng, n, contract_p=0.3)
-        lengths = {
-            frozenset(e): EpsRational(rng.randint(0, 3), rng.randint(1, 5)) for e in T.internal_edges
-        }
-        anchor = [EpsRational(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(n)]
-        lines.append(embed(T, lengths, T.internal_nodes[-1], anchor))
+        lines.append(mixed_line(rng, n, contract_p=0.3))
     for L in lines:
         topo, n = L.topology, L.n
         assert [(a, b) for a, b, _, _ in L.edges] == topo.internal_edges
