@@ -28,6 +28,15 @@ Inserting a leaf never changes the quartet topology of the leaves already
 placed, so a tree that fails a quartet has no compatible completion; the
 compatible walk checks only the quartets through each new leaf and drops
 a tree as soon as one fails (Semple-Steel, Phylogenetics, 2003).
+
+A type is realized with every edge length eps anchored at the heights c
+of a strict-maximal triangulation S, so vertex v sits at c + eps*w_v for
+an integer vector w_v.  Each 4-point lifting determinant that cuts out
+S's secondary cone (Gelfand-Kapranov-Zelevinsky, 1994, ch. 7) is linear
+in the heights, so the eps that keep every vertex inside form an open
+interval (0, eps*), with eps* the least ratio of a determinant at c to
+minus the one at some w_v.  The realized length is the largest 2^-k
+below eps*, computed from eps* in integers, with no trial embeddings.
 """
 
 from __future__ import annotations
@@ -53,10 +62,10 @@ from .pencil import LinePoint, coords_at
 from .stable import solve_minors
 from .subdivision import (
     RegularSubdivision,
+    _cone_bound,
     cell_dual_point,
     is_maximal,
     regular_subdivision,
-    secondary_cone_contains,
 )
 from .trees import EmbeddedLine, TreeTopology, embed, plucker_to_tree
 
@@ -363,11 +372,11 @@ def count_compatible(A: SupportSet) -> int:
 
 def squared_distance_heights(A: SupportSet) -> ProjPoint:
     heights = [A.rs(i)[0] ** 2 + A.rs(i)[1] ** 2 for i in A.indices()]
-    return ProjPoint([Fraction(h) for h in heights] )
+    return ProjPoint([Fraction(h) for h in heights])
 
 
 MAX_DRAWS = 64  # jittered height vectors tried for a strict-maximal subdivision
-MAX_HALVINGS = 64  # edge-length halvings tried to fit a line into one secondary cone
+MAX_HALVINGS = 64  # realize_type's edge lengths are 2^-k with k below this
 
 
 def find_strict_maximal_subdivision(A: SupportSet, seed: int = 0) -> tuple:
@@ -399,21 +408,39 @@ def realize_type(A: SupportSet, T: TreeTopology, seed: int = 0) -> EmbeddedLine:
     """An embedded line of the given compatible type whose vertices all
     stay inside one strict-maximal secondary cone (so the configuration
     constructor applies to it): anchor the type at the cone's height
-    vector and shrink the edge lengths geometrically until every vertex
-    induces the same triangulation."""
+    vector c, with every edge length 2^-k for the least k >= 0 that keeps
+    every vertex inside the cone.
+
+    With every length eps, vertex v sits at c + eps*w_v, where w_v is the
+    integer sum of the e_I along the path from the anchor.  The eps that
+    keep every vertex inside form an open interval (0, eps*), and
+    `_cone_bound` reads eps* off the integer planes of the cone's cells.
+    So 2^-k < eps* picks k = floor(1/eps*).bit_length(), exactly: the
+    first length that halving from 1 would accept."""
     verdict = is_compatible(T, A)
     if not verdict:
         raise TropError(f"not compatible: quartet {verdict.witness}")
     S, c = find_strict_maximal_subdivision(A, seed=seed)
     anchor = T.internal_nodes[0]
-    eps = Fraction(1)
-    for _ in range(MAX_HALVINGS):
-        lengths = {frozenset((a, b)): eps for a, b in T.internal_edges}
-        L = embed(T, lengths, anchor, c)
-        if all(
-            secondary_cone_contains(A, S, ProjPoint(L.coords[v]))
-            for v in T.internal_nodes
-        ):
-            return L
-        eps /= 2
-    raise TropError("edge lengths did not stabilize inside the secondary cone")
+    bound = _cone_bound(S, c, _unit_offsets(T, anchor).values())
+    k = 0 if bound is None else (bound.denominator // bound.numerator).bit_length()
+    if k >= MAX_HALVINGS:
+        raise TropError("edge lengths did not stabilize inside the secondary cone")
+    eps = Fraction(1, 2**k)
+    return embed(T, {frozenset(e): eps for e in T.internal_edges}, anchor, c)
+
+
+def _unit_offsets(T: TreeTopology, anchor: int) -> dict:
+    """{v: w_v} over the internal nodes: the sum of the e_I along the path
+    from the anchor, that is, where `embed` with unit lengths puts v
+    relative to the anchor."""
+    w = {anchor: (0,) * T.n}
+    stack = [anchor]
+    while stack:
+        a = stack.pop()
+        for b in T.adj[a]:
+            if not T.is_leaf(b) and b not in w:
+                side = T.leaves_beyond(a, b)
+                w[b] = tuple(x + (i in side) for i, x in enumerate(w[a], 1))
+                stack.append(b)
+    return w

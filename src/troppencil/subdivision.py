@@ -142,6 +142,37 @@ def _lower_faces(A: SupportSet, c: ProjPoint) -> tuple:
     return D, planes
 
 
+def _cone_bound(S: RegularSubdivision, c: ProjPoint, ws) -> Fraction | None:
+    """The supremum eps* of the eps > 0 for which every c + eps*w, w in the
+    integer vectors ws, induces S, or None when every eps > 0 does.  The
+    heights c must induce S, a strict-maximal triangulation.
+
+    Heights induce such an S iff every other lift lies strictly above the
+    plane of each cell.  That side value is linear in the heights (O
+    depends on the points only), so on the D*c scale it is side(D*c) +
+    D*eps*side(w) with side(D*c) > 0, and eps* is the least
+    side(D*c) / (D * -side(w)) over the negative side(w)."""
+    D, lifts = _lifts(S.support, c)
+    wlifts = [[(r, s, x) for (r, s, _), x in zip(lifts, w)] for w in ws]
+    best = None  # (side(D*c), -side(w)) of the least ratio so far
+    for cell in S.cells:
+        corner = [i - 1 for i in cell]
+        sides = []
+        for ls in (lifts, *wlifts):
+            O, P, Q = _plane(*(ls[i] for i in corner))
+            r1, s1, h1 = ls[corner[0]]
+            sides.append([
+                O * (h - h1) - P * (r - r1) - Q * (s - s1)
+                for m, (r, s, h) in enumerate(ls) if m not in corner
+            ])
+        base, *rest = sides
+        for w_sides in rest:
+            for up, down in zip(base, w_sides):
+                if down < 0 and (best is None or up * best[1] < best[0] * -down):
+                    best = (up, -down)
+    return None if best is None else Fraction(best[0], D * best[1])
+
+
 def _dual_point(D: int, plane) -> ProjPoint:
     """The point where the terms on the plane (O, P, Q) over D*c tie."""
     O, P, Q = plane
@@ -192,7 +223,11 @@ def is_maximal(S: RegularSubdivision, mode: str = "strict") -> bool:
 
 
 def secondary_cone_contains(A: SupportSet, S: RegularSubdivision, c: ProjPoint) -> bool:
-    """True iff the heights c induce exactly the subdivision S (cellwise)."""
+    """True iff the heights c induce exactly the subdivision S (cellwise).
+
+    It rebuilds the whole lower hull, so no fast path calls it:
+    `realize_type` reads its edge lengths off `_cone_bound` instead, and
+    this stays the independent twin that checks that bound."""
     return regular_subdivision(A, c).cells == S.cells
 
 

@@ -304,11 +304,14 @@ class EmbeddedLine:
 
     def canonical_key(self):
         """Hashable invariant: equal keys iff equal lines (as subsets of
-        TP^(n-1) with the same combinatorics)."""
-        items = []
-        for v in self.topology.internal_nodes:
-            part = tuple(sorted(tuple(sorted(s)) for s in self.topology.leaf_partition(v)))
-            items.append((part, ProjPoint(self.coords[v]).coords))
+        TP^(n-1) with the same combinatorics).  Each vertex gives its leaf
+        partition, as the sorted bitmasks of the sides, and its coordinates
+        minus their last entry, as `ProjPoint` normalizes them."""
+        topo, items = self.topology, []
+        for v in topo.internal_nodes:
+            cs = self.coords[v]
+            part = tuple(sorted(topo._mask_beyond(v, w) for w in topo.adj[v]))
+            items.append((part, tuple(x - cs[-1] for x in cs)))
         return (self.n, tuple(sorted(items)))
 
     def __eq__(self, other):

@@ -5,7 +5,9 @@ from itertools import combinations, islice, permutations
 import pytest
 
 from conftest import make_lsq, neighborhood, rand_config, rand_support
+from troppencil import compat
 from troppencil.compat import (
+    _unit_offsets,
     compatible_types,
     construct_configuration,
     count_compatible,
@@ -26,7 +28,8 @@ from troppencil.compat import (
 from troppencil.core import ProjPoint, SupportSet, TropError, orient2d
 from troppencil.pencil import LinePoint
 from troppencil.stable import is_general, minor_tropdet, stable_pencil, value_matrix
-from troppencil.subdivision import regular_subdivision
+from troppencil.jsonio import line_to_json
+from troppencil.subdivision import _cone_bound, regular_subdivision, secondary_cone_contains
 from troppencil.trees import TreeTopology, embed
 
 
@@ -241,6 +244,107 @@ def test_realize_type_round_trip(SQ):
         C = construct_configuration(L, SQ)
         assert is_general(SQ, C)
         assert stable_pencil(SQ, C) == L
+
+
+# --- the closed-form edge length of realize_type ---------------------------
+
+
+def _halving_realize(A, T, seed):
+    """The halving loop that `realize_type` replaced, kept as its twin:
+    embed with every length 1, 1/2, 1/4, ... until every vertex induces S."""
+    if not is_compatible(T, A):
+        raise TropError("not compatible")
+    S, c = find_strict_maximal_subdivision(A, seed=seed)
+    eps = Fraction(1)
+    for _ in range(compat.MAX_HALVINGS):
+        L = _embed_all(T, eps, c)
+        if all(secondary_cone_contains(A, S, ProjPoint(L.coords[v])) for v in T.internal_nodes):
+            return L
+        eps /= 2
+    raise TropError("edge lengths did not stabilize inside the secondary cone")
+
+
+def _realize_cases(rng, count):
+    """(A, T, seed): a random support at n = 4..9, a random type compatible
+    with it and a seed in 0..3."""
+    out = []
+    while len(out) < count:
+        A = rand_support(rng, rng.randint(4, 9))
+        types = [T for _, T in compatible_types(A)]
+        if types:
+            out.append((A, rng.choice(types), rng.randrange(4)))
+    return out
+
+
+def _embed_all(T, eps, c):
+    """T anchored at c as `realize_type` anchors it, every length eps."""
+    return embed(T, {frozenset(e): eps for e in T.internal_edges}, T.internal_nodes[0], c)
+
+
+def test_realize_type_length_is_the_least_halving(SQ, TRI5, HEX6):
+    # every vertex induces S, and where the length is below 1 twice that
+    # length takes some vertex out of S's cone
+    fixtures = [(A, T, 0) for A in (SQ, TRI5, HEX6) for _, T in compatible_types(A)]
+    halved = 0
+    for A, T, seed in fixtures + _realize_cases(random.Random(67), 100):
+        L = realize_type(A, T, seed=seed)
+        S, c = find_strict_maximal_subdivision(A, seed=seed)
+        for v in T.internal_nodes:
+            assert regular_subdivision(A, ProjPoint(L.coords[v])) == S
+        (eps,) = {ell for *_, ell in L.edges} or {1}
+        if eps < 1:
+            halved += 1
+            wider = _embed_all(T, 2 * eps, c)
+            assert any(regular_subdivision(A, ProjPoint(wider.coords[v])) != S for v in T.internal_nodes)
+    assert halved > 30
+
+
+def test_unit_offsets_are_the_unit_embedding():
+    for A, T, seed in _realize_cases(random.Random(69), 30):
+        _, c = find_strict_maximal_subdivision(A, seed=seed)
+        unit = _embed_all(T, 1, c)
+        w = _unit_offsets(T, T.internal_nodes[0])
+        assert sorted(w) == T.internal_nodes
+        for v, wv in w.items():
+            assert tuple(x - y for x, y in zip(unit.coords[v], c.coords)) == wv
+
+
+@pytest.mark.parametrize(
+    "rs, type_id, bound",
+    [
+        ([(0, 1), (2, 0), (1, 0), (0, 0), (0, 3)], 0, Fraction(1, 2)),
+        ([(0, 2), (0, 0), (3, 0), (1, 2), (0, 3), (2, 1)], 97, Fraction(1, 4)),
+    ],
+)
+def test_realize_type_bound_at_a_power_of_two(rs, type_id, bound):
+    # at eps* = 2^-j a vertex lies on a wall of the cone, so the strict
+    # 2^-k < eps* must pass over 2^-j and take 2^-(j+1)
+    A = SupportSet.from_rs(3, rs)
+    T = type_by_id(A.n, type_id)
+    S, c = find_strict_maximal_subdivision(A)
+    assert _cone_bound(S, c, _unit_offsets(T, T.internal_nodes[0]).values()) == bound
+    L = realize_type(A, T)
+    assert {ell for *_, ell in L.edges} == {bound / 2}
+    at_bound = _embed_all(T, bound, c)
+    assert not all(secondary_cone_contains(A, S, ProjPoint(at_bound.coords[v])) for v in T.internal_nodes)
+    assert line_to_json(L) == line_to_json(_halving_realize(A, T, 0))
+
+
+def test_realize_type_matches_halving_twin():
+    for A, T, seed in _realize_cases(random.Random(68), 300):
+        assert line_to_json(realize_type(A, T, seed=seed)) == line_to_json(_halving_realize(A, T, seed))
+
+
+def test_realize_type_halving_limit(monkeypatch):
+    # a length the halving cap forbids raises as the loop did when it ran out
+    A = SupportSet.from_rs(3, [(0, 1), (2, 0), (1, 0), (0, 0), (0, 3)])
+    T = type_by_id(5, 0)
+    monkeypatch.setattr(compat, "MAX_HALVINGS", 2)  # lengths 1 and 1/2 only; 1/4 is needed
+    for realize in (realize_type, _halving_realize):
+        with pytest.raises(TropError, match="did not stabilize"):
+            realize(A, T, 0)
+    monkeypatch.setattr(compat, "MAX_HALVINGS", 3)
+    assert realize_type(A, T) == _halving_realize(A, T, 0)
 
 
 def test_hall_condition_exhaustive(SQ):

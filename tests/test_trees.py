@@ -13,6 +13,7 @@ from conftest import (
     rand_support,
     rand_topology,
 )
+from troppencil import jsonio
 from troppencil.compat import enumerate_types
 from troppencil.core import ProjPoint
 from troppencil.oracle import EpsRational, brute_plucker_to_tree
@@ -102,6 +103,7 @@ def test_embed_anchor_independent():
         # re-anchor at a2 using L1's coordinates there: same line
         L2 = embed(T, lengths, a2, L1.coords[a2])
         assert L1 == L2
+        assert hash(L1) == hash(L2)
 
 
 def test_line_contains_examples():
@@ -334,3 +336,64 @@ def test_leaves_beyond_partitions_every_edge():
             for b in T.adj[a]:
                 near, far = T.leaves_beyond(b, a), T.leaves_beyond(a, b)
                 assert near and far and not near & far and near | far == full
+
+
+def _relabelled(L, rng):
+    """L on a copy of its topology whose internal nodes get other ids."""
+    T, n = L.topology, L.n
+    old = T.internal_nodes
+    new = rng.sample(range(n + 1, n + 1 + 3 * len(old)), len(old))
+    ids = dict(zip(old, new)) | {i: i for i in range(1, n + 1)}
+    U = TreeTopology(n, {ids[v]: {ids[w] for w in nb} for v, nb in T.adj.items()})
+    v = old[0]
+    return embed(U, edge_lengths(L), ids[v], L.coords[v])
+
+
+def _other_split(L, rng):
+    """The trivalent L with one split swapped for another resolution of the
+    4-valent node left by contracting it; every other length and the
+    anchor at leaf 1's node stay the same."""
+    T, n = L.topology, L.n
+    lengths = edge_lengths(L)
+    s = rng.choice(sorted(lengths, key=sorted))
+    C = TreeTopology.from_splits(n, [t for t in lengths if t != s])
+    (v,) = [v for v in C.internal_nodes if len(C.adj[v]) == 4]
+    p1, p2, p3, p4 = C.leaf_partition(v)
+    alt = next(u for u in (p1 | p2, p1 | p3) if u != s and frozenset(range(1, n + 1)) - u != s)
+    U = TreeTopology.from_splits(n, [t for t in lengths if t != s] + [alt])
+    lengths[alt if n not in alt else frozenset(range(1, n + 1)) - alt] = lengths.pop(s)
+    a = T.node_of_leaf(1)
+    return embed(U, lengths, U.node_of_leaf(1), L.coords[a])
+
+
+def test_line_equality_and_hash():
+    # equal lines: from another anchor, with other node ids, through JSON;
+    # unequal: one split swapped, or one coordinate off by 1/(10^12 + 39)
+    rng = random.Random(30)
+    tiny = Fraction(1, COPRIME[-1])
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        L = rand_line(rng, n, contract_p=rng.choice([0, 0.4]))
+        T = L.topology
+        v = rng.choice(T.internal_nodes)
+        same = [
+            embed(T, edge_lengths(L), v, L.coords[v]),
+            _relabelled(L, rng),
+            jsonio.line_from_json(jsonio.line_to_json(L), n),
+        ]
+        for M in same:
+            assert M == L and L == M and hash(M) == hash(L)
+        i = rng.randrange(n)
+        shifted = tuple(x + (tiny if k == i else 0) for k, x in enumerate(L.coords[v]))
+        different = [embed(T, edge_lengths(L), v, shifted)]
+        if L.edges:
+            lengths = edge_lengths(L)
+            s = rng.choice(sorted(lengths, key=sorted))
+            lengths[s] += tiny
+            different.append(embed(T, lengths, v, L.coords[v]))
+        if L.edges and T.is_trivalent():
+            swapped = _other_split(L, rng)
+            assert len(swapped.topology.split_set() ^ T.split_set()) == 2
+            different.append(swapped)
+        for M in different:
+            assert M != L and L != M
