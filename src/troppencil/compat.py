@@ -157,7 +157,7 @@ def vertex_fixed_point(L: EmbeddedLine, A: SupportSet, v: int) -> ProjPoint:
     line: the dual point of a rainbow triangle of the vertex's subdivision."""
     if len(L.topology.adj[v]) != 3:
         raise TropError(f"vertex {v} is not trivalent")
-    cv = ProjPoint(L.coords[v])
+    cv = ProjPoint(L.coords_of(v))
     S = regular_subdivision(A, cv)
     if not is_maximal(S, "strict"):
         raise TropError(f"subdivision at vertex {v} is not strict-maximal")

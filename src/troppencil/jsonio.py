@@ -165,7 +165,7 @@ def line_to_json(L: EmbeddedLine) -> dict:
         "leaf_map": {str(i): node(topo.node_of_leaf(i)) for i in range(1, topo.n + 1)},
         "anchor": {
             "node": relabel[anchor],
-            "coords": point_to_json(ProjPoint(L.coords[anchor])),
+            "coords": point_to_json(ProjPoint(L.coords_of(anchor))),
         },
     }
 

@@ -18,8 +18,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .core import ProjPoint, SupportSet, TropError, min_profile, rat
-from .pencil import shifted_line
+from .core import ProjPoint, SupportSet, TropError, dot, min_profile, rat
 from .subdivision import RegularSubdivision
 from .trees import EmbeddedLine, PlueckerVector, TreeTopology, embed
 
@@ -155,13 +154,17 @@ def brute_regular_subdivision(A: SupportSet, c: ProjPoint) -> RegularSubdivision
 def sampled_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:
     """Fixed-point test by walking every breakpoint of L + A.P.
 
-    On each edge and ray, the coordinate functions are affine in the
+    The translate is formed here in `Fraction`s, not by the library's.  On
+    each edge and ray, the coordinate functions are affine in the
     parameter, so the argmin can only change where two of them cross;
     checking every crossing and every midpoint in between is exhaustive
     and exact.
     """
-    G = shifted_line(L, A, P)
-    n = G.n
+    if A.n != L.n:
+        raise ValueError("support size and leaf count differ")
+    n = L.n
+    shift = [dot(a, P) for a in A.points]
+    coords = {v: [x + s for x, s in zip(cs, shift)] for v, cs in L.coords.items()}
 
     def multiplicity_ok(q, grow, t) -> bool:
         vals = [q[i] + (t if (i + 1) in grow else 0) for i in range(n)]
@@ -185,11 +188,11 @@ def sampled_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:
             checks.append(pts[-1] + 1)
         return all(multiplicity_ok(q, grow, t) for t in checks)
 
-    for a, b, side, ell in G.edges:
-        if not walk(G.coords[a], side, ell):
+    for a, b, side, ell in L.edges:
+        if not walk(coords[a], side, ell):
             return False
-    for v, leaf in G.rays:
-        if not walk(G.coords[v], {leaf}, None):
+    for v, leaf in L.rays:
+        if not walk(coords[v], {leaf}, None):
             return False
     return True
 

@@ -7,10 +7,11 @@ is decided at the internal vertices of G (`skeleton_level`).
 
 The vertex tests, `pi_set`'s branch walk and the locus systems run on
 integers.  Multiplying every coordinate by the same D > 0 keeps each
-argmin, each tie and each sign, so a line keeps its coordinates times D,
-the lcm of their denominators (`EmbeddedLine.integer_rows`), and
-`is_fixed` clears P's denominators once and adds the integer shift to
-those rows instead of building L + A.P.
+argmin, each tie and each sign, and a line stores only its coordinates
+times some D (`EmbeddedLine.rows`).  With E clearing P's denominators,
+A.P = S / E for integers S, and L + A.P has the rows E * row + D * S on
+the scale D * E: `shifted_line` builds that line, and `is_fixed` reads
+its rows one vertex at a time without building it.
 
 A branch is a bounded edge or a ray, which is an edge whose far end lies
 at infinity; the line keeps both in one table (`EmbeddedLine.branches`).
@@ -40,20 +41,24 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import plane
-from .core import ProjPoint, SupportSet, TropError, clear_denominators, dot, rat
+from .core import ProjPoint, SupportSet, TropError, clear_denominators, rat
 from .trees import EmbeddedLine
 
 
-def support_shift(A: SupportSet, P: ProjPoint) -> tuple:
-    """The translation vector A.P = (a_i . P)_i."""
-    return tuple(dot(A.point(i), P) for i in A.indices())
+def _scaled_shift(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> tuple:
+    """(E, D * S) with A.P = S / E and D from L: E clears the denominators
+    of P = (x, y, 0), and S_i = r_i * E x + s_i * E y is an integer."""
+    if A.n != L.n:
+        raise ValueError("support size and leaf count differ")
+    x, y, _ = P.coords
+    E, (Ex, Ey) = clear_denominators((x, y))
+    D = L.D
+    return E, [D * (r * Ex + s * Ey) for r, s, _ in A.points]
 
 
 def shifted_line(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> EmbeddedLine:
     """The translate G = L + A.P, again a tropical line."""
-    if A.n != L.n:
-        raise ValueError("support size and leaf count differ")
-    return L.translate(support_shift(A, P))
+    return L._shifted(*_scaled_shift(L, A, P))
 
 
 # ---------------------------------------------------------------------------
@@ -90,27 +95,17 @@ def skeleton_level(G: EmbeddedLine) -> int:
       max(t*, 0): M_v - {i} when i is in M_v, else M_v.  (With M_v = {i},
       the floor of 1 is attained at v already.)
     """
-    _, rows = G.integer_rows()
-    return max(1, min(_vertex_counts(G.topology.adj, rows.items())))
+    return max(1, min(_vertex_counts(G.topology.adj, G.rows.items())))
 
 
 def is_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:
     """True iff every curve of the pencil L passes through P.
 
-    That is skeleton_level(L + A.P) >= 2, decided on integers without
-    building the translate.  With D from `L.integer_rows()` and E the lcm
-    of the denominators of P = (x, y, 0), the translate's coordinates at v
-    times D * E are E * (D * x_v) + D * (r_i * E x + s_i * E y), all
-    integers; a positive scale keeps every argmin, so the vertex rule
-    reads the same counts."""
-    if A.n != L.n:
-        raise ValueError("support size and leaf count differ")
-    D, rows = L.integer_rows()
-    x, y, _ = P.coords
-    E, (Ex, Ey) = clear_denominators((x, y))
-    shift = [D * (r * Ex + s * Ey) for r, s, _ in A.points]
-    scaled = ((v, [E * X + h for X, h in zip(row, shift)]) for v, row in rows.items())
-    return all(count >= 2 for count in _vertex_counts(L.topology.adj, scaled))
+    That is skeleton_level(L + A.P) >= 2, read off the translate's rows
+    one vertex at a time, with no translate built: the first vertex that
+    fails the rule ends the test."""
+    E, DS = _scaled_shift(L, A, P)
+    return all(count >= 2 for count in _vertex_counts(L.topology.adj, L._shifted_rows(E, DS)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +140,9 @@ def make_point(G: EmbeddedLine, key, t) -> LinePoint:
 def coords_at(G: EmbeddedLine, p: LinePoint) -> tuple:
     """Raw coordinates of a line point."""
     if p.kind == "vertex":
-        return G.coords[p.loc]
+        return G.coords_of(p.loc)
     a, _, side, _ = G.edge(p.loc)
-    return tuple(x + (p.t if i in side else 0) for i, x in enumerate(G.coords[a], 1))
+    return tuple(x + (p.t if i in side else 0) for i, x in enumerate(G.coords_of(a), 1))
 
 
 def leaf_partition_at(G: EmbeddedLine, p: LinePoint) -> list:
@@ -200,11 +195,11 @@ class SubtreeSet:
 def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
     """Pi(G, I): points of G where every coordinate in I is a global min.
 
-    Read off `G.integer_rows()`: the group minima, the breakpoint and the
+    Read off `G.rows`: the group minima, the breakpoint and the
     length of each branch come out D times too large, so each interval end
     is divided by D once."""
     I = frozenset(I)
-    D, rows = G.integer_rows()
+    D, rows = G.D, G.rows
     verts = {v for v, row in rows.items() if I <= _argmin(row)}
     iv = {}
     for a, b, J, ell in G.branches:
@@ -284,7 +279,7 @@ def pi_gamma_location(G: EmbeddedLine) -> LinePoint:
     # Inside Pi_2 every coordinate that attains the minimum somewhere on G
     # attains it at a vertex (see skeleton_level): on a ray the other
     # coordinates take over at t* <= 0.
-    imax = frozenset().union(*map(_argmin, G.integer_rows()[1].values()))
+    imax = frozenset().union(*map(_argmin, G.rows.values()))
     p = pi_attachment(G, imax)
     if p is None:
         raise TropError("no coordinate ever attains the minimum")
@@ -342,7 +337,7 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
     as `plane.solve` requires.
 
     The systems are solved on the integer forms D * T_m (see
-    `L.integer_rows()`): every form is D times the true one, which moves
+    `L.rows`): every form is D times the true one, which moves
     no solution and flips no inequality.  A kept cell stores its forms
     divided by D again.
 
@@ -353,7 +348,7 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
         raise ValueError("support size and leaf count differ")
     cells = []
     topo = L.topology
-    D, rows = L.integer_rows()
+    D, rows = L.D, L.rows
     for v in topo.internal_nodes:
         T = _term_forms(A, D, rows[v])
         # term i is minimal at P: every other term minus term i is >= 0

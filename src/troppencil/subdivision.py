@@ -58,16 +58,6 @@ class RegularSubdivision:
     def used(self) -> frozenset:
         return frozenset(i for cell in self.cells for i in cell)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RegularSubdivision)
-            and self.support == other.support
-            and self.cells == other.cells
-        )
-
-    def __hash__(self):
-        return hash((self.support, self.cells))
-
 
 @dataclass(frozen=True)
 class CurveVertex:

@@ -17,11 +17,17 @@ x_l = p_kl, x_k = max_{i,j} (p_ki + p_kj - p_ij).  Ties produce
 zero-length edges, which are contracted, so degenerate lines come out as
 trees with higher-valence vertices.
 
+A line stores its coordinates on one integer scale only, D > 0 and the
+rows D * x_v in Python ints; a translate by S / E (S integers) has the rows
+E * row + D * S on the scale D * E, the one formula that `translate`,
+`pencil.shifted_line` and `pencil.is_fixed` read.  `Fraction` coordinates
+are built only where a caller asks for them (`coords_of`).
+
 `plucker_to_tree` compares only sums of pair coordinates, which are
 linear in p, so it clears the denominators of p once (D), runs the quartet
 check and the split search on D * p in Python integers, and divides the
 edge lengths and the anchor coordinates by D just before `embed`.  Every
-scalar of a line or a pair vector is an exact `Fraction`: `embed`,
+scalar that enters a line or a pair vector is an exact rational: `embed`,
 `translate` and `PlueckerVector` coerce their inputs with `core.rat` and
 refuse anything else.
 """
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd
 
 from .core import ProjPoint, TropError, clear_denominators, rat
 
@@ -248,9 +254,16 @@ class EmbeddedLine:
     line and its one table of branches, keyed (a, b): the internal edges
     (a, b, I, length) with a < b, then the rays (node, leaf, {leaf}, None)
     in sorted order.  Translates share the table.
+
+    `rows` maps each internal vertex to D times its coordinates, a tuple of
+    ints, for some D > 0, the least for lines from `embed`.  D times a
+    length is an integer too: a length is a coordinate difference.
     """
 
-    __slots__ = ("topology", "coords", "_branches", "_integer_rows")
+    __slots__ = ("topology", "D", "rows", "_branches")
+
+    def __init__(self, topology: TreeTopology, D: int, rows: dict, branches: dict):
+        self.topology, self.D, self.rows, self._branches = topology, D, rows, branches
 
     @property
     def n(self) -> int:
@@ -264,55 +277,58 @@ class EmbeddedLine:
     @property
     def edges(self) -> list:
         """(a, b, leaves-beyond-b, length) per internal edge, a < b."""
-        return self.branches[: len(self.coords) - 1]  # a tree has one edge less than nodes
+        return self.branches[: len(self.rows) - 1]  # a tree has one edge less than nodes
 
     @property
     def rays(self) -> list:
         """(internal node, leaf) per unbounded edge."""
-        return list(self._branches)[len(self.coords) - 1 :]
+        return list(self._branches)[len(self.rows) - 1 :]
 
     def edge(self, key) -> tuple:
         """The branch key = (a, b): an internal edge (a < b) or a ray
         (node, leaf)."""
         return self._branches[key]
 
-    def integer_rows(self) -> tuple:
-        """(D, {v: D * coords[v]}) for D the lcm of the denominators of the
-        vertex coordinates, worked out on first use and kept.  Scaling by
-        D > 0 keeps every argmin, tie and sign, and D times an edge length
-        is an integer too: a length is a coordinate difference across its
-        edge."""
-        if self._integer_rows is None:
-            D = lcm(*(x.denominator for cs in self.coords.values() for x in cs))
-            rows = {
-                v: tuple(x.numerator * (D // x.denominator) for x in cs)
-                for v, cs in self.coords.items()
-            }
-            self._integer_rows = (D, rows)
-        return self._integer_rows
+    def coords_of(self, v: int) -> tuple:
+        """The raw coordinates of the internal vertex v, as `Fraction`s."""
+        return tuple(Fraction(x, self.D) for x in self.rows[v])
+
+    @property
+    def coords(self) -> dict:
+        """{v: coords_of(v)} per internal vertex, built on each access."""
+        return {v: self.coords_of(v) for v in self.rows}
+
+    def _shifted_rows(self, E: int, DS):
+        """(v, E * row + DS) per vertex, lazily: for DS = D * S, the rows of
+        the translate by S / E (S integers, E > 0) on the scale D * E."""
+        return ((v, tuple([E * x + h for x, h in zip(row, DS)])) for v, row in self.rows.items())
+
+    def _shifted(self, E: int, DS) -> "EmbeddedLine":
+        """The translate by S / E, sharing the topology and branch table."""
+        rows = dict(self._shifted_rows(E, DS))
+        return EmbeddedLine(self.topology, self.D * E, rows, self._branches)
 
     def translate(self, shift) -> "EmbeddedLine":
-        """The line translated by a vector of TP^(n-1).  Edge directions
-        and lengths do not change, so the translate shares them."""
+        """The line translated by a vector of TP^(n-1)."""
         shift = tuple(rat(s) for s in shift)
         if len(shift) != self.n:
             raise ValueError("shift must have one entry per leaf")
-        out = object.__new__(EmbeddedLine)
-        out.topology, out._branches, out._integer_rows = self.topology, self._branches, None
-        out.coords = {v: tuple(c + s for c, s in zip(cs, shift)) for v, cs in self.coords.items()}
-        return out
+        E, S = clear_denominators(shift)
+        return self._shifted(E, [self.D * s for s in S])
 
     def canonical_key(self):
         """Hashable invariant: equal keys iff equal lines (as subsets of
         TP^(n-1) with the same combinatorics).  Each vertex gives its leaf
-        partition, as the sorted bitmasks of the sides, and its coordinates
-        minus their last entry, as `ProjPoint` normalizes them."""
+        partition, as the sorted bitmasks of the sides, and its row minus
+        its last entry, as `ProjPoint` normalizes coordinates; dividing
+        the scale and those entries by their gcd makes the key scale-free."""
         topo, items = self.topology, []
         for v in topo.internal_nodes:
-            cs = self.coords[v]
+            row = self.rows[v]
             part = tuple(sorted(topo._mask_beyond(v, w) for w in topo.adj[v]))
-            items.append((part, tuple(x - cs[-1] for x in cs)))
-        return (self.n, tuple(sorted(items)))
+            items.append((part, tuple(x - row[-1] for x in row)))
+        g = gcd(self.D, *(x for _, d in items for x in d))
+        return (self.n, self.D // g, tuple(sorted((p, tuple(x // g for x in d)) for p, d in items)))
 
     def __eq__(self, other):
         return isinstance(other, EmbeddedLine) and self.canonical_key() == other.canonical_key()
@@ -334,13 +350,12 @@ def embed(topology: TreeTopology, lengths, anchor_node: int, anchor_coords) -> E
     `lengths` maps internal edges to positive lattice lengths; keys may be
     frozensets {a, b} of node ids or the split's leaf side (either side).
     Each edge is placed once, and its branch goes into the line's table.
+    D is the lcm of the denominators of the anchor and the lengths.
     """
     if anchor_node not in topology.adj or topology.is_leaf(anchor_node):
         raise ValueError(f"anchor node {anchor_node} is not an internal node")
-    if isinstance(anchor_coords, ProjPoint):
-        anchor_coords = anchor_coords.coords
-    coords = {anchor_node: tuple(rat(c) for c in anchor_coords)}
-    if len(coords[anchor_node]) != topology.n:
+    anchor = [rat(c) for c in anchor_coords]  # a ProjPoint iterates over its coordinates
+    if len(anchor) != topology.n:
         raise ValueError("coordinate vectors must have one entry per leaf")
 
     def edge_length(a, b, side, other):
@@ -349,25 +364,25 @@ def embed(topology: TreeTopology, lengths, anchor_node: int, anchor_coords) -> E
                 return rat(lengths[key])
         raise ValueError(f"no length given for edge ({a},{b})")
 
-    edges, stack = {}, [anchor_node]
+    edges, walk, stack = {}, [], [anchor_node]
     while stack:
         a = stack.pop()
         for b in topology.adj[a]:
-            if topology.is_leaf(b) or b in coords:
+            key = (a, b) if a < b else (b, a)
+            if topology.is_leaf(b) or key in edges:
                 continue
             side, other = topology.leaves_beyond(a, b), topology.leaves_beyond(b, a)
             ell = edge_length(a, b, side, other)
             if not ell > 0:
                 raise ValueError("non-positive length")
-            coords[b] = tuple(
-                c + (ell if i + 1 in side else 0) for i, c in enumerate(coords[a])
-            )
-            key = (a, b) if a < b else (b, a)
             edges[key] = (*key, side if a < b else other, ell)
+            walk.append((a, b, side))
             stack.append(b)
-    L = object.__new__(EmbeddedLine)
-    L.topology, L.coords, L._branches = topology, coords, dict(sorted(edges.items()))
-    L._integer_rows = None
+    D, ints = clear_denominators(anchor + [ell for *_, ell in edges.values()])
+    rows = {anchor_node: tuple(ints[: topology.n])}
+    for (a, b, side), ell in zip(walk, ints[topology.n :]):  # edges and walk share one order
+        rows[b] = tuple(x + ell if i in side else x for i, x in enumerate(rows[a], 1))
+    L = EmbeddedLine(topology, D, rows, dict(sorted(edges.items())))
     for v, i in sorted((topology.node_of_leaf(i), i) for i in range(1, topology.n + 1)):
         L._branches[(v, i)] = (v, i, frozenset((i,)), None)
     return L
@@ -378,10 +393,10 @@ def line_contains(L: EmbeddedLine, c: ProjPoint) -> bool:
     if c.dim != L.n:
         raise ValueError("dimension mismatch")
     for v in L.topology.internal_nodes:
-        if ProjPoint(L.coords[v]) == c:
+        if ProjPoint(L.coords_of(v)) == c:
             return True
     for a, _, side, ell in L.branches:
-        t = _ray_parameter(L.coords[a], c.coords, side, L.n)
+        t = _ray_parameter(L.coords_of(a), c.coords, side, L.n)
         if t is not None and 0 <= t and (ell is None or t <= ell):
             return True
     return False
@@ -455,22 +470,19 @@ class PlueckerVector:
 
 def tree_to_plucker(L: EmbeddedLine) -> PlueckerVector:
     """Pair coordinates of a line, from the median relations
-    p_jk + m_i = p_ik + m_j = p_ij + m_k at m = median(i, j, k)."""
+    p_jk + m_i = p_ik + m_j = p_ij + m_k at m = median(i, j, k), worked
+    out D times too large on the line's rows and divided by D at the end."""
     n = L.n
     topo = L.topology
-
-    def med_coords(i, j, k):
-        return L.coords[topo.median(i, j, k)]
-
     p = {frozenset((n - 1, n)): 0}
     for i in range(1, n - 1):
-        m = med_coords(i, n - 1, n)
+        m = L.rows[topo.median(i, n - 1, n)]
         p[frozenset((i, n))] = m[i - 1] - m[n - 2]
         p[frozenset((i, n - 1))] = m[i - 1] - m[n - 1]
     for i, j in combinations(range(1, n - 1), 2):
-        m = med_coords(i, j, n)
+        m = L.rows[topo.median(i, j, n)]
         p[frozenset((i, j))] = p[frozenset((j, n))] + m[i - 1] - m[n - 1]
-    return PlueckerVector(n, p)
+    return PlueckerVector(n, {k: Fraction(v, L.D) for k, v in p.items()})
 
 
 def plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:

@@ -5,14 +5,16 @@ examples, so the suite stays deterministic and fast."""
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PRIMES, rand_line, rand_support, run_in_process
-from troppencil import jsonio
+from conftest import PRIMES, coprime_line, locus_points, rand_line, rand_support, run_in_process
+from troppencil import ProjPoint, jsonio
 from troppencil.compat import compatible_types, realize_type, type_by_id, type_count
+from troppencil.pencil import is_fixed, shifted_line, skeleton_level
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
@@ -22,6 +24,28 @@ BOUNDED = settings(derandomize=True, database=None, max_examples=25, deadline=No
 def test_line_json_round_trip(seed, n, contract_p):
     L = rand_line(random.Random(seed), n, contract_p=contract_p)
     assert jsonio.line_from_json(jsonio.line_to_json(L), n) == L
+
+
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 8),
+    contract_p=st.sampled_from([0.0, 0.4]),
+    coprime=st.booleans(),
+)
+def test_is_fixed_reads_the_translate(seed, n, contract_p, coprime):
+    # is_fixed reads the translate's rows lazily, skeleton_level the built
+    # translate.  The random points have denominators 11 and 13; the locus
+    # points, where most answers are True, have the line's.
+    rng = random.Random(seed)
+    L = (coprime_line if coprime else rand_line)(rng, n, contract_p=contract_p)
+    A = rand_support(rng, n)
+    points = locus_points(L, A)[:4] + [
+        ProjPoint((Fraction(rng.randint(-60, 60), 11), Fraction(rng.randint(-60, 60), 13), 0))
+        for _ in range(4)
+    ]
+    for P in points:
+        assert is_fixed(L, A, P) == (skeleton_level(shifted_line(L, A, P)) >= 2)
 
 
 @st.composite

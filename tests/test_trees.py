@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -15,8 +16,9 @@ from conftest import (
 )
 from troppencil import jsonio
 from troppencil.compat import enumerate_types
-from troppencil.core import ProjPoint
+from troppencil.core import ProjPoint, dot
 from troppencil.oracle import EpsRational, brute_plucker_to_tree
+from troppencil.pencil import shifted_line
 from troppencil.stable import solve_minors
 from troppencil.trees import (
     PlueckerError,
@@ -65,7 +67,8 @@ def test_floats_are_refused():
 
 def test_embed_branches_follow_e_I_rule():
     # embed places each vertex and files its branch in one pass, so every
-    # table entry must agree with the coordinates it placed
+    # table entry must agree with the coordinates it placed; the integer
+    # rows are the coordinates times the lcm of all their denominators
     rng = random.Random(29)
     lines = []
     for n in range(4, 10):
@@ -80,6 +83,8 @@ def test_embed_branches_follow_e_I_rule():
             assert ell > 0 and _ray_parameter(L.coords[a], L.coords[b], side, n) == ell
         assert L.rays == sorted((topo.node_of_leaf(i), i) for i in range(1, n + 1))
         assert all(L.edge((v, i)) == (v, i, {i}, None) for v, i in L.rays)
+        D = lcm(*(x.denominator for cs in L.coords.values() for x in cs))
+        assert L.D == D and L.rows == {v: tuple(D * x for x in cs) for v, cs in L.coords.items()}
     with pytest.raises(ValueError, match="one entry per leaf"):
         embed(TreeTopology.star(3), {}, 4, (0, 0))
 
@@ -163,6 +168,12 @@ def test_translate_matches_validating_embed():
         assert G == rebuilt
         assert all(ProjPoint(G.coords[w]) == ProjPoint(rebuilt.coords[w]) for w in G.coords)
         assert G.edges == rebuilt.edges
+        # shifted_line is the translate by A.P
+        A = rand_support(rng, n)
+        x, y = Fraction(rng.randint(-9, 9), rng.randint(1, 6)), Fraction(rng.randint(-9, 9), 7)
+        P = ProjPoint((x, y, 0))
+        H = shifted_line(L, A, P)
+        assert H == L.translate([dot(a, P) for a in A.points]) and H.edges == L.edges
     for bad in ([1] * (n - 1), [1] * (n + 1)):
         with pytest.raises(ValueError, match="one entry per leaf"):
             L.translate(bad)
@@ -367,8 +378,9 @@ def _other_split(L, rng):
 
 
 def test_line_equality_and_hash():
-    # equal lines: from another anchor, with other node ids, through JSON;
-    # unequal: one split swapped, or one coordinate off by 1/(10^12 + 39)
+    # equal lines: from another anchor, with other node ids, through JSON,
+    # translated by (1/3, ..., 1/3); unequal: one split swapped, one
+    # coordinate off by 1/(10^12 + 39), or translated by e_1 / 3
     rng = random.Random(30)
     tiny = Fraction(1, COPRIME[-1])
     for _ in range(40):
@@ -380,12 +392,16 @@ def test_line_equality_and_hash():
             embed(T, edge_lengths(L), v, L.coords[v]),
             _relabelled(L, rng),
             jsonio.line_from_json(jsonio.line_to_json(L), n),
+            L.translate([Fraction(1, 3)] * n),
         ]
         for M in same:
             assert M == L and L == M and hash(M) == hash(L)
         i = rng.randrange(n)
         shifted = tuple(x + (tiny if k == i else 0) for k, x in enumerate(L.coords[v]))
-        different = [embed(T, edge_lengths(L), v, shifted)]
+        different = [
+            embed(T, edge_lengths(L), v, shifted),
+            L.translate([Fraction(1, 3)] + [0] * (n - 1)),
+        ]
         if L.edges:
             lengths = edge_lengths(L)
             s = rng.choice(sorted(lengths, key=sorted))
