@@ -44,7 +44,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import prod
 
@@ -63,7 +62,8 @@ from .stable import solve_minors
 from .subdivision import (
     RegularSubdivision,
     _cone_bound,
-    cell_dual_point,
+    _dual_point,
+    _lower_faces,
     is_maximal,
     regular_subdivision,
 )
@@ -112,11 +112,6 @@ def _segment_is_edge(p, q, r, s) -> bool:
     return True
 
 
-@lru_cache(maxsize=65536)
-def _quartet_ok_cached(A: SupportSet, pair1: tuple, pair2: tuple) -> bool:
-    return quartet_ok(A, pair1[0], pair1[1], pair2[0], pair2[1]).ok
-
-
 @dataclass(frozen=True)
 class CompatibilityVerdict:
     ok: bool
@@ -132,11 +127,13 @@ def is_compatible(T, A: SupportSet) -> CompatibilityVerdict:
     topo = T.topology if isinstance(T, EmbeddedLine) else T
     if topo.n != A.n:
         raise ValueError("support size and leaf count differ")
+    rs = [None, *map(A.rs, A.indices())]
     for _, side in topo.splits():
         comp = sorted(set(range(1, topo.n + 1)) - side)
         for i, j in combinations(sorted(side), 2):
             for k, l in combinations(comp, 2):
-                if not _quartet_ok_cached(A, (i, j), (k, l)):
+                p, q, r, s = rs[i], rs[j], rs[k], rs[l]
+                if not (_segment_is_edge(p, q, r, s) or _segment_is_edge(r, s, p, q)):
                     return CompatibilityVerdict(False, (i, j, k, l))
     return CompatibilityVerdict(True, None)
 
@@ -154,15 +151,16 @@ def rainbow_triangle(S: RegularSubdivision, parts) -> tuple:
 
 def vertex_fixed_point(L: EmbeddedLine, A: SupportSet, v: int) -> ProjPoint:
     """The fixed-locus point carried by a trivalent vertex of a compatible
-    line: the dual point of a rainbow triangle of the vertex's subdivision."""
+    line: the dual point of a rainbow triangle of the vertex's subdivision,
+    both read off one lower hull of its integer row L.rows[v]."""
     if len(L.topology.adj[v]) != 3:
         raise TropError(f"vertex {v} is not trivalent")
-    cv = ProjPoint(L.coords_of(v))
-    S = regular_subdivision(A, cv)
+    planes = _lower_faces(A, L.rows[v])
+    S = RegularSubdivision(A, tuple(sorted(planes)))
     if not is_maximal(S, "strict"):
         raise TropError(f"subdivision at vertex {v} is not strict-maximal")
     cell = rainbow_triangle(S, L.topology.leaf_partition(v))
-    return cell_dual_point(A, cv, cell)
+    return _dual_point(L.D, planes[cell])
 
 
 def vertex_fixed_points(L: EmbeddedLine, A: SupportSet) -> dict:

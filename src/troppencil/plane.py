@@ -7,7 +7,8 @@ line, solved exactly in one case split.  `pencil.fixed_locus` hands over
 integer forms, each a positive multiple of the true one, which moves no
 solution.  When the equalities meet in one point (nx, ny) / det, each
 inequality is a sign test of a * nx + b * ny + c * det with det > 0, on
-integers; a `Fraction` point is built only when every test passes.
+integers; a `Fraction` point is built only when every test passes, and
+parallel ones coincide iff their forms are proportional, an integer test.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ def evaluate(f, x, y) -> Fraction:
 class PointGeom:
     x: Fraction
     y: Fraction
-
-    def coords(self):
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -68,10 +66,10 @@ def solve(eqs, ineqs):
         if any(a * nx + b * ny + c * det < 0 for a, b, c in ineqs):
             return None
         return PointGeom(Fraction(nx, det), Fraction(ny, det))
-    # parallel lines: they coincide, or never meet
-    base = (Fraction(-c1, a1), Fraction(0)) if b1 == 0 else (Fraction(0), Fraction(-c1, b1))
-    if evaluate(eqs[1], *base) != 0:
+    # parallel lines with nonzero gradients coincide iff the forms are proportional
+    if a1 * c2 != a2 * c1 or b1 * c2 != b2 * c1:
         return None
+    base = (Fraction(-c1, a1), Fraction(0)) if b1 == 0 else (Fraction(0), Fraction(-c1, b1))
     return _restrict_line(base, _canon_direction((-b1, a1)), ineqs)
 
 

@@ -11,19 +11,17 @@ non-collinear support triple determines a plane, kept when every lift lies
 on or above it; the cell is the set of lifts on it.  O(n^4) worst case,
 which is fine at the scale this library targets (n <= ~12).
 
-The test runs in integers.  The heights are scaled once by the lcm D of
-their denominators, so h = D*c is integral.  For a triple with
-orientation determinant O != 0, the plane through its lifts is
-O*(h - h1) = P*(r - r1) + Q*(s - s1) with integer P and Q, all three
-negated when O < 0 (`_plane`), and point m lies below, on or above it as
-O*(h_m - h1) - P*(r_m - r1) - Q*(s_m - s1) is negative, zero or
-positive: the 4-point lifting determinant of
-Gelfand-Kapranov-Zelevinsky.  Multiplying every height by D > 0
-multiplies each such determinant by D, so every sign, and with it every
-tie, is the one of the rational heights: the cells are exactly those of
-c.  The same integer plane gives a cell's dual vertex: in the heights c
-it is c = (P*r + Q*s) / (O*D) + const, so the cell's terms tie at the
-point (-P/(O*D), -Q/(O*D), 0) (`cell_dual_point`, `dual_curve`).
+The test runs in integers, on integer heights h at any positive scale.
+For a triple with orientation determinant O != 0, the plane through its
+lifts is O*(h - h1) = P*(r - r1) + Q*(s - s1) with integer P and Q, all
+three negated when O < 0 (`_plane`), and point m lies below, on or above
+it as O*(h_m - h1) - P*(r_m - r1) - Q*(s_m - s1) is negative, zero or
+positive: the 4-point lifting determinant of Gelfand-Kapranov-Zelevinsky.
+Linear in the height differences, it keeps its sign, and every tie, when
+h is scaled by D > 0 or shifted: h = D*c + const has the cells of c.  The
+`ProjPoint` entry points clear c once (`_heights`).  In the heights c a
+cell's plane is c = (P*r + Q*s) / (O*D) + const, so its terms tie at
+(-P/(O*D), -Q/(O*D), 0) (`_dual_point`), free of scale and shift.
 """
 
 from __future__ import annotations
@@ -89,12 +87,16 @@ class CurveGraph:
     rays: tuple
 
 
-def _lifts(A: SupportSet, c: ProjPoint) -> tuple:
-    """(D, [(r_i, s_i, h_i)]) with h = D*c integral, D the lcm of c's denominators."""
+def _heights(A: SupportSet, c: ProjPoint) -> tuple:
+    """(D, hs) with hs = D*c integral, D the lcm of c's denominators."""
     if c.dim != A.n:
         raise ValueError(f"coefficient vector has {c.dim} entries, support has {A.n}")
-    D, hs = clear_denominators(c.coords)
-    return D, [(r, s, h) for (r, s, _), h in zip(A.points, hs)]
+    return clear_denominators(c.coords)
+
+
+def _lifts(A: SupportSet, hs) -> list:
+    """[(r_i, s_i, h_i)]: the support points lifted to the integer heights hs."""
+    return [(r, s, h) for (r, s, _), h in zip(A.points, hs, strict=True)]
 
 
 def _plane(l1, l2, l3):
@@ -109,10 +111,10 @@ def _plane(l1, l2, l3):
     return (O, P, Q) if O > 0 else (-O, -P, -Q)
 
 
-def _lower_faces(A: SupportSet, c: ProjPoint) -> tuple:
-    """(D, {cell: (O, P, Q)}): every lower face of the lifts, as the sorted
-    indices on it, with the plane of the first triple found to span it."""
-    D, lifts = _lifts(A, c)
+def _lower_faces(A: SupportSet, hs) -> dict:
+    """{cell: (O, P, Q)}: every lower face of the lifts to heights hs, as
+    the sorted indices on it, with the plane of the first triple found."""
+    lifts = _lifts(A, hs)
     planes = {}
     for l1, l2, l3 in combinations(lifts, 3):
         plane = _plane(l1, l2, l3)
@@ -129,7 +131,7 @@ def _lower_faces(A: SupportSet, c: ProjPoint) -> tuple:
                 face.append(m)
         else:
             planes.setdefault(tuple(face), plane)
-    return D, planes
+    return planes
 
 
 def _cone_bound(S: RegularSubdivision, c: ProjPoint, ws) -> Fraction | None:
@@ -142,13 +144,13 @@ def _cone_bound(S: RegularSubdivision, c: ProjPoint, ws) -> Fraction | None:
     depends on the points only), so on the D*c scale it is side(D*c) +
     D*eps*side(w) with side(D*c) > 0, and eps* is the least
     side(D*c) / (D * -side(w)) over the negative side(w)."""
-    D, lifts = _lifts(S.support, c)
-    wlifts = [[(r, s, x) for (r, s, _), x in zip(lifts, w)] for w in ws]
+    D, hs = _heights(S.support, c)
+    lifted = [_lifts(S.support, h) for h in (hs, *ws)]
     best = None  # (side(D*c), -side(w)) of the least ratio so far
     for cell in S.cells:
         corner = [i - 1 for i in cell]
         sides = []
-        for ls in (lifts, *wlifts):
+        for ls in lifted:
             O, P, Q = _plane(*(ls[i] for i in corner))
             r1, s1, h1 = ls[corner[0]]
             sides.append([
@@ -164,14 +166,14 @@ def _cone_bound(S: RegularSubdivision, c: ProjPoint, ws) -> Fraction | None:
 
 
 def _dual_point(D: int, plane) -> ProjPoint:
-    """The point where the terms on the plane (O, P, Q) over D*c tie."""
+    """The point where the terms on the plane (O, P, Q) of heights D*c tie."""
     O, P, Q = plane
     return ProjPoint((Fraction(-P, O * D), Fraction(-Q, O * D), 0))
 
 
 def regular_subdivision(A: SupportSet, c: ProjPoint) -> RegularSubdivision:
     """Lower-hull subdivision of conv(A) induced by the lifting heights c."""
-    return RegularSubdivision(A, tuple(sorted(_lower_faces(A, c)[1])))
+    return RegularSubdivision(A, tuple(sorted(_lower_faces(A, _heights(A, c)[1]))))
 
 
 def curve_contains(A: SupportSet, c: ProjPoint, P: ProjPoint) -> bool:
@@ -189,7 +191,8 @@ def cell_dual_point(A: SupportSet, c: ProjPoint, cell) -> ProjPoint:
     cell = tuple(sorted(cell))
     if len(cell) != 3:
         raise ValueError("cell must be an index triple")
-    D, lifts = _lifts(A, c)
+    D, hs = _heights(A, c)
+    lifts = _lifts(A, hs)
     plane = _plane(*(lifts[i - 1] for i in cell))
     if plane is None:
         raise TropError("degenerate cell")
@@ -258,7 +261,8 @@ def _hull_vertices(ids, pts) -> list:
 
 def dual_curve(A: SupportSet, c: ProjPoint) -> CurveGraph:
     """The plane curve dual to the regular subdivision of (A, c)."""
-    D, planes = _lower_faces(A, c)
+    D, hs = _heights(A, c)
+    planes = _lower_faces(A, hs)
     S = RegularSubdivision(A, tuple(sorted(planes)))
     vertices = []
     cell_index = {}

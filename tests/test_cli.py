@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from conftest import coprime_rational, make_lsq, rand_line, rand_support, run_in
 from troppencil import cli, compat, jsonio, stable
 from troppencil.core import ProjPoint, rational_to_json
 from troppencil.oracle import brute_plucker_to_tree, brute_tropdet
-from troppencil.trees import PlueckerVector, TreeTopology
+from troppencil.trees import PlueckerVector, TreeTopology, embed
 
 SQ_JSON = {"degree": 2, "points": [[0, 0, 2], [1, 0, 1], [0, 1, 1], [1, 1, 0]]}
 TRI_JSON = {"degree": 1, "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -177,6 +178,13 @@ def test_construct_config_command():
     assert code == 0
     pts = {tuple(p) for p in out["points"]}
     assert pts == {(0, 0, 0), (2, 1, 0)}
+    # equal heights at a vertex lift the square flat: a hypothesis error
+    T = TreeTopology.from_splits(4, [frozenset({1, 2})])
+    flat = embed(T, {frozenset({1, 2}): 1}, T.node_of_leaf(1), (0, 0, 0, 0))
+    code, out = run_cli("construct-config", {"support": SQ_JSON, "line": jsonio.line_to_json(flat)})
+    assert code == 1 and re.fullmatch(
+        r"hypotheses violated: subdivision at vertex \d+ is not strict-maximal", out["error"]
+    )
 
 
 def test_enumerate_types_command():

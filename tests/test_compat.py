@@ -4,7 +4,7 @@ from itertools import combinations, islice, permutations
 
 import pytest
 
-from conftest import make_lsq, neighborhood, rand_config, rand_support
+from conftest import make_lsq, neighborhood, rand_config, rand_line, rand_support, rand_topology
 from troppencil import compat
 from troppencil.compat import (
     _unit_offsets,
@@ -29,7 +29,12 @@ from troppencil.core import ProjPoint, SupportSet, TropError, orient2d
 from troppencil.pencil import LinePoint
 from troppencil.stable import is_general, minor_tropdet, stable_pencil, value_matrix
 from troppencil.jsonio import line_to_json
-from troppencil.subdivision import _cone_bound, regular_subdivision, secondary_cone_contains
+from troppencil.subdivision import (
+    _cone_bound,
+    cell_dual_point,
+    regular_subdivision,
+    secondary_cone_contains,
+)
 from troppencil.trees import TreeTopology, embed
 
 
@@ -58,6 +63,28 @@ def test_is_compatible_examples(SQ):
     verdict = is_compatible(TreeTopology.from_splits(4, [frozenset({1, 4})]), SQ)
     assert not verdict.ok and set(verdict.witness) == {1, 2, 3, 4}
     assert is_compatible(TreeTopology.star(4), SQ).ok
+    # the witness is the first failing quartet in split, pair, pair order
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(4, 8)
+        A = rand_support(rng, n)
+        for T in (rand_topology(rng, n), rand_line(rng, n, contract_p=0.4)):
+            topo = T if isinstance(T, TreeTopology) else T.topology
+            first = next(
+                (
+                    (i, j, k, l)
+                    for _, side in topo.splits()
+                    for i, j in combinations(sorted(side), 2)
+                    for k, l in combinations(sorted(set(range(1, n + 1)) - side), 2)
+                    if not quartet_ok(A, i, j, k, l)
+                ),
+                None,
+            )
+            verdict = is_compatible(T, A)
+            assert verdict.ok == (first is None) and verdict.witness == first
+            seen.add(verdict.ok)
+    assert seen == {True, False}
 
 
 def test_rainbow_triangle_examples(SQ, TRI):
@@ -77,6 +104,41 @@ def test_vertex_fixed_point_examples(SQ, TRI):
     assert vertex_fixed_point(star, TRI, 4) == ProjPoint((0, 0, 0))
 
 
+def test_vertex_fixed_point_matches_cell_dual_point_twin(SQ, TRI5, HEX6):
+    # one hull of L.rows[v] against a fresh ProjPoint, its own subdivision
+    # and cell_dual_point's second lift; translating by 1/3 everywhere
+    # leaves the line as it is but triples D and unnormalizes the rows
+    rng = random.Random(72)
+    lines = [(make_lsq(), SQ)]
+    lines += [(realize_type(A, T), A) for A in (SQ, TRI5, HEX6) for _, T in compatible_types(A)]
+    while len(lines) < 40:
+        A = rand_support(rng, rng.randint(6, 8))
+        types = [T for _, T in compatible_types(A)]
+        if types:
+            lines.append((realize_type(A, rng.choice(types), seed=rng.randrange(4)), A))
+    stable = 0
+    while stable < 20:
+        n = rng.randint(4, 7)
+        A, C = rand_support(rng, n), rand_config(rng, n)
+        L = stable_pencil(A, C)
+        if L.topology.is_trivalent() and is_general(A, C):
+            try:
+                vertex_fixed_points(L, A)
+            except TropError:
+                continue
+            lines.append((L, A))
+            stable += 1
+    lines += [(L.translate([Fraction(1, 3)] * L.n), A) for L, A in lines]
+    assert any(L.D > 1 for L, _ in lines)
+    assert any(row[-1] != 0 for L, _ in lines for row in L.rows.values())
+    for L, A in lines:
+        for v in L.topology.internal_nodes:
+            cv = ProjPoint(L.coords_of(v))
+            parts = L.topology.leaf_partition(v)
+            twin = cell_dual_point(A, cv, rainbow_triangle(regular_subdivision(A, cv), parts))
+            assert vertex_fixed_point(L, A, v) == twin
+
+
 def test_construct_configuration_fixture(SQ, CFG):
     C = construct_configuration(make_lsq(), SQ)
     assert set(C) == set(CFG)
@@ -93,6 +155,14 @@ def test_construct_configuration_rejects_incompatible(SQ):
     T = TreeTopology.from_splits(4, [frozenset({1, 4})])
     L = embed(T, {frozenset({1, 4}): Fraction(1)}, T.node_of_leaf(1), (0, 0, 0, 0))
     with pytest.raises(TropError, match="hypotheses violated: incompatible"):
+        construct_configuration(L, SQ)
+
+
+def test_construct_configuration_rejects_non_strict_maximal(SQ):
+    # equal heights at the anchor lift the square flat: one 4-point cell
+    T = TreeTopology.from_splits(4, [frozenset({1, 2})])
+    L = embed(T, {frozenset({1, 2}): Fraction(1)}, T.node_of_leaf(1), (0, 0, 0, 0))
+    with pytest.raises(TropError, match="hypotheses violated: subdivision at vertex .* is not strict-maximal"):
         construct_configuration(L, SQ)
 
 

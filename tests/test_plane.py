@@ -28,6 +28,10 @@ SYSTEMS = [
     (((1, -1, 0), (-2, 2, 0)), ((0, 0, 5),), LineGeom((Fraction(0), Fraction(0)), (1, 1))),
     # coincident lines cut to nothing
     (((1, -1, 0), (-2, 2, 0)), ((1, 0, -2), (-1, 0, 1)), None),
+    # parallel with one gradient entry 0 on both sides: disjoint, then y = 1 twice
+    (((0, 1, 0), (0, 2, -3)), (), None),
+    (((1, 0, 0), (-2, 0, -3)), (), None),
+    (((0, 1, -1), (0, -3, 3)), (), LineGeom((Fraction(0), Fraction(1)), (1, 0))),
 ]
 
 
