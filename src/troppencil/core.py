@@ -56,7 +56,7 @@ class ProjPoint:
         if len(cs) < 2:
             raise ValueError("projective point needs at least 2 coordinates")
         last = cs[-1]
-        self.coords = tuple(c - last for c in cs)
+        self.coords = tuple(c - last for c in cs) if last else cs
 
     @property
     def dim(self) -> int:

@@ -138,11 +138,18 @@ def make_point(G: EmbeddedLine, key, t) -> LinePoint:
 
 
 def coords_at(G: EmbeddedLine, p: LinePoint) -> tuple:
-    """Raw coordinates of a line point."""
+    """Coordinates of a line point, with last entry 0.  For t = a / b the
+    point is (b * row + D * a on the branch's side) / (D * b) on the
+    integer row of the branch's first node, so each entry is one
+    `Fraction` of ints."""
     if p.kind == "vertex":
-        return G.coords_of(p.loc)
-    a, _, side, _ = G.edge(p.loc)
-    return tuple(x + (p.t if i in side else 0) for i, x in enumerate(G.coords_of(a), 1))
+        row, side, a, b = G.rows[p.loc], (), 0, 1
+    else:
+        node, _, side, _ = G.edge(p.loc)
+        row, a, b = G.rows[node], p.t.numerator, p.t.denominator
+    xs = [b * x + (G.D * a if i in side else 0) for i, x in enumerate(row, 1)]
+    last, den = xs[-1], G.D * b
+    return tuple(Fraction(x - last, den) for x in xs)
 
 
 def leaf_partition_at(G: EmbeddedLine, p: LinePoint) -> list:

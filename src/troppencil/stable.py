@@ -8,14 +8,22 @@ sum of one entry per row, one per remaining column.  The configuration is
 general iff every minor's optimum is attained by a single bijection.
 
 The assignment problem is solved by an exact potentials-based
-augmenting-path search over Python integers.  `solve_minors` and
-`is_general` clear the denominators of the points' coordinates once (D)
-and form D times the value matrix in integers, which changes neither
-argmin sets nor ties; every minor's square is cut from those integer
-rows, and its optimum is divided by D once.  `tropdet` clears the
-denominators of the square it is given and runs the same kernel.  The
-rational matrix itself (`value_matrix`) is only for callers that read
-its entries.  Uniqueness is certified on the reduced integer matrix:
+augmenting-path search over Python integers: `_phase` gives one row a
+column along a shortest augmenting path and keeps the potentials
+feasible and tight.  `solve_minors` and `is_general` clear the
+denominators of the points' coordinates once (D) and form D times the
+value matrix in integers, which changes neither argmin sets nor ties.
+They solve the k x n rectangular problem once (k = n - 2, one phase per
+row) and walk the minors from it (`_minors`): erasing a column keeps
+every other reduced cost feasible, so one phase for the row it freed
+restores optimality.  Minor (i, j) is one erasure away from the state
+without column i, so the walk takes at most k + (n - 1) + C(n, 2)
+phases instead of k per minor, and divides each optimum by D once.
+`tropdet` clears the denominators of the square it is given and runs one
+phase per row; `minor_tropdet` cuts one minor's square and solves it
+alone, the per-pair twin of the walk.  The rational matrix itself
+(`value_matrix`) is only for callers that read its entries.  Uniqueness
+is certified on the reduced integer entries of the surviving columns:
 after subtracting optimal row/column potentials the optimal bijections
 are exactly the perfect matchings of the zero-entry bipartite graph, so
 the optimum is unique iff that graph has no alternating cycle through
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from operator import sub
 
 from .core import InternalError, SupportSet, clear_denominators, rat
 from .pencil import is_fixed
@@ -56,109 +64,165 @@ def tropdet(square) -> TropdetResult:
     if any(len(row) != k for row in square):
         raise ValueError("matrix is not square")
     D, flat = clear_denominators([rat(x) for row in square for x in row])
-    return _tropdet([flat[i * k : (i + 1) * k] for i in range(k)], D)
-
-
-def _tropdet(N, D: int) -> TropdetResult:
-    """tropdet of N / D, for an integer square N and an integer D > 0."""
+    N = [flat[i * k : (i + 1) * k] for i in range(k)]
     assignment, u, v = _assignment(N)
     total = sum(row[c] for row, c in zip(N, assignment))
-    return TropdetResult(Fraction(total, D), tuple(assignment), _is_unique(N, assignment, u, v))
+    unique = _is_unique(list(zip(*N)), _match(assignment, len(N)), u, v)
+    return TropdetResult(Fraction(total, D), tuple(assignment), unique)
+
+
+def _phase(M, u, v, match, r, cols) -> None:
+    """One augmenting phase of the Hungarian method: give row r a free
+    column among `cols` along a shortest augmenting path.
+
+    match[j] is the row of column j (-1 if free); the last entry of v and
+    of match belongs to a virtual start column s.  The reduced costs
+    M[i][j] - u[i] - v[j] must be >= 0 on `cols` and 0 on the matching.
+    dist[j] is the reduced length of the shortest alternating path from
+    row r to column j; columns are settled by increasing dist, the first
+    in `cols` order among equals.  Once a free column is settled at
+    distance L, each settled column j lowers v[j] by L - dist[j] and its
+    row raises u by as much, which keeps every reduced cost >= 0 and makes
+    the path tight; then the path is flipped.  A column that is not
+    settled keeps its v."""
+    s = len(v) - 1
+    match[s] = r
+    row, ur = M[r], u[r]
+    dist = [x - y - ur for x, y in zip(row, v)]
+    way = [s] * len(v)
+    free, settled = list(cols), []
+    while True:
+        j0 = min(free, key=dist.__getitem__)
+        free.remove(j0)
+        i0 = match[j0]
+        if i0 < 0:
+            break
+        settled.append(j0)
+        row, base = M[i0], dist[j0] - u[i0]
+        for j in free:
+            d = row[j] - v[j] + base
+            if d < dist[j]:
+                dist[j] = d
+                way[j] = j0
+    L = dist[j0]
+    u[r] += L
+    for j in settled:
+        u[match[j]] += L - dist[j]
+        v[j] -= L - dist[j]
+    while j0 != s:
+        j1 = way[j0]
+        match[j0] = match[j1]
+        j0 = j1
 
 
 def _assignment(M):
-    """Exact Hungarian algorithm (potentials + augmenting paths) on an
-    integer matrix."""
-    k = len(M)
-    u = [0] * (k + 1)
-    v = [0] * (k + 1)
-    match = [0] * (k + 1)  # match[j] = row assigned to column j (1-based)
-    for i in range(1, k + 1):
-        match[0] = i
-        j0 = 0
-        # row i's reduced costs: what the first scan would set, so no
-        # infinite starting value is needed
-        row = M[i - 1]
-        minv = [0] + [row[j - 1] - u[i] - v[j] for j in range(1, k + 1)]
-        way = [0] * (k + 1)
-        used = [False] * (k + 1)
-        while True:
-            used[j0] = True
-            i0, delta, j1 = match[j0], None, -1
-            row, ui = M[i0 - 1], u[i0]
-            for j in range(1, k + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - ui - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if delta is None or minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(k + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
+    """Optimal assignment of the rows of an integer k x m matrix (k <= m)
+    to distinct columns: one phase per row over all columns.  Returns
+    (column per row, u, v) with optimal potentials: v <= 0 everywhere and
+    v = 0 on every unmatched column."""
+    k, m = len(M), len(M[0]) if M else 0
+    u, v, match = [0] * k, [0] * (m + 1), [-1] * (m + 1)
+    for r in range(k):
+        _phase(M, u, v, match, r, range(m))
     assignment = [0] * k
-    for j in range(1, k + 1):
-        assignment[match[j] - 1] = j - 1
-    return assignment, u[1:], v[1:]
+    for j in range(m):
+        if match[j] >= 0:
+            assignment[match[j]] = j
+    return assignment, u, v[:m]
 
 
-def _is_unique(M, assignment, u, v) -> bool:
-    """No alternating cycle through the matching in the reduced-zero graph.
+def _match(assignment, m: int) -> list:
+    """The row of each of m columns (-1 if free) under a column-per-row
+    assignment, plus the virtual start column of `_phase`."""
+    match = [-1] * (m + 1)
+    for r, c in enumerate(assignment):
+        match[c] = r
+    return match
 
-    Nodes 0..k-1 are the rows and k..2k-1 the columns; an unmatched zero
-    entry (i, j) is an arc i -> k + j, a matched one k + j -> i.  The same
-    scan checks that the potentials are dual-feasible and tight on the
+
+def _is_unique(columns, match, u, v, cols=None) -> bool:
+    """No alternating cycle through the matching in the reduced-zero graph
+    of the square on the columns `cols` (all of them by default).
+
+    columns[j] is column j of an integer matrix, match[j] the row matched
+    to it, u and v the row and column potentials.  Row r has an arc to row
+    match[j] when its reduced cost on column j is 0 and j is not its own
+    column; an alternating cycle is a cycle of these arcs.  The same scan
+    checks that the potentials are dual-feasible and tight on the
     matching."""
-    k = len(M)
-    succ = [[] for _ in range(2 * k)]
-    for i, row in enumerate(M):
-        ui, mine = u[i], assignment[i]
-        for j, x in enumerate(row):
-            red = x - ui - v[j]
-            if red < 0 or (j == mine and red != 0):
-                raise InternalError("potentials are not optimal")
-            if red == 0:
-                if j == mine:
-                    succ[k + j].append(i)
-                else:
-                    succ[i].append(k + j)
-    color = [0] * (2 * k)  # 0 unseen, 1 on the current path, 2 done
+    cols = range(len(columns)) if cols is None else cols
+    succ = {}  # only rows with an arc
+    for j in cols:
+        t = list(map(sub, columns[j], u))  # reduced costs plus v[j]
+        vj, mine = v[j], match[j]
+        if min(t) < vj or t[mine] != vj:
+            raise InternalError("potentials are not optimal")
+        if t.count(vj) > 1:
+            for r, x in enumerate(t):
+                if x == vj and r != mine:
+                    succ.setdefault(r, []).append(mine)
+    color = dict.fromkeys(succ, 0)  # 0 unseen, 1 on the current path, 2 done
 
-    def has_cycle(node) -> bool:
-        color[node] = 1
-        for nxt in succ[node]:
-            if color[nxt] == 1 or (color[nxt] == 0 and has_cycle(nxt)):
+    def has_cycle(r) -> bool:
+        color[r] = 1
+        for nxt in succ[r]:
+            c = color.get(nxt, 2)  # a row without arcs ends every path
+            if c == 1 or (c == 0 and has_cycle(nxt)):
                 return True
-        color[node] = 2
+        color[r] = 2
         return False
 
-    return not any(color[nd] == 0 and has_cycle(nd) for nd in range(2 * k))
+    return not any(color[r] == 0 and has_cycle(r) for r in succ)
+
+
+def _drop(M, u, v, match, c, cols) -> tuple:
+    """The potentials and the matching with column c erased: copies in
+    which the row c held, if any, gets a column of `cols` from one phase;
+    the state itself if c was free."""
+    r = match[c]
+    if r < 0:
+        return u, v, match
+    u, v, match = u[:], v[:], match[:]
+    match[c] = -1
+    _phase(M, u, v, match, r, cols)
+    return u, v, match
+
+
+def _minors(N):
+    """Yield ((i, j), optimum, unique) for the maximal minor of the integer
+    k x n matrix N that erases support columns i and j, for all pairs in
+    combinations order.
+
+    N is solved once as a rectangular assignment problem.  Erasing a column
+    keeps every other reduced cost >= 0 and v = 0 on the free columns, so
+    one phase for the row it freed restores optimality (`_drop`): once per
+    i, and once more per j > i from i's state.  On the k columns left the
+    potentials are optimal for the square minor, so its uniqueness is read
+    from their reduced-zero graph."""
+    n, columns = len(N[0]), list(zip(*N))
+    assignment, u, v = _assignment(N)
+    v, match = [*v, 0], _match(assignment, n)
+    for i in range(n - 1):
+        cols_i = [c for c in range(n) if c != i]
+        ui, vi, mi = _drop(N, u, v, match, i, cols_i)
+        for j in range(i + 1, n):
+            cols = cols_i[:]
+            cols.remove(j)
+            uj, vj, mj = _drop(N, ui, vi, mi, j, cols)
+            total = sum(columns[c][mj[c]] for c in cols)
+            yield (i + 1, j + 1), total, _is_unique(columns, mj, uj, vj, cols)
 
 
 def minor_columns(n: int, i: int, j: int) -> list:
     return [l for l in range(1, n + 1) if l not in (i, j)]
 
 
-def minor_tropdet(M, n: int, i: int, j: int, *, D: int | None = None) -> TropdetResult:
-    """tropdet of the maximal minor erasing support columns i and j;
-    the assignment is reported in 1-based support indices.  M is the value
-    matrix, or, with D given, D times it in integers (`_integer_rows`)."""
+def minor_tropdet(M, n: int, i: int, j: int) -> TropdetResult:
+    """tropdet of the maximal minor of the value matrix M erasing support
+    columns i and j, solved alone; the assignment is reported in 1-based
+    support indices."""
     cols = minor_columns(n, i, j)
-    square = [[row[c - 1] for c in cols] for row in M]
-    res = tropdet(square) if D is None else _tropdet(square, D)
+    res = tropdet([[row[c - 1] for c in cols] for row in M])
     return TropdetResult(res.value, tuple(cols[c] for c in res.assignment), res.unique)
 
 
@@ -166,7 +230,7 @@ def _integer_rows(A: SupportSet, config) -> tuple:
     """(D, D * value_matrix) for D the lcm of the denominators of the
     points' x and y: in the z = 0 chart a_l . P = r_l x + s_l y, so each
     entry is r_l X + s_l Y on the cleared coordinates X = D x, Y = D y,
-    and every minor's square comes out of the rows in integers."""
+    and every minor is solved on the rows in integers."""
     config = list(config)
     if len(config) != A.n - 2:
         raise ValueError(f"need {A.n - 2} points, got {len(config)}")
@@ -186,10 +250,9 @@ class GeneralityVerdict:
 def is_general(A: SupportSet, config) -> GeneralityVerdict:
     """General iff every maximal minor's tropical determinant is unique;
     reports the first singular pair otherwise."""
-    D, N = _integer_rows(A, config)
-    for i, j in combinations(A.indices(), 2):
-        if not minor_tropdet(N, A.n, i, j, D=D).unique:
-            return GeneralityVerdict(False, (i, j))
+    for pair, _, unique in _minors(_integer_rows(A, config)[1]):
+        if not unique:
+            return GeneralityVerdict(False, pair)
     return GeneralityVerdict(True, None)
 
 
@@ -198,11 +261,10 @@ def solve_minors(A: SupportSet, config) -> tuple:
     minor; is_general alone stops at the first singular pair instead."""
     D, N = _integer_rows(A, config)
     values, singular = {}, None
-    for i, j in combinations(A.indices(), 2):
-        res = minor_tropdet(N, A.n, i, j, D=D)
-        values[(i, j)] = res.value
-        if singular is None and not res.unique:
-            singular = (i, j)
+    for pair, total, unique in _minors(N):
+        values[pair] = Fraction(total, D)
+        if singular is None and not unique:
+            singular = pair
     return GeneralityVerdict(singular is None, singular), PlueckerVector(A.n, values)
 
 

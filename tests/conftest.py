@@ -96,8 +96,8 @@ def rand_config(rng, n, span=10, den=3):
     return [rand_proj_point(rng, span, den) for _ in range(n - 2)]
 
 
-def rand_support(rng, n):
-    d = rng.choice([2, 3]) if n <= 6 else 3
+def rand_support(rng, n, degree=None):
+    d = degree or (rng.choice([2, 3]) if n <= 6 else 3)
     pool = [(r, s) for r in range(d + 1) for s in range(d + 1 - r)]
     while True:
         pts = rng.sample(pool, n)

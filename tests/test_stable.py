@@ -246,3 +246,109 @@ def test_failed_optimality_check_is_internal_error():
     with pytest.raises(InternalError) as info:
         stable._is_unique([[0, 1], [1, 0]], [1, 0], [0, 0], [0, 0])
     assert not isinstance(info.value, (ValueError, TropError))
+
+
+def _minor_configs(rng, ns):
+    """(A, C) per n in ns: two degree-3 supports where n fits (n <= 10) and
+    two degree-4 ones, each with small integer grid points (ties), generic
+    rationals and mixed coprime denominators."""
+    for n in ns:
+        for degree in (3, 3, 4, 4) if n <= 10 else (4, 4):
+            A = rand_support(rng, n, degree)
+            yield A, [ProjPoint((rng.randint(-3, 3), rng.randint(-3, 3), 0)) for _ in range(n - 2)]
+            yield A, rand_config(rng, n)
+            yield A, [ProjPoint((coprime_rational(rng), coprime_rational(rng), 0)) for _ in range(n - 2)]
+
+
+def test_minor_walk_matches_per_pair_minors_beyond_brute_cap():
+    """The incremental walk against `minor_tropdet` solving each minor
+    alone from the rational value matrix, at sizes enumeration cannot
+    reach: every value, every uniqueness flag, the first singular pair."""
+    rng = random.Random(63)
+    tied = 0
+    for A, C in _minor_configs(rng, range(9, 16)):
+        n = A.n
+        M = value_matrix(A, C)
+        twin = {(i, j): minor_tropdet(M, n, i, j) for i, j in combinations(A.indices(), 2)}
+        D, N = stable._integer_rows(A, C)
+        walk = list(stable._minors(N))
+        assert [pair for pair, _, _ in walk] == list(twin)
+        for pair, total, unique in walk:
+            assert Fraction(total, D) == twin[pair].value
+            assert unique == twin[pair].unique
+        tied += sum(not res.unique for res in twin.values())
+        singular = next((pair for pair, res in twin.items() if not res.unique), None)
+        verdict, p = solve_minors(A, C)
+        assert verdict.singular_pair == singular and is_general(A, C) == verdict
+        ref = twin[(n - 1, n)].value
+        assert all(p.get(i, j) == res.value - ref for (i, j), res in twin.items())
+    assert tied > 100  # the integer grids tie minors
+
+
+def _solved(M):
+    """The Hungarian state (u, v, match) of the rectangular assignment of M,
+    with the virtual start column appended to v and match."""
+    assignment, u, v = stable._assignment(M)
+    return u, [*v, 0], stable._match(assignment, len(v))
+
+
+def _check_optimal(M, u, v, match, cols):
+    """The potentials are feasible on cols, tight on the matching, <= 0 on
+    every column and 0 on the free ones; returns the matching's sum."""
+    assert sorted(match[c] for c in cols if match[c] >= 0) == list(range(len(M)))
+    rows = {match[c]: c for c in cols if match[c] >= 0}
+    for r, row in enumerate(M):
+        for c in cols:
+            red = row[c] - u[r] - v[c]
+            assert red >= 0 and (red == 0 or rows[r] != c)
+    assert all(v[c] <= 0 for c in cols)
+    assert all(v[c] == 0 for c in cols if match[c] < 0)
+    return sum(M[r][c] for r, c in rows.items())
+
+
+def _brute_rectangular(M, cols):
+    return min(sum(row[c] for row, c in zip(M, p)) for p in permutations(cols, len(M)))
+
+
+def test_rectangular_assignment_kernel():
+    """One phase per row solves k x m problems (k <= m <= k + 3); erasing
+    any column of a solved state and running one phase for the row it
+    freed gives the optimum of the reduced matrix."""
+    # among equal columns the first in index order wins
+    assert stable._assignment([[0] * 5 for _ in range(3)])[0] == [0, 1, 2]
+    rng = random.Random(64)
+    for trial in range(120):
+        k = rng.randint(1, 6)
+        m = rng.randint(k, k + 3)
+        span = rng.choice((2, 40))  # small spans tie
+        M = [[rng.randint(-span, span) for _ in range(m)] for _ in range(k)]
+        u, v, match = _solved(M)
+        assert _check_optimal(M, u, v, match, range(m)) == _brute_rectangular(M, range(m))
+        if m == k:
+            continue
+        for c in range(m):
+            cols = [x for x in range(m) if x != c]
+            state = stable._drop(M, u, v, match, c, cols)
+            reduced = [row[:c] + row[c + 1 :] for row in M]
+            want = sum(row[j] for row, j in zip(reduced, stable._assignment(reduced)[0]))
+            assert _check_optimal(M, *state, cols) == want == _brute_rectangular(M, cols)
+
+
+@pytest.mark.parametrize("n", [7, 10, 12])
+def test_minor_walk_phase_count(monkeypatch, n):
+    """One solve_minors takes at most one phase per row of the rectangular
+    solve, one per first erased column and one per minor: O(n^4) work, not
+    a Hungarian solve per minor."""
+    phases = 0
+    phase = stable._phase
+
+    def counted(*args):
+        nonlocal phases
+        phases += 1
+        phase(*args)
+
+    monkeypatch.setattr(stable, "_phase", counted)
+    rng = random.Random(65 + n)
+    A = rand_support(rng, n, 3 if n <= 10 else 4)
+    solve_minors(A, rand_config(rng, n))
+    assert 0 < phases <= (n - 2) + n + n * (n - 1) // 2
