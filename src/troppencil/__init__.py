@@ -71,6 +71,7 @@ from .compat import (
 )
 from .oracle import (
     EpsRational,
+    brute_fixed_locus,
     brute_plucker_to_tree,
     brute_regular_subdivision,
     brute_tropdet,

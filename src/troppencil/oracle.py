@@ -3,8 +3,9 @@
 These are deliberately naive: assignment problems by full enumeration,
 lower hulls from `Fraction` planes, curve membership by exhaustive
 breakpoint walks, trees from Pluecker vectors by trying every leaf
-bipartition, and stable pencils as honest limits of first-order
-infinitesimal perturbations.  They ship with the library (not only the
+bipartition, stable pencils as honest limits of first-order
+infinitesimal perturbations, and fixed loci by solving every witness
+system with `plane.solve`.  They ship with the library (not only the
 tests) so verdicts can be re-derived on demand.
 
 The infinitesimals (`EpsRational`) never leave this module: the
@@ -18,7 +19,9 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from . import plane
 from .core import ProjPoint, SupportSet, TropError, dot, min_profile, rat
+from .pencil import _kept_cell, _sub, _term_forms
 from .subdivision import RegularSubdivision
 from .trees import EmbeddedLine, PlueckerVector, TreeTopology, embed
 
@@ -195,6 +198,57 @@ def sampled_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:
         if not walk(coords[v], {leaf}, None):
             return False
     return True
+
+
+def brute_fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
+    """pencil.fixed_locus with every candidate system built and handed to
+    `plane.solve`, cell for cell and in the same order."""
+    if A.n != L.n:
+        raise ValueError("support size and leaf count differ")
+    cells = []
+    topo = L.topology
+    D, rows = L.D, L.rows
+    for v in topo.internal_nodes:
+        T = _term_forms(A, D, rows[v])
+        # term i is minimal at P: every other term minus term i is >= 0
+        below = [None] + [tuple(_sub(T[m], T[i]) for m in A.indices()) for i in A.indices()]
+        parts = sorted(topo.leaf_partition(v), key=sorted)
+        # three leaves in three distinct components
+        for pa, pb, pc in combinations(range(len(parts)), 3):
+            for i in sorted(parts[pa]):
+                for j in sorted(parts[pb]):
+                    for k in sorted(parts[pc]):
+                        eqs = (_sub(T[i], T[j]), _sub(T[j], T[k]))
+                        geom = plane.solve(eqs, below[i])
+                        if geom is not None:
+                            witness = ("vertex", v)
+                            cells.append(_kept_cell(D, witness, (i, j, k), eqs, below[i], geom))
+    for a, b, side, ell in L.edges:
+        T = _term_forms(A, D, rows[a])
+        inside = sorted(side)
+        outside = sorted(set(range(1, L.n + 1)) - side)
+        for i, j in combinations(inside, 2):
+            for k, l in combinations(outside, 2):
+                tform = _sub(T[k], T[i])  # D times the edge parameter of the witness point
+                eqs = (_sub(T[i], T[j]), _sub(T[k], T[l]))
+                ineqs = (
+                    tuple(_sub(T[m], T[i]) for m in inside)
+                    + tuple(_sub(T[m], T[k]) for m in outside)
+                    + (tform, _sub((0, 0, int(D * ell)), tform))
+                )
+                geom = plane.solve(eqs, ineqs)
+                if geom is not None:
+                    witness = ("edge", (a, b), tform)
+                    cells.append(_kept_cell(D, witness, (i, j, k, l), eqs, ineqs, geom))
+    # deduplicate zero-dimensional cells
+    out, seen_points = [], set()
+    for cell in cells:
+        if isinstance(cell.geometry, plane.PointGeom):
+            if cell.geometry in seen_points:
+                continue
+            seen_points.add(cell.geometry)
+        out.append(cell)
+    return out
 
 
 def brute_plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:

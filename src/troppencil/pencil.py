@@ -24,7 +24,12 @@ t* on.  `pi_set` walks the branches with that rule; `skeleton_level` and
 The locus itself is enumerated per witness point c of L: a vertex with
 three leaves in pairwise distinct components of L - {c}, or an edge point
 with a leaf pair on each side; each candidate yields two linear equalities
-and some inequalities for P, solved exactly in the z = 0 chart.
+and some inequalities for P, solved exactly in the z = 0 chart.  Nearly
+every candidate is infeasible, so each is decided on integers first: its
+equalities meet in one point (nx, ny) / det, the value of every term
+there times det is one integer, and comparing those values is exactly
+the sign test `plane.solve` would make.  Only the survivors build their
+forms and go to `plane.solve`.
 
 Pi(G, I) denotes the subset of G where every coordinate in I attains the
 global minimum; these subsets are closed connected subtrees, represented
@@ -332,6 +337,15 @@ def _kept_cell(D: int, witness, indices, eqs, ineqs, geom) -> FixedLocusCell:
     return FixedLocusCell(witness, indices, eqs, ineqs, geom)
 
 
+def _dips(terms, nx, ny, det, floor) -> bool:
+    """Whether some term (a, b, c) takes a value a * nx + b * ny + c * det
+    below floor."""
+    for a, b, c in terms:
+        if a * nx + b * ny + c * det < floor:
+            return True
+    return False
+
+
 def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
     """All cells of {P : is_fixed(L, A, P)}, pruned to nonempty geometry.
 
@@ -348,54 +362,92 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
     no solution and flips no inequality.  A kept cell stores its forms
     divided by D again.
 
+    Each candidate is decided on integers before any form is built.  When
+    its two equalities meet in one point (nx, ny) / det with det > 0
+    (`plane._meet`), term m takes the value val_m = a_m * nx + b_m * ny +
+    c_m * det there, det times D * T_m, so the inequality T_m - T_i >= 0
+    holds iff val_m >= val_i: exactly the sign `plane.solve` tests.  A
+    vertex candidate (i, j, k) survives iff no term is below val_i; an
+    edge candidate (i, j, k, l) iff no inside term is below val_i, no
+    outside term below val_k, and val_k - val_i lies in [0, D * length *
+    det].  Parallel equalities go on only when they are one line
+    (`plane._coincide`).  Only survivors build their forms and call
+    `plane.solve`, which gives each cell's geometry, and a point seen
+    before is dropped before its cell is built; the candidates run in the
+    order of `oracle.brute_fixed_locus`, which solves every one of them.
+
     Zero-dimensional duplicates are removed; boundary points of segment
     cells may still reappear as vertex cells, by design (cells are closed).
     """
     if A.n != L.n:
         raise ValueError("support size and leaf count differ")
-    cells = []
+    out, seen_points = [], set()
     topo = L.topology
     D, rows = L.D, L.rows
+    meet, coincide = plane._meet, plane._coincide
+
+    def keep(witness, indices, eqs, ineqs):
+        geom = plane.solve(eqs, ineqs)
+        if geom is None:
+            return
+        if isinstance(geom, plane.PointGeom):
+            if geom in seen_points:
+                return
+            seen_points.add(geom)
+        out.append(_kept_cell(D, witness, indices, eqs, ineqs, geom))
+
     for v in topo.internal_nodes:
         T = _term_forms(A, D, rows[v])
-        # term i is minimal at P: every other term minus term i is >= 0
-        below = [None] + [tuple(_sub(T[m], T[i]) for m in A.indices()) for i in A.indices()]
-        parts = sorted(topo.leaf_partition(v), key=sorted)
+        terms = T[1:]
+        parts = [sorted(part) for part in sorted(topo.leaf_partition(v), key=sorted)]
         # three leaves in three distinct components
-        for pa, pb, pc in combinations(range(len(parts)), 3):
-            for i in sorted(parts[pa]):
-                for j in sorted(parts[pb]):
-                    for k in sorted(parts[pc]):
-                        eqs = (_sub(T[i], T[j]), _sub(T[j], T[k]))
-                        geom = plane.solve(eqs, below[i])
-                        if geom is not None:
-                            witness = ("vertex", v)
-                            cells.append(_kept_cell(D, witness, (i, j, k), eqs, below[i], geom))
+        for pa, pb, pc in combinations(parts, 3):
+            for i in pa:
+                ai, bi, ci = Ti = T[i]
+                for j in pb:
+                    f = _sub(Ti, T[j])
+                    for k in pc:
+                        g = _sub(T[j], T[k])
+                        det, nx, ny = meet(f, g)
+                        if det:
+                            # term i is minimal at P
+                            if _dips(terms, nx, ny, det, ai * nx + bi * ny + ci * det):
+                                continue
+                        elif not coincide(f, g):
+                            continue
+                        below = tuple(_sub(Tm, Ti) for Tm in terms)
+                        keep(("vertex", v), (i, j, k), (f, g), below)
     for a, b, side, ell in L.edges:
         T = _term_forms(A, D, rows[a])
         inside = sorted(side)
         outside = sorted(set(range(1, L.n + 1)) - side)
+        T_in, T_out = [T[m] for m in inside], [T[m] for m in outside]
+        top = int(D * ell)
+        pairs_out = [(k, l, T[k], _sub(T[k], T[l])) for k, l in combinations(outside, 2)]
         for i, j in combinations(inside, 2):
-            for k, l in combinations(outside, 2):
-                tform = _sub(T[k], T[i])  # D times the edge parameter of the witness point
-                eqs = (_sub(T[i], T[j]), _sub(T[k], T[l]))
+            ai, bi, ci = Ti = T[i]
+            f = _sub(Ti, T[j])
+            for k, l, Tk, g in pairs_out:
+                det, nx, ny = meet(f, g)
+                if det:
+                    # term i is minimal inside, term k outside, and the
+                    # witness lies on the edge: D * t = T_k - T_i in [0, D * length]
+                    ak, bk, ck = Tk
+                    vi = ai * nx + bi * ny + ci * det
+                    vk = ak * nx + bk * ny + ck * det
+                    if not 0 <= vk - vi <= top * det:
+                        continue
+                    if _dips(T_in, nx, ny, det, vi) or _dips(T_out, nx, ny, det, vk):
+                        continue
+                elif not coincide(f, g):
+                    continue
+                tform = _sub(Tk, Ti)  # D times the edge parameter of the witness point
                 ineqs = (
-                    tuple(_sub(T[m], T[i]) for m in inside)
-                    + tuple(_sub(T[m], T[k]) for m in outside)
-                    + (tform, _sub((0, 0, int(D * ell)), tform))
+                    tuple(_sub(Tm, Ti) for Tm in T_in)
+                    + tuple(_sub(Tm, Tk) for Tm in T_out)
+                    + (tform, _sub((0, 0, top), tform))
                 )
-                geom = plane.solve(eqs, ineqs)
-                if geom is not None:
-                    witness = ("edge", (a, b), tform)
-                    cells.append(_kept_cell(D, witness, (i, j, k, l), eqs, ineqs, geom))
-    # deduplicate zero-dimensional cells
-    out, seen_points = [], set()
-    for cell in cells:
-        if isinstance(cell.geometry, plane.PointGeom):
-            if cell.geometry in seen_points:
-                continue
-            seen_points.add(cell.geometry)
-        out.append(cell)
+                keep(("edge", (a, b), tform), (i, j, k, l), (f, g), ineqs)
     return out
 
 

@@ -3,12 +3,14 @@
 Constraints are affine forms (a, b, c) standing for a*x + b*y + c.  A
 fixed-locus cell has two equalities (= 0) with nonzero gradients and some
 inequalities (>= 0), so its feasible set is a point, segment, ray or full
-line, solved exactly in one case split.  `pencil.fixed_locus` hands over
-integer forms, each a positive multiple of the true one, which moves no
-solution.  When the equalities meet in one point (nx, ny) / det, each
-inequality is a sign test of a * nx + b * ny + c * det with det > 0, on
-integers; a `Fraction` point is built only when every test passes, and
-parallel ones coincide iff their forms are proportional, an integer test.
+line, solved exactly in one case split.  When the equalities meet in one
+point (nx, ny) / det (`_meet`), each inequality is a sign test of
+a * nx + b * ny + c * det with det > 0, on integers; a `Fraction` point
+is built only when every test passes, and parallel ones coincide iff
+their forms are proportional (`_coincide`), an integer test.
+`pencil.fixed_locus` makes the same tests on its candidates' term values
+with these two helpers and hands over only the survivors' integer forms,
+each a positive multiple of the true one, which moves no solution.
 """
 
 from __future__ import annotations
@@ -55,22 +57,37 @@ def solve(eqs, ineqs):
     distinct support points), so the answer is at most one-dimensional.
     Scaling any form by a positive number leaves the answer as it is.
     """
-    (a1, b1, c1), (a2, b2, c2) = eqs
-    det = a1 * b2 - a2 * b1
-    if det != 0:
-        # the point is (nx, ny) / det; with det > 0, f >= 0 there iff
-        # det * f = a * nx + b * ny + c * det >= 0
-        nx, ny = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
-        if det < 0:
-            nx, ny, det = -nx, -ny, -det
+    f, g = eqs
+    det, nx, ny = _meet(f, g)
+    if det:
+        # with det > 0, h >= 0 at (nx, ny) / det iff det * h = a * nx + b * ny + c * det >= 0
         if any(a * nx + b * ny + c * det < 0 for a, b, c in ineqs):
             return None
         return PointGeom(Fraction(nx, det), Fraction(ny, det))
-    # parallel lines with nonzero gradients coincide iff the forms are proportional
-    if a1 * c2 != a2 * c1 or b1 * c2 != b2 * c1:
+    if not _coincide(f, g):
         return None
+    a1, b1, c1 = f
     base = (Fraction(-c1, a1), Fraction(0)) if b1 == 0 else (Fraction(0), Fraction(-c1, b1))
     return _restrict_line(base, _canon_direction((-b1, a1)), ineqs)
+
+
+def _meet(f, g) -> tuple:
+    """(det, nx, ny) by Cramer's rule for the lines f = 0 and g = 0 with
+    det >= 0: with det > 0 they meet in the one point (nx, ny) / det, and
+    det = 0 when they are parallel."""
+    (a1, b1, c1), (a2, b2, c2) = f, g
+    det = a1 * b2 - a2 * b1
+    nx, ny = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+    if det < 0:
+        return -det, -nx, -ny
+    return det, nx, ny
+
+
+def _coincide(f, g) -> bool:
+    """Whether the parallel lines f = 0 and g = 0, both with nonzero
+    gradients, are one line: iff the forms are proportional."""
+    (a1, b1, c1), (a2, b2, c2) = f, g
+    return a1 * c2 == a2 * c1 and b1 * c2 == b2 * c1
 
 
 def _canon_direction(d) -> tuple:

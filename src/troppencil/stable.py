@@ -18,7 +18,9 @@ row) and walk the minors from it (`_minors`): erasing a column keeps
 every other reduced cost feasible, so one phase for the row it freed
 restores optimality.  Minor (i, j) is one erasure away from the state
 without column i, so the walk takes at most k + (n - 1) + C(n, 2)
-phases instead of k per minor, and divides each optimum by D once.
+phases instead of k per minor.  `solve_minors` subtracts minor
+(n - 1, n)'s optimum from each in integers and divides by D once, so the
+Pluecker vector arrives normalized.
 `tropdet` clears the denominators of the square it is given and runs one
 phase per row; `minor_tropdet` cuts one minor's square and solves it
 alone, the per-pair twin of the walk.  The rational matrix itself
@@ -260,11 +262,14 @@ def solve_minors(A: SupportSet, config) -> tuple:
     """(GeneralityVerdict, PlueckerVector) from one solve of every maximal
     minor; is_general alone stops at the first singular pair instead."""
     D, N = _integer_rows(A, config)
-    values, singular = {}, None
+    totals, singular = {}, None
     for pair, total, unique in _minors(N):
-        values[pair] = Fraction(total, D)
+        totals[pair] = total
         if singular is None and not unique:
             singular = pair
+    # p_{n-1,n} = 0 already, so PlueckerVector subtracts nothing
+    ref = totals[A.n - 1, A.n]
+    values = {pair: Fraction(total - ref, D) for pair, total in totals.items()}
     return GeneralityVerdict(singular is None, singular), PlueckerVector(A.n, values)
 
 

@@ -429,7 +429,7 @@ class PlueckerVector:
         if len(vals) != n * (n - 1) // 2:
             raise ValueError("need a value for every pair")
         ref = vals[frozenset((n - 1, n))]
-        self.values = {k: v - ref for k, v in vals.items()}
+        self.values = {k: v - ref for k, v in vals.items()} if ref else vals
 
     def get(self, i: int, j: int):
         return self.values[frozenset((i, j))]

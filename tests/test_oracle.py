@@ -3,16 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coprime_line, locus_points, make_lsq, rand_config, rand_line, rand_support
+from conftest import (
+    coprime_line,
+    locus_contains,
+    locus_points,
+    make_lsq,
+    rand_config,
+    rand_line,
+    rand_support,
+)
+from troppencil import plane
 from troppencil.core import ProjPoint, TropError
 from troppencil.oracle import (
     EpsRational,
+    brute_fixed_locus,
     brute_tropdet,
     perturbed_pencil,
     sampled_fixed,
 )
-from troppencil.pencil import is_fixed, shifted_line
-from troppencil.stable import stable_pencil, tropdet
+from troppencil.pencil import fixed_locus, is_fixed, shifted_line
+from troppencil.stable import is_general, stable_pencil, tropdet
 from troppencil.trees import TreeTopology, embed
 
 
@@ -99,6 +109,39 @@ def test_is_fixed_matches_sampled_random():
             assert is_fixed(LQ, A, PQ) == sampled_fixed(LQ, A, PQ) == want
             fixed += want
     assert fixed >= 100
+
+
+def test_fixed_locus_matches_brute(SQ):
+    # the integer candidate test keeps exactly the systems plane.solve keeps,
+    # so the cells agree one by one and in order
+    # (line, support, configuration points the locus must hold)
+    cases = [(make_lsq(), SQ, ())]
+    for Q in ((1, 1, 0), (0, 1, 0)):
+        C = [ProjPoint((0, 0, 0)), ProjPoint(Q)]
+        cases.append((stable_pencil(SQ, C), SQ, C))
+    rng = random.Random(74)
+    for n in range(4, 19):
+        degree = 3 if n <= 10 else 5
+        for contract_p in (0.0, 0.5):
+            cases.append((rand_line(rng, n, contract_p=contract_p), rand_support(rng, n, degree), ()))
+        A = rand_support(rng, n, degree)
+        C = rand_config(rng, n)
+        while not is_general(A, C):
+            C = rand_config(rng, n)
+        cases.append((stable_pencil(A, C), A, C))
+        if n <= 9:
+            for m in range(6):
+                L = (coprime_line if m % 2 else rand_line)(rng, n, contract_p=0.4 * (m % 3))
+                cases.append((L, rand_support(rng, n), ()))
+    counts = {"vertex": 0, "edge": 0, "line": 0}
+    for L, A, C in cases:
+        cells = fixed_locus(L, A)
+        assert cells == brute_fixed_locus(L, A)
+        for cell in cells:
+            counts[cell.witness[0]] += 1
+            counts["line"] += not isinstance(cell.geometry, plane.PointGeom)
+        assert all(locus_contains(cells, P) for P in C)
+    assert counts["vertex"] >= 300 and counts["edge"] >= 60 and counts["line"] >= 20
 
 
 def test_perturbed_pencil_fixtures(SQ, CFG, LSQ):

@@ -24,8 +24,8 @@ from conftest import (
     subtree_spanning,
 )
 from troppencil import plane
-from troppencil.core import ProjPoint, TropError, min_profile
-from troppencil.oracle import sampled_fixed
+from troppencil.core import ProjPoint, SupportSet, TropError, min_profile
+from troppencil.oracle import brute_fixed_locus, sampled_fixed
 from troppencil.pencil import (
     LinePoint,
     coords_at,
@@ -205,6 +205,83 @@ def test_cells_keep_the_line_units():
                 ell = L.edge(loc)[3]
                 assert cell.inequalities[-2:] == (tform, (-tform[0], -tform[1], ell - tform[2]))
     assert counts["vertex"] >= 100 and counts["edge"] >= 20
+
+
+def _record_solves(monkeypatch) -> list:
+    """Route plane.solve through a recorder of (eqs, ineqs, geometry)."""
+    calls, solve = [], plane.solve
+
+    def recorded(eqs, ineqs):
+        geom = solve(eqs, ineqs)
+        calls.append((eqs, ineqs, geom))
+        return geom
+
+    monkeypatch.setattr(plane, "solve", recorded)
+    return calls
+
+
+def _one_line(eqs) -> bool:
+    """Whether the two equalities describe the same line of the plane."""
+    f, g = eqs
+    return all(f[p] * g[q] == f[q] * g[p] for p, q in combinations(range(3), 2))
+
+
+def _survivors(calls) -> list:
+    """The systems of the brute enumeration that pass the integer test:
+    the feasible ones, and those whose equalities are one line."""
+    return [(eqs, ineqs) for eqs, ineqs, geom in calls if geom is not None or _one_line(eqs)]
+
+
+def test_fixed_locus_solves_only_survivors(monkeypatch):
+    # plane.solve sees exactly the survivors of the integer test, in the
+    # brute enumeration's order: no infeasible system and no feasible one lost
+    calls = _record_solves(monkeypatch)
+    rng = random.Random(46)
+    for m in range(60):
+        n = 4 + m % 7
+        L = rand_line(rng, n, contract_p=0.4 * (m % 3))
+        A = rand_support(rng, n)
+        brute = brute_fixed_locus(L, A)
+        survivors = _survivors(calls)
+        calls.clear()
+        assert fixed_locus(L, A) == brute
+        assert [(eqs, ineqs) for eqs, ineqs, _ in calls] == survivors
+        calls.clear()
+    for _ in range(2):
+        L, A = rand_line(rng, 15), rand_support(rng, 15, 5)
+        brute = brute_fixed_locus(L, A)
+        brute_calls, survivors = len(calls), len(_survivors(calls))
+        calls.clear()
+        fixed_locus(L, A)
+        assert len(calls) == survivors and 5 * len(calls) <= brute_calls
+        calls.clear()
+
+
+def test_fixed_locus_coincident_lines_and_repeated_points(SQ, monkeypatch):
+    # the segment comes from an edge system whose equalities are one line;
+    # two of the five surviving systems repeat a vertex cell's point
+    L = stable_pencil(SQ, [ProjPoint((0, 0, 0)), ProjPoint((0, 1, 0))])
+    calls = _record_solves(monkeypatch)
+    cells = fixed_locus(L, SQ)
+    assert len(calls) == 5 and all(geom is not None for _, _, geom in calls)
+    F = Fraction
+    assert [(c.witness, c.indices, c.geometry) for c in cells] == [
+        (("vertex", 5), (1, 3, 4), plane.PointGeom(F(0), F(0))),
+        (("vertex", 6), (1, 2, 3), plane.PointGeom(F(0), F(1))),
+        (
+            ("edge", (5, 6), (F(0), F(1), F(0))),
+            (1, 2, 3, 4),
+            plane.SegmentGeom((F(0), F(0)), (F(0), F(1))),
+        ),
+    ]
+    # a ray cell: three collinear support points make a vertex system's
+    # equalities one line
+    A = SupportSet(2, ((0, 1, 1), (1, 0, 1), (2, 0, 0), (0, 0, 2)))
+    L = embed(TreeTopology.star(4), {}, 5, (5, -4, -2, -6))
+    assert [(c.witness, c.indices, c.geometry) for c in fixed_locus(L, A)] == [
+        (("vertex", 5), (1, 2, 3), plane.PointGeom(F(-2), F(-11))),
+        (("vertex", 5), (2, 3, 4), plane.RayGeom((F(-2), F(-11)), (0, 1))),
+    ]
 
 
 def test_support_size_must_match_leaf_count(TRI, TRI5):
