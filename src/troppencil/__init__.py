@@ -76,6 +76,7 @@ from .oracle import (
     brute_regular_subdivision,
     brute_tropdet,
     perturbed_pencil,
+    poly_plucker_to_tree,
     sampled_fixed,
 )
 

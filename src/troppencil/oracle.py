@@ -3,9 +3,9 @@
 These are deliberately naive: assignment problems by full enumeration,
 lower hulls from `Fraction` planes, curve membership by exhaustive
 breakpoint walks, trees from Pluecker vectors by trying every leaf
-bipartition, stable pencils as honest limits of first-order
-infinitesimal perturbations, and fixed loci by solving every witness
-system with `plane.solve`.  They ship with the library (not only the
+bipartition or by a quartet-by-quartet split search, stable pencils as
+honest limits of first-order infinitesimal perturbations, and fixed loci
+by solving every witness system with `plane.solve`.  They ship with the library (not only the
 tests) so verdicts can be re-derived on demand.
 
 The infinitesimals (`EpsRational`) never leave this module: the
@@ -20,10 +20,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import plane
-from .core import ProjPoint, SupportSet, TropError, dot, min_profile, rat
+from .core import ProjPoint, SupportSet, TropError, clear_denominators, dot, min_profile, rat
 from .pencil import _kept_cell, _sub, _term_forms
 from .subdivision import RegularSubdivision
-from .trees import EmbeddedLine, PlueckerVector, TreeTopology, embed
+from .trees import EmbeddedLine, PlueckerError, PlueckerVector, TreeTopology, embed
 
 
 class EpsRational:
@@ -265,6 +265,88 @@ def brute_plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
     return embed(topology, splits, topology.node_of_leaf(1), x)
 
 
+def poly_plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
+    """trees.plucker_to_tree by a polynomial split search: every quartet
+    is checked, then leaves 4..n are inserted one at a time, keeping the
+    leaf bipartitions whose quartets strictly dominate (_dominant_splits),
+    in O(n^4) scalar operations on the integer table D * p.
+    """
+    n = p.n
+    D, flat = clear_denominators(list(p.values.values()))
+    q = [[None] * (n + 1) for _ in range(n + 1)]
+    for (i, j), v in zip(p.values, flat):
+        q[i][j] = q[j][i] = v
+    _check_quartets(q, n)
+    splits = _dominant_splits(q, n)
+    topology = TreeTopology.from_splits(n, splits.keys())
+    top = max(q[1][i] + q[1][j] - q[i][j] for i, j in combinations(range(2, n + 1), 2))
+    x = tuple(Fraction(c, D) for c in [top] + q[1][2:])
+    lengths = {s: Fraction(gap, D) for s, gap in splits.items()}
+    return embed(topology, lengths, topology.node_of_leaf(1), x)
+
+
+def _check_quartets(q, n: int):
+    """`PlueckerVector.validate` on the symmetric pair table q, raising on
+    the same first quartet."""
+    for quartet in combinations(range(1, n + 1), 4):
+        i, j, k, l = quartet
+        sums = (q[i][j] + q[k][l], q[i][k] + q[j][l], q[i][l] + q[j][k])
+        m = min(sums)
+        if sums.count(m) < 2:
+            raise PlueckerError(f"not a Pluecker vector: quartet {quartet} fails")
+
+
+def _dominant_splits(q, n: int) -> dict:
+    """Every bipartition of leaves 1..n with both sides of size >= 2 whose
+    gap, the minimum over the quartets {i, j | k, l} across it of
+    q_ij + q_kl - max(q_ik + q_jl, q_il + q_jk), is positive; keyed by the
+    side without leaf n, valued by the gap.  q is the symmetric pair table.
+
+    Bipartitions with positive gaps are pairwise compatible (two crossing
+    ones would each strictly dominate the other on a shared quartet), so
+    there are at most m - 3 of them on leaves 1..m.  Deleting leaf m + 1
+    from a bipartition of 1..m+1 keeps or raises its gap, so each one
+    with a positive gap restricts either to one with a positive gap on
+    1..m or to a side of at most one leaf.  Its gap is the smaller of the
+    restricted gap and the minimum over the quartets through m + 1.
+    """
+    gaps = {}  # bitmask (bit i for leaf i) of the side holding leaf 1 -> gap
+    for m in range(3, n):
+        new = 1 << (m + 1)
+        every = (new << 1) - 2
+        # With r_kl = q_kl - q_{m+1,k} - q_{m+1,l}, the quartet
+        # {m+1, j | k, l} has gap r_kl - max(r_jk, r_jl); the smallest over
+        # the j beside m+1 is r_kl - max(reach_k, reach_l), reach_k being
+        # the largest r_jk among them.
+        r = [[None] * (m + 1) for _ in range(m + 1)]
+        for k, l in combinations(range(1, m + 1), 2):
+            r[k][l] = r[l][k] = q[k][l] - q[m + 1][k] - q[m + 1][l]
+        candidates = {}
+        for side, gap in gaps.items():
+            candidates[side | new] = gap
+            candidates[side] = gap
+        for i in range(1, m + 1):
+            side = new | 1 << i
+            candidates[side if side & 2 else every ^ side] = None
+        gaps = {}
+        for side, gap in candidates.items():
+            with_new = side if side & new else every ^ side
+            near = [j for j in range(1, m + 1) if with_new >> j & 1]
+            far = [k for k in range(1, m + 1) if not with_new >> k & 1]
+            reach = {k: max(r[j][k] for j in near) for k in far}
+            through = min(r[k][l] - max(reach[k], reach[l]) for k, l in combinations(far, 2))
+            if gap is None or through < gap:
+                gap = through
+            if gap > 0:
+                gaps[side] = gap
+    out = {}
+    for side, gap in gaps.items():
+        if side >> n & 1:
+            side ^= (1 << (n + 1)) - 2
+        out[frozenset(i for i in range(1, n) if side >> i & 1)] = gap
+    return out
+
+
 def _brute_splits(n: int, get) -> tuple:
     """(gaps, x) for the pair coordinates get(i, j): the dominance gap of
     every leaf bipartition, keyed by its side without leaf n, and the
@@ -288,6 +370,7 @@ class PerturbationError(TropError):
 
 
 ATTEMPTS = 8  # perturbations drawn before perturbed_pencil gives up
+MAX_PERTURBED_N = 10  # brute_tropdet enumerates the (n - 2)! bijections of each minor
 
 
 def perturbed_pencil(A: SupportSet, config, seed: int = 0) -> EmbeddedLine:
@@ -304,8 +387,11 @@ def perturbed_pencil(A: SupportSet, config, seed: int = 0) -> EmbeddedLine:
     keeps the splits whose gap has a positive value, with that value as
     length.  The value part of a lexicographic max is the max of the value
     parts, so the limit's vertex next to leaf 1 sits at the value part of
-    the perturbed one.
+    the perturbed one.  Supports of more than MAX_PERTURBED_N points are
+    refused up front.
     """
+    if A.n > MAX_PERTURBED_N:
+        raise TropError(f"oracle stable pencil capped at n = {MAX_PERTURBED_N}, got n = {A.n}")
     config = list(config)
     if len(config) != A.n - 2:
         raise ValueError(f"need {A.n - 2} points, got {len(config)}")

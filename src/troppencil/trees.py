@@ -9,13 +9,18 @@ raw lift in R^n per line.
 The translation to and from tropical Pluecker vectors (the coordinates on
 the space of lines) is derived from the circuit conditions: at the median
 vertex m of leaves {i, j, k} the three quantities p_jk + m_i, p_ik + m_j,
-p_ij + m_k coincide.  Reconstruction finds the leaf bipartitions whose
-quartets are strictly dominant (their minimum gap over spanning quartets
-is the lattice length of the corresponding edge) by inserting one leaf at
-a time, in polynomial time, and places the vertex next to leaf k at
-x_l = p_kl, x_k = max_{i,j} (p_ki + p_kj - p_ij).  Ties produce
-zero-length edges, which are contracted, so degenerate lines come out as
-trees with higher-valence vertices.
+p_ij + m_k coincide.  Reconstruction reads the tree off the Farris
+transform at leaf 1, g(i, j) = p_ij - p_1i - p_1j for leaves i, j >= 2:
+p satisfies every quartet relation iff g is an ultrametric (Bandelt,
+"Recognition of tree metrics", 1990; Semple and Steel, "Phylogenetics",
+2003, section 7.2), whose tree, hung from the vertex next to leaf 1, has
+g(i, j) as the depth of the lowest node above i and j.  Leaves are
+inserted one at a time, O(n) each, and then every pair is checked against
+that depth, O(n^2) in all.  An edge's lattice length is the difference of
+its ends' depths, and the vertex next to leaf 1 sits at x_l = p_1l,
+x_1 = max_{i,j} (p_1i + p_1j - p_ij).  Ties produce zero-length edges,
+which are contracted, so degenerate lines come out as trees with
+higher-valence vertices.
 
 A line stores its coordinates on one integer scale only, D > 0 and the
 rows D * x_v in Python ints; a translate by S / E (S integers) has the rows
@@ -24,8 +29,8 @@ E * row + D * S on the scale D * E, the one formula that `translate`,
 are built only where a caller asks for them (`coords_of`).
 
 `plucker_to_tree` compares only sums of pair coordinates, which are
-linear in p, so it clears the denominators of p once (D), runs the quartet
-check and the split search on D * p in Python integers, and divides the
+linear in p, so it clears the denominators of p once (D), inserts the
+leaves and checks the pairs on D * p in Python integers, and divides the
 edge lengths and the anchor coordinates by D just before `embed`.  Every
 scalar that enters a line or a pair vector is an exact rational: `embed`,
 `translate` and `PlueckerVector` coerce their inputs with `core.rat` and
@@ -38,7 +43,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .core import ProjPoint, TropError, clear_denominators, rat
+from .core import InternalError, ProjPoint, TropError, clear_denominators, rat
 
 
 class PlueckerError(TropError):
@@ -489,86 +494,71 @@ def plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
     """The embedded line with pair coordinates p (inverse of
     tree_to_plucker up to the choice of raw lift).
 
-    A leaf bipartition is an edge of the tree iff every quartet across it
-    strictly dominates; the edge's lattice length is the smallest
-    dominance gap over those quartets.  Zero gaps are ties, i.e.
-    contracted edges, so the output can have vertices of valence above
-    three.  The splits are found by inserting leaves 4..n one at a time
-    (see _dominant_splits), in O(n^4) scalar operations.
+    Builds the tree of the ultrametric g (see the module docstring) on
+    D * p: leaf m goes next to the placed leaf i with the largest g(m, i),
+    at depth h = g(m, i), onto the first node up from i of depth <= h if
+    that depth is h, else onto a new node of depth h on the edge below it.
+    Then every pair must meet at its g; if one does not, p is not a
+    Pluecker vector, and `validate` names its first failing quartet.  Each
+    node below the root is an edge, of lattice length its depth minus its
+    parent's, and the anchor's first coordinate is minus the root's depth.
+    O(n^2) scalar operations in all.
     """
     n = p.n
+    if n < 3:
+        raise ValueError(f"a line needs at least 3 leaves, got n = {n}")
     D, flat = clear_denominators(list(p.values.values()))
     q = [[None] * (n + 1) for _ in range(n + 1)]
     for (i, j), v in zip(p.values, flat):
         q[i][j] = q[j][i] = v
-    _check_quartets(q, n)
-    splits = _dominant_splits(q, n)
-    topology = TreeTopology.from_splits(n, splits.keys())
+    q1 = q[1]
+    g = {
+        i: {j: q[i][j] - q1[i] - q1[j] for j in range(2, n + 1) if j != i}
+        for i in range(2, n + 1)
+    }
 
-    # vertex next to leaf 1, then propagate along the split directions
-    v1 = topology.node_of_leaf(1)
-    top = max(q[1][i] + q[1][j] - q[i][j] for i, j in combinations(range(2, n + 1), 2))
-    x = tuple(Fraction(c, D) for c in [top] + q[1][2:])
-    return embed(topology, {s: Fraction(gap, D) for s, gap in splits.items()}, v1, x)
+    # internal nodes get ids n + 1, n + 2, ... as they are made; a leaf's
+    # depth is infinite, so the walk up from a leaf starts at its parent
+    root = n + 1
+    depth, kids, parent = {root: g[2][3]}, {root: [2, 3]}, {2: root, 3: root, root: None}
+    for m in range(4, n + 1):
+        row = g[m]
+        below = max(range(2, m), key=row.__getitem__)
+        h = row[below]
+        v = parent[below]
+        while v is not None and depth[v] > h:
+            below, v = v, parent[v]
+        if v is not None and depth[v] == h:
+            kids[v].append(m)
+            parent[m] = v
+            continue
+        u = n + 1 + len(depth)
+        depth[u], kids[u], parent[u] = h, [below, m], v
+        parent[below] = parent[m] = u
+        if v is None:
+            root = u
+        else:
+            kids[v][kids[v].index(below)] = u
 
-
-def _check_quartets(q, n: int):
-    """`PlueckerVector.validate` on the symmetric pair table q, raising on
-    the same first quartet."""
-    for quartet in combinations(range(1, n + 1), 4):
-        i, j, k, l = quartet
-        sums = (q[i][j] + q[k][l], q[i][k] + q[j][l], q[i][l] + q[j][k])
-        m = min(sums)
-        if sums.count(m) < 2:
-            raise PlueckerError(f"not a Pluecker vector: quartet {quartet} fails")
-
-
-def _dominant_splits(q, n: int) -> dict:
-    """Every bipartition of leaves 1..n with both sides of size >= 2 whose
-    gap, the minimum over the quartets {i, j | k, l} across it of
-    q_ij + q_kl - max(q_ik + q_jl, q_il + q_jk), is positive; keyed by the
-    side without leaf n, valued by the gap.  q is the symmetric pair table.
-
-    Bipartitions with positive gaps are pairwise compatible (two crossing
-    ones would each strictly dominate the other on a shared quartet), so
-    there are at most m - 3 of them on leaves 1..m.  Deleting leaf m + 1
-    from a bipartition of 1..m+1 keeps or raises its gap, so each one
-    with a positive gap restricts either to one with a positive gap on
-    1..m or to a side of at most one leaf.  Its gap is the smaller of the
-    restricted gap and the minimum over the quartets through m + 1.
-    """
-    gaps = {}  # bitmask (bit i for leaf i) of the side holding leaf 1 -> gap
-    for m in range(3, n):
-        new = 1 << (m + 1)
-        every = (new << 1) - 2
-        # With r_kl = q_kl - q_{m+1,k} - q_{m+1,l}, the quartet
-        # {m+1, j | k, l} has gap r_kl - max(r_jk, r_jl); the smallest over
-        # the j beside m+1 is r_kl - max(reach_k, reach_l), reach_k being
-        # the largest r_jk among them.
-        r = [[None] * (m + 1) for _ in range(m + 1)]
-        for k, l in combinations(range(1, m + 1), 2):
-            r[k][l] = r[l][k] = q[k][l] - q[m + 1][k] - q[m + 1][l]
-        candidates = {}
-        for side, gap in gaps.items():
-            candidates[side | new] = gap
-            candidates[side] = gap
-        for i in range(1, m + 1):
-            side = new | 1 << i
-            candidates[side if side & 2 else every ^ side] = None
-        gaps = {}
-        for side, gap in candidates.items():
-            with_new = side if side & new else every ^ side
-            near = [j for j in range(1, m + 1) if with_new >> j & 1]
-            far = [k for k in range(1, m + 1) if not with_new >> k & 1]
-            reach = {k: max(r[j][k] for j in near) for k in far}
-            through = min(r[k][l] - max(reach[k], reach[l]) for k, l in combinations(far, 2))
-            if gap is None or through < gap:
-                gap = through
-            if gap > 0:
-                gaps[side] = gap
-    out = {}
-    for side, gap in gaps.items():
-        if side >> n & 1:
-            side ^= (1 << (n + 1)) - 2
-        out[frozenset(i for i in range(1, n) if side >> i & 1)] = gap
-    return out
+    # a and b below two different children of v must have g(a, b) = depth of v;
+    # bottom-up, that reads each of the C(n - 1, 2) pairs once
+    order = [root]
+    for v in order:
+        order += [c for c in kids[v] if c in kids]
+    leaves, splits = {}, {}
+    for v in reversed(order):
+        d, seen = depth[v], []
+        for c in kids[v]:
+            group = leaves[c] if c in kids else [c]
+            for a in group:
+                ga = g[a]
+                if any(ga[b] != d for b in seen):
+                    p.validate()
+                    raise InternalError("pair check failed on a vector that validate accepts")
+            seen += group
+        leaves[v] = seen
+        if v != root:
+            splits[frozenset(seen)] = Fraction(d - depth[parent[v]], D)
+    topology = TreeTopology.from_splits(n, splits)
+    x = [Fraction(-depth[root], D)] + [Fraction(c, D) for c in q1[2:]]
+    return embed(topology, splits, topology.node_of_leaf(1), x)

@@ -231,6 +231,16 @@ def test_enumerate_types_states_its_limit():
     assert code == 1 and out == {"error": "type enumeration capped at n = 10"}
 
 
+def test_stable_pencil_oracle_states_its_limit():
+    # the pencil itself is cheap at n = 11; only the enumerating twin is refused
+    points = [[x, 2 * x - 5, 0] for x in range(9)]
+    payload = {"support": QUARTIC11_JSON, "configuration": {"points": points}}
+    code, out = run_cli("stable-pencil", payload)
+    assert code == 0 and out["line"]["n"] == 11
+    code, out = run_cli("stable-pencil", payload, "--oracle")
+    assert code == 1 and out == {"error": "oracle stable pencil capped at n = 10, got n = 11"}
+
+
 def test_integer_fields_reject_booleans():
     # bool is an int in Python, so true would pass as 1
     code, out = run_cli("realize-type", {"support": SQ_JSON, "type_id": True})

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     COPRIME,
+    coprime_line,
     edge_lengths,
     make_lsq,
     mixed_line,
@@ -17,7 +18,8 @@ from conftest import (
 from troppencil import jsonio
 from troppencil.compat import enumerate_types
 from troppencil.core import ProjPoint, dot
-from troppencil.oracle import EpsRational, brute_plucker_to_tree
+from troppencil.core import InternalError
+from troppencil.oracle import EpsRational, brute_plucker_to_tree, poly_plucker_to_tree
 from troppencil.pencil import shifted_line
 from troppencil.stable import solve_minors
 from troppencil.trees import (
@@ -201,7 +203,8 @@ def test_plucker_relation_violation():
 def test_quartet_violation_names_the_validate_quartet():
     """Nudging one coordinate of a line's vector by a tiny rational breaks
     the quartets where that pair sits across the split; plucker_to_tree
-    checks them on its integer table and names validate's first quartet."""
+    finds a failed pair on its integer table and names validate's first
+    quartet."""
     rng = random.Random(31)
     broken = 0
     for trial in range(40):
@@ -283,13 +286,99 @@ def test_plucker_to_tree_matches_brute_twin():
 
 
 def test_round_trip_beyond_enumeration():
-    # sizes where trying every leaf bipartition took seconds to a minute
+    # sizes where trying every leaf bipartition takes seconds or more
     rng = random.Random(30)
-    for n in (12, 14):
+    for n in (12, 14, 18, 30):
         for contract_p in (0.0, 0.5):
             L = rand_line(rng, n, contract_p=contract_p)
             assert L.topology.is_trivalent() == (contract_p == 0)
             _assert_same_line(plucker_to_tree(tree_to_plucker(L)), L)
+
+
+def test_plucker_to_tree_matches_polynomial_twin():
+    """The insertion against the quartet-by-quartet split search, at sizes
+    beyond the brute twin: valid vectors give the same line, and vectors
+    with one entry perturbed give the same line or validate's error."""
+    rng = random.Random(32)
+    makers = (rand_line, coprime_line, mixed_line)
+    vectors = []
+    for n in range(4, 31):
+        for trial in range(6 if n <= 12 else 2):
+            contract_p = (0.0, 0.5)[trial % 2]
+            L = makers[(n + trial // 2) % 3](rng, n, contract_p=contract_p)
+            vectors.append(tree_to_plucker(L))
+    # integer points tie minors, so these vectors give contracted trees
+    tied = 0
+    for n in range(4, 19):
+        A = rand_support(rng, n, degree=None if n <= 10 else 5)
+        C = [ProjPoint((rng.randint(-3, 3), rng.randint(-3, 3), 0)) for _ in range(n - 2)]
+        verdict, p = solve_minors(A, C)
+        tied += not verdict.general
+        vectors.append(p)
+    assert tied >= 12
+    for p in vectors:
+        _assert_same_line(plucker_to_tree(p), poly_plucker_to_tree(p))
+    broken = 0
+    for p in vectors[::3]:
+        values = {tuple(sorted(k)): v for k, v in p.values.items()}
+        values[rng.choice(sorted(values))] += Fraction(rng.choice((-1, 1)), rng.choice(COPRIME[:3]))
+        bad = PlueckerVector(p.n, values)
+        try:
+            bad.validate()
+        except PlueckerError as want:
+            broken += 1
+            with pytest.raises(PlueckerError) as got:
+                plucker_to_tree(bad)
+            assert str(got.value) == str(want)
+        else:
+            _assert_same_line(plucker_to_tree(bad), poly_plucker_to_tree(bad))
+    assert broken >= 25
+
+
+def _cherries_vector(delta):
+    """Pair coordinates of the line with splits {2,3} and {4,5} at n = 6,
+    with p_25 lowered by delta."""
+    T = TreeTopology.from_splits(6, [frozenset({2, 3}), frozenset({4, 5})])
+    lengths = {frozenset({2, 3}): 2, frozenset({4, 5}): 3}
+    L = embed(T, lengths, T.node_of_leaf(1), (0, 1, 4, 2, 7, 5))
+    values = {tuple(sorted(k)): v for k, v in tree_to_plucker(L).values.items()}
+    values[2, 5] -= delta
+    return L, PlueckerVector(6, values)
+
+
+def test_pair_check_rejects_values_the_insertion_never_uses():
+    """Lowering p_25 leaves every g(m, i) that the insertion takes as its
+    maximum unchanged, so the tree it builds is the line's; only the check
+    of the pair (2, 5) against the root's depth finds the fault.  (A failing
+    vector always fails a quartet through leaf 1 first: those quartets are
+    exactly the triples of g, and an ultrametric passes every quartet.)"""
+    L, same = _cherries_vector(0)
+    _assert_same_line(plucker_to_tree(same), L)
+    _, bad = _cherries_vector(Fraction(1, 3))
+    with pytest.raises(PlueckerError) as want:
+        bad.validate()
+    assert "quartet (1, 2, 3, 5)" in str(want.value)
+    with pytest.raises(PlueckerError) as got:
+        plucker_to_tree(bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_failed_pair_check_that_validate_passes_is_internal(monkeypatch):
+    _, bad = _cherries_vector(1)
+    monkeypatch.setattr(PlueckerVector, "validate", lambda self: None)
+    with pytest.raises(InternalError, match="pair check failed"):
+        plucker_to_tree(bad)
+
+
+def test_plucker_to_tree_smallest_sizes():
+    # three leaves: a star whose vertex sits at x_1 = p_12 + p_13 - p_23
+    p = PlueckerVector(3, {(1, 2): 1, (1, 3): 0, (2, 3): 5})
+    L = plucker_to_tree(p)
+    assert L.topology == TreeTopology.star(3) and not L.edges
+    assert ProjPoint(L.coords_of(4)) == ProjPoint((-4, 1, 0))
+    assert tree_to_plucker(L) == p
+    with pytest.raises(ValueError, match="at least 3 leaves"):
+        plucker_to_tree(PlueckerVector(2, {(1, 2): 0}))
 
 
 def _circuit_ok(p, x, n):
