@@ -149,14 +149,16 @@ def line_to_json(L: EmbeddedLine) -> dict:
     line was computed.
     """
     topo = L.topology
-    order = sorted(
-        topo.internal_nodes,
-        key=lambda v: sorted(tuple(sorted(s)) for s in topo.leaf_partition(v)),
-    )
+
+    def partition(v):  # the sorted leaf tuples of the sides of v, sorted
+        masks = (topo._mask_beyond(v, w) for w in topo.adj[v])
+        return sorted(tuple(i for i, bit in enumerate(bin(m)[:1:-1]) if bit == "1") for m in masks)
+
+    order = sorted(topo.internal_nodes, key=partition)
     relabel = {v: topo.n + 1 + i for i, v in enumerate(order)}
     node = lambda v: v if topo.is_leaf(v) else relabel[v]
 
-    pairs = sorted({tuple(sorted((node(v), node(w)))) for v in topo.adj for w in topo.adj[v]})
+    pairs = sorted(tuple(sorted((node(v), node(w)))) for v in topo.adj for w in topo.adj[v] if v < w)
     lengths = {tuple(sorted((node(a), node(b)))): rational_to_json(ell) for a, b, _, ell in L.edges}
     anchor = topo.node_of_leaf(1)
     return {

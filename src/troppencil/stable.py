@@ -29,7 +29,10 @@ is certified on the reduced integer entries of the surviving columns:
 after subtracting optimal row/column potentials the optimal bijections
 are exactly the perfect matchings of the zero-entry bipartite graph, so
 the optimum is unique iff that graph has no alternating cycle through
-the matching found.
+the matching found.  One scan per minor (`_zero_arcs`) checks that the
+potentials are optimal and collects the graph's arcs; the cycle search
+(`_has_cycle`) runs only until the first singular pair, since the
+verdict names that pair alone, while the scan still covers every minor.
 
 The tropical determinants of all pairs always satisfy the quartet
 relations, so they are the pair coordinates of a line: the stable pencil
@@ -144,16 +147,21 @@ def _match(assignment, m: int) -> list:
 
 def _is_unique(columns, match, u, v, cols=None) -> bool:
     """No alternating cycle through the matching in the reduced-zero graph
-    of the square on the columns `cols` (all of them by default).
+    of the square on the columns `cols` (all of them by default)."""
+    cols = range(len(columns)) if cols is None else cols
+    return not _has_cycle(_zero_arcs(columns, match, u, v, cols))
+
+
+def _zero_arcs(columns, match, u, v, cols) -> dict:
+    """The arcs of the reduced-zero graph on the columns `cols`, as a
+    successor list per row that has one; checks on the way that the
+    potentials are dual-feasible and tight on the matching.
 
     columns[j] is column j of an integer matrix, match[j] the row matched
     to it, u and v the row and column potentials.  Row r has an arc to row
     match[j] when its reduced cost on column j is 0 and j is not its own
-    column; an alternating cycle is a cycle of these arcs.  The same scan
-    checks that the potentials are dual-feasible and tight on the
-    matching."""
-    cols = range(len(columns)) if cols is None else cols
-    succ = {}  # only rows with an arc
+    column."""
+    succ = {}
     for j in cols:
         t = list(map(sub, columns[j], u))  # reduced costs plus v[j]
         vj, mine = v[j], match[j]
@@ -163,18 +171,24 @@ def _is_unique(columns, match, u, v, cols=None) -> bool:
             for r, x in enumerate(t):
                 if x == vj and r != mine:
                     succ.setdefault(r, []).append(mine)
+    return succ
+
+
+def _has_cycle(succ) -> bool:
+    """Whether the arcs of `_zero_arcs` close a cycle: an alternating cycle
+    through the matching, that is, a second optimal bijection."""
     color = dict.fromkeys(succ, 0)  # 0 unseen, 1 on the current path, 2 done
 
-    def has_cycle(r) -> bool:
+    def visit(r) -> bool:
         color[r] = 1
         for nxt in succ[r]:
             c = color.get(nxt, 2)  # a row without arcs ends every path
-            if c == 1 or (c == 0 and has_cycle(nxt)):
+            if c == 1 or (c == 0 and visit(nxt)):
                 return True
         color[r] = 2
         return False
 
-    return not any(color[r] == 0 and has_cycle(r) for r in succ)
+    return any(color[r] == 0 and visit(r) for r in succ)
 
 
 def _drop(M, u, v, match, c, cols) -> tuple:
@@ -191,7 +205,7 @@ def _drop(M, u, v, match, c, cols) -> tuple:
 
 
 def _minors(N):
-    """Yield ((i, j), optimum, unique) for the maximal minor of the integer
+    """Yield ((i, j), optimum, arcs) for the maximal minor of the integer
     k x n matrix N that erases support columns i and j, for all pairs in
     combinations order.
 
@@ -199,8 +213,9 @@ def _minors(N):
     keeps every other reduced cost >= 0 and v = 0 on the free columns, so
     one phase for the row it freed restores optimality (`_drop`): once per
     i, and once more per j > i from i's state.  On the k columns left the
-    potentials are optimal for the square minor, so its uniqueness is read
-    from their reduced-zero graph."""
+    potentials are optimal for the square minor, which `_zero_arcs` checks
+    for every minor; its optimum is unique iff `_has_cycle(arcs)` is
+    false, a search the caller runs only while it needs the answer."""
     n, columns = len(N[0]), list(zip(*N))
     assignment, u, v = _assignment(N)
     v, match = [*v, 0], _match(assignment, n)
@@ -212,7 +227,7 @@ def _minors(N):
             cols.remove(j)
             uj, vj, mj = _drop(N, ui, vi, mi, j, cols)
             total = sum(columns[c][mj[c]] for c in cols)
-            yield (i + 1, j + 1), total, _is_unique(columns, mj, uj, vj, cols)
+            yield (i + 1, j + 1), total, _zero_arcs(columns, mj, uj, vj, cols)
 
 
 def minor_columns(n: int, i: int, j: int) -> list:
@@ -252,20 +267,22 @@ class GeneralityVerdict:
 def is_general(A: SupportSet, config) -> GeneralityVerdict:
     """General iff every maximal minor's tropical determinant is unique;
     reports the first singular pair otherwise."""
-    for pair, _, unique in _minors(_integer_rows(A, config)[1]):
-        if not unique:
+    for pair, _, arcs in _minors(_integer_rows(A, config)[1]):
+        if _has_cycle(arcs):
             return GeneralityVerdict(False, pair)
     return GeneralityVerdict(True, None)
 
 
 def solve_minors(A: SupportSet, config) -> tuple:
     """(GeneralityVerdict, PlueckerVector) from one solve of every maximal
-    minor; is_general alone stops at the first singular pair instead."""
+    minor; is_general alone stops at the first singular pair instead.
+    Every minor's potentials are checked, but the cycle search stops at
+    the first singular pair: later answers cannot change the verdict."""
     D, N = _integer_rows(A, config)
     totals, singular = {}, None
-    for pair, total, unique in _minors(N):
+    for pair, total, arcs in _minors(N):
         totals[pair] = total
-        if singular is None and not unique:
+        if singular is None and _has_cycle(arcs):
             singular = pair
     # p_{n-1,n} = 0 already, so PlueckerVector subtracts nothing
     ref = totals[A.n - 1, A.n]

@@ -30,11 +30,14 @@ are built only where a caller asks for them (`coords_of`).
 
 `plucker_to_tree` compares only sums of pair coordinates, which are
 linear in p, so it clears the denominators of p once (D), inserts the
-leaves and checks the pairs on D * p in Python integers, and divides the
-edge lengths and the anchor coordinates by D just before `embed`.  Every
-scalar that enters a line or a pair vector is an exact rational: `embed`,
-`translate` and `PlueckerVector` coerce their inputs with `core.rat` and
-refuse anything else.
+leaves and checks the pairs on D * p in Python integers.  The insertion
+tree already holds every node, edge, leaf set and depth, so the line is
+built from it directly, with neither `TreeTopology.from_splits` nor
+`embed`: same node ids, rows and branch table as `embed` would give, on
+the scale D, which is the least one here too.  Every scalar that enters
+a line or a pair vector is an exact rational: `embed`, `translate` and
+`PlueckerVector` coerce their inputs with `core.rat` and refuse anything
+else.
 """
 
 from __future__ import annotations
@@ -65,6 +68,14 @@ class TreeTopology:
         self.adj = {v: tuple(sorted(set(nb))) for v, nb in adj.items()}
         self._below_masks = None
         self._validate()
+
+    @classmethod
+    def _built(cls, n: int, adj: dict, below: dict) -> "TreeTopology":
+        """A tree its builder knows to be valid: `adj` holds sorted tuples
+        already and `below` is the table `_below` would work out."""
+        self = cls.__new__(cls)
+        self.n, self.adj, self._below_masks = n, adj, below
+        return self
 
     def _validate(self):
         nodes = set(self.adj)
@@ -261,8 +272,9 @@ class EmbeddedLine:
     in sorted order.  Translates share the table.
 
     `rows` maps each internal vertex to D times its coordinates, a tuple of
-    ints, for some D > 0, the least for lines from `embed`.  D times a
-    length is an integer too: a length is a coordinate difference.
+    ints, for some D > 0, the least for lines from `embed` and from
+    `plucker_to_tree`.  D times a length is an integer too: a length is a
+    coordinate difference.
     """
 
     __slots__ = ("topology", "D", "rows", "_branches")
@@ -501,8 +513,9 @@ def plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
     Then every pair must meet at its g; if one does not, p is not a
     Pluecker vector, and `validate` names its first failing quartet.  Each
     node below the root is an edge, of lattice length its depth minus its
-    parent's, and the anchor's first coordinate is minus the root's depth.
-    O(n^2) scalar operations in all.
+    parent's, and the root's first coordinate is minus its depth.  The
+    line is read off that tree as it stands (`_hung_line`), on the least
+    scale D of p.  O(n^2) scalar operations in all.
     """
     n = p.n
     if n < 3:
@@ -545,7 +558,7 @@ def plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
     order = [root]
     for v in order:
         order += [c for c in kids[v] if c in kids]
-    leaves, splits = {}, {}
+    leaves = {}
     for v in reversed(order):
         d, seen = depth[v], []
         for c in kids[v]:
@@ -557,8 +570,65 @@ def plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
                     raise InternalError("pair check failed on a vector that validate accepts")
             seen += group
         leaves[v] = seen
-        if v != root:
-            splits[frozenset(seen)] = Fraction(d - depth[parent[v]], D)
-    topology = TreeTopology.from_splits(n, splits)
-    x = [Fraction(-depth[root], D)] + [Fraction(c, D) for c in q1[2:]]
-    return embed(topology, splits, topology.node_of_leaf(1), x)
+    return _hung_line(n, D, [-depth[root], *q1[2:]], order, depth, kids, parent, leaves)
+
+
+def _hung_line(n, D, top, order, depth, kids, parent, leaves) -> EmbeddedLine:
+    """The line of `plucker_to_tree`'s insertion tree, equal part for part
+    to `embed(TreeTopology.from_splits(...), ...)` of its splits.
+
+    The tree hangs from order[0], the node next to leaf 1, whose row is
+    `top`; each other node adds its depth gap to its parent's row on the
+    leaves below it.  D is the least scale of the rows: they are integers
+    on it, and any scale that makes them integers makes p integer too
+    (`tree_to_plucker` reads p off the rows by integer sums), so it is a
+    multiple of D.  Node ids follow `from_splits`: n + 1 next to leaf n,
+    and n + 2 + the rank, by (-size, sorted leaves), of each edge's side
+    without leaf n at that side's end.  Rows come in `embed`'s walk order
+    and the branch table in its order."""
+    full = (1 << (n + 1)) - 2
+    mask = {v: sum(1 << a for a in leaves[v]) for v in order}
+    sides = []  # (-size, side without leaf n, the node at its end, the lower node)
+    for v in order[1:]:
+        if mask[v] >> n & 1:
+            side = [i for i in range(1, n + 1) if not mask[v] >> i & 1]
+            sides.append((-len(side), side, parent[v], v))
+        else:
+            sides.append((-len(leaves[v]), sorted(leaves[v]), v, v))
+    sides.sort()
+    ids = {i: i for i in range(2, n + 1)}
+    ids[parent[n]] = n + 1
+    ids.update((end, n + 2 + rank) for rank, (_, _, end, _) in enumerate(sides))
+
+    root = ids[order[0]]
+    adj = {1: (root,), root: [1]}
+    for v in order:
+        a = ids[v]
+        for c in kids[v]:
+            adj[a].append(ids[c])
+            adj[ids[c]] = [a] if c in kids else (a,)
+        adj[a] = tuple(sorted(adj[a]))
+    below = {ids[v]: mask[v] for v in order}
+    below[root] = full  # leaf 1 hangs from the root too
+    topology = TreeTopology._built(n, adj, below)
+
+    edges, gap = {}, {}
+    for *_, v in sides:
+        a, b = ids[parent[v]], ids[v]
+        gap[b] = depth[v] - depth[parent[v]]
+        key, side = ((a, b), frozenset(leaves[v])) if a < b else ((b, a), topology._leaves(full ^ mask[v]))
+        edges[key] = (*key, side, Fraction(gap[b], D))
+    # embed's walk: pop a node, then place its children by increasing id
+    rows, stack = {root: tuple(top)}, [root]
+    while stack:
+        a = stack.pop()
+        row = rows[a]
+        for b in adj[a]:
+            if b in gap and b not in rows:
+                ell, m = gap[b], below[b]
+                rows[b] = tuple([x + ell if m >> i & 1 else x for i, x in enumerate(row, 1)])
+                stack.append(b)
+    branches = dict(sorted(edges.items()))
+    for v, i in sorted((adj[i][0], i) for i in range(1, n + 1)):
+        branches[(v, i)] = (v, i, frozenset((i,)), None)
+    return EmbeddedLine(topology, D, rows, branches)

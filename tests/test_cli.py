@@ -321,6 +321,19 @@ def test_stable_pencil_payload_matches_brute_twins():
             assert out["line"] == jsonio.line_to_json(brute_plucker_to_tree(PlueckerVector(n, best)))
 
 
+def test_forward_commands_match_golden_output():
+    """stable-pencil and check-general byte for byte against a committed
+    record of their stdout and exit code: 27 seeded requests, three per
+    n = 4..12 (degree-3 supports up to n = 10, degree-4 beyond), with
+    integer-grid points in [-3, 3]^2, generic rationals over 1..3 and
+    coordinates over the pairwise coprime denominators of COPRIME."""
+    cases = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    assert len(cases) == 54
+    for k, case in enumerate(cases):
+        code, out, _ = run_in_process([case["command"]], case["input"])
+        assert (code, out) == (case["exit"], case["stdout"]), f"case {k}: {case['command']}"
+
+
 def test_bad_json_is_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "troppencil.cli", "subdivision"],

@@ -263,7 +263,8 @@ def _minor_configs(rng, ns):
 def test_minor_walk_matches_per_pair_minors_beyond_brute_cap():
     """The incremental walk against `minor_tropdet` solving each minor
     alone from the rational value matrix, at sizes enumeration cannot
-    reach: every value, every uniqueness flag, the first singular pair."""
+    reach: every value, every uniqueness flag (the cycle search run on
+    every minor's arcs), the first singular pair."""
     rng = random.Random(63)
     tied = 0
     for A, C in _minor_configs(rng, range(9, 16)):
@@ -273,9 +274,9 @@ def test_minor_walk_matches_per_pair_minors_beyond_brute_cap():
         D, N = stable._integer_rows(A, C)
         walk = list(stable._minors(N))
         assert [pair for pair, _, _ in walk] == list(twin)
-        for pair, total, unique in walk:
+        for pair, total, arcs in walk:
             assert Fraction(total, D) == twin[pair].value
-            assert unique == twin[pair].unique
+            assert (not stable._has_cycle(arcs)) == twin[pair].unique
         tied += sum(not res.unique for res in twin.values())
         singular = next((pair for pair, res in twin.items() if not res.unique), None)
         verdict, p = solve_minors(A, C)
@@ -283,6 +284,68 @@ def test_minor_walk_matches_per_pair_minors_beyond_brute_cap():
         ref = twin[(n - 1, n)].value
         assert all(p.get(i, j) == res.value - ref for (i, j), res in twin.items())
     assert tied > 100  # the integer grids tie minors
+
+
+def _early_singular(rng, ns):
+    """(A, C, singular pair) per n in ns: integer grid points whose first
+    singular pair comes before the last minor (n - 1, n)."""
+    for n in ns:
+        while True:
+            A = rand_support(rng, n, 3)
+            C = [ProjPoint((rng.randint(-3, 3), rng.randint(-3, 3), 0)) for _ in range(n - 2)]
+            singular = is_general(A, C).singular_pair
+            if singular not in (None, (n - 1, n)):
+                yield A, C, singular
+                break
+
+
+def test_optimality_scan_covers_minors_after_the_first_singular_pair(monkeypatch):
+    """Potentials corrupted on the last minor alone still raise
+    InternalError in solve_minors, after its first singular pair;
+    is_general stops at that pair and never reaches them."""
+    drop = stable._drop
+    for A, C, singular in _early_singular(random.Random(66), range(5, 11)):
+        n = A.n
+
+        def corrupted(M, u, v, match, c, cols):
+            u, v, match = drop(M, u, v, match, c, cols)
+            if list(cols) == list(range(n - 2)):  # minor (n - 1, n)
+                v = v[:]
+                v[0] += 1  # column 0 is matched: no longer tight
+            return u, v, match
+
+        monkeypatch.setattr(stable, "_drop", corrupted)
+        with pytest.raises(InternalError, match="potentials are not optimal"):
+            solve_minors(A, C)
+        assert is_general(A, C).singular_pair == singular
+        monkeypatch.setattr(stable, "_drop", drop)
+
+
+def test_cycle_search_stops_at_the_first_singular_pair(monkeypatch):
+    """solve_minors and is_general run the alternating-cycle search on the
+    minors up to the first singular pair and on none after it."""
+    rng = random.Random(67)
+    cases = [(A, C) for A, C, _ in _early_singular(rng, range(5, 11))]
+    cases += [(A, rand_config(rng, A.n)) for A, _ in cases]  # mostly general
+    has_cycle, answers = stable._has_cycle, []
+
+    def counted(arcs):
+        answers.append(has_cycle(arcs))
+        return answers[-1]
+
+    monkeypatch.setattr(stable, "_has_cycle", counted)
+    general = 0
+    for A, C in cases:
+        pairs = list(combinations(A.indices(), 2))
+        singular = is_general(A, C).singular_pair
+        general += singular is None
+        want = [False] * len(pairs) if singular is None else [False] * pairs.index(singular) + [True]
+        assert answers == want
+        answers.clear()
+        verdict, _ = solve_minors(A, C)
+        assert verdict.singular_pair == singular and answers == want
+        answers.clear()
+    assert 0 < general < len(cases)
 
 
 def _solved(M):

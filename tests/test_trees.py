@@ -335,6 +335,37 @@ def test_plucker_to_tree_matches_polynomial_twin():
     assert broken >= 25
 
 
+def test_direct_build_equals_the_embed_of_its_splits():
+    """`plucker_to_tree` builds its line straight from the insertion tree;
+    `poly_plucker_to_tree` still goes through `from_splits` and `embed`.
+    Part for part they agree: node ids, D (the least scale), the rows in
+    `embed`'s order, the branch table in its order, and the leaf masks
+    the direct build fills in."""
+    rng = random.Random(33)
+    vectors = []
+    for n in range(3, 31):
+        for maker in (rand_line, coprime_line, mixed_line):
+            for contract_p in (0.0, 0.3, 0.7):
+                vectors.append(tree_to_plucker(maker(rng, n, contract_p=contract_p)))
+    # integer points tie minors, so these vectors give contracted trees
+    tied = 0
+    for n in range(4, 19):
+        for _ in range(2):
+            A = rand_support(rng, n, degree=None if n <= 10 else 5)
+            C = [ProjPoint((rng.randint(-3, 3), rng.randint(-3, 3), 0)) for _ in range(n - 2)]
+            verdict, p = solve_minors(A, C)
+            tied += not verdict.general
+            vectors.append(p)
+    assert tied >= 20
+    for p in vectors:
+        got, want = plucker_to_tree(p), poly_plucker_to_tree(p)
+        assert got.topology.adj == want.topology.adj
+        assert got.topology._below() == TreeTopology(p.n, got.topology.adj)._below()
+        assert got.D == want.D
+        assert list(got.rows.items()) == list(want.rows.items())
+        assert list(got._branches.items()) == list(want._branches.items())
+
+
 def _cherries_vector(delta):
     """Pair coordinates of the line with splits {2,3} and {4,5} at n = 6,
     with p_25 lowered by delta."""
