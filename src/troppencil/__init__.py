@@ -72,6 +72,8 @@ from .compat import (
 from .oracle import (
     EpsRational,
     brute_fixed_locus,
+    brute_pi_attachment,
+    brute_pi_set,
     brute_plucker_to_tree,
     brute_regular_subdivision,
     brute_tropdet,

@@ -11,6 +11,8 @@ size of the support.
 
 from __future__ import annotations
 
+from math import gcd
+
 from . import plane
 from .core import ProjPoint, SupportSet, rational_from_json, rational_to_json
 from .pencil import FixedLocusCell
@@ -216,24 +218,27 @@ def geometry_to_json(g) -> dict:
     raise TypeError(f"unknown geometry {g!r}")
 
 
-def _form_to_json(f) -> list:
-    return [rational_to_json(c) for c in f]
+def _scaled_form_to_json(f, D: int) -> list:
+    """Each c / D for the ints c of f, written as `rational_to_json` writes
+    it: an int when D divides c, else "p/q" in lowest terms."""
+    out = []
+    for c in f:
+        g = gcd(c, D)
+        out.append(c // g if g == D else f"{c // g}/{D // g}")
+    return out
 
 
 def cell_to_json(cell: FixedLocusCell) -> dict:
-    kind = cell.witness[0]
-    if kind == "vertex":
-        witness = {"kind": "vertex", "node": cell.witness[1]}
+    """A cell's forms, read from its integer forms and their scale D."""
+    site, D = cell.site, cell.D
+    if site[0] == "vertex":
+        witness = {"kind": "vertex", "node": site[1]}
     else:
-        witness = {
-            "kind": "edge",
-            "edge": list(cell.witness[1]),
-            "t": _form_to_json(cell.witness[2]),
-        }
+        witness = {"kind": "edge", "edge": list(site[1]), "t": _scaled_form_to_json(site[2], D)}
     return {
         "witness": witness,
         "indices": list(cell.indices),
-        "eq": [_form_to_json(f) for f in cell.equalities],
-        "ineq": [_form_to_json(f) for f in cell.inequalities],
+        "eq": [_scaled_form_to_json(f, D) for f in cell.eq_forms],
+        "ineq": [_scaled_form_to_json(f, D) for f in cell.ineq_forms],
         "geometry": geometry_to_json(cell.geometry),
     }

@@ -5,8 +5,10 @@ lower hulls from `Fraction` planes, curve membership by exhaustive
 breakpoint walks, trees from Pluecker vectors by trying every leaf
 bipartition or by a quartet-by-quartet split search, stable pencils as
 honest limits of first-order infinitesimal perturbations, and fixed loci
-by solving every witness system with `plane.solve`.  They ship with the library (not only the
-tests) so verdicts can be re-derived on demand.
+by solving every witness system with `plane.solve`, and Pi(G, I) and its
+attachment point from `Fraction` coordinates and `SubtreeSet` intervals.
+They ship with the library (not only the tests) so verdicts can be
+re-derived on demand.
 
 The infinitesimals (`EpsRational`) never leave this module: the
 perturbed pencil's minors and leaf-bipartition gaps are computed on
@@ -21,7 +23,15 @@ from itertools import combinations, permutations
 
 from . import plane
 from .core import ProjPoint, SupportSet, TropError, clear_denominators, dot, min_profile, rat
-from .pencil import _kept_cell, _sub, _term_forms
+from .pencil import (
+    FixedLocusCell,
+    LinePoint,
+    SubtreeSet,
+    _sub,
+    _term_forms,
+    leaf_partition_at,
+    make_point,
+)
 from .subdivision import RegularSubdivision
 from .trees import EmbeddedLine, PlueckerError, PlueckerVector, TreeTopology, embed
 
@@ -222,7 +232,7 @@ def brute_fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
                         geom = plane.solve(eqs, below[i])
                         if geom is not None:
                             witness = ("vertex", v)
-                            cells.append(_kept_cell(D, witness, (i, j, k), eqs, below[i], geom))
+                            cells.append(FixedLocusCell(witness, (i, j, k), eqs, below[i], geom, D))
     for a, b, side, ell in L.edges:
         T = _term_forms(A, D, rows[a])
         inside = sorted(side)
@@ -239,7 +249,7 @@ def brute_fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
                 geom = plane.solve(eqs, ineqs)
                 if geom is not None:
                     witness = ("edge", (a, b), tform)
-                    cells.append(_kept_cell(D, witness, (i, j, k, l), eqs, ineqs, geom))
+                    cells.append(FixedLocusCell(witness, (i, j, k, l), eqs, ineqs, geom, D))
     # deduplicate zero-dimensional cells
     out, seen_points = [], set()
     for cell in cells:
@@ -249,6 +259,77 @@ def brute_fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
             seen_points.add(cell.geometry)
         out.append(cell)
     return out
+
+
+def brute_pi_set(G: EmbeddedLine, I) -> SubtreeSet:
+    """pencil.pi_set read off G's `Fraction` coordinates: per vertex the
+    argmin set, per branch the group minima and the breakpoint as
+    `Fraction`s, clipped by `SubtreeSet`."""
+    I = frozenset(I)
+    coords = G.coords
+    verts = {v for v, q in coords.items() if I <= min_profile(q).argmin}
+    iv = {}
+    for a, b, J, ell in G.branches:
+        q = coords[a]
+        muJ = min(q[i - 1] for i in J)
+        mu0 = min(x for i, x in enumerate(q, 1) if i not in J)
+        if any(q[i - 1] != (muJ if i in J else mu0) for i in I):
+            continue
+        tstar = mu0 - muJ
+        lo, hi = Fraction(0), ell
+        if I & J:  # the J group holds the minimum up to t*
+            hi = tstar if hi is None else min(hi, tstar)
+        if I - J:  # the rest holds it from t* on
+            lo = max(lo, tstar)
+        if hi is None or lo <= hi:
+            iv[(a, b)] = (lo, hi)
+    return SubtreeSet(G, verts, iv)
+
+
+def _subtree_gate(G: EmbeddedLine, S: SubtreeSet, i: int) -> LinePoint:
+    """The first point of the nonempty, connected S met coming in from leaf
+    i: the top of S on ray i, or else the first point of S on the path from
+    v_i towards S."""
+    v = G.topology.node_of_leaf(i)
+    if (v, i) in S.iv:
+        return make_point(G, (v, i), S.iv[(v, i)][1])
+    if S.vertices:
+        target = min(S.vertices)
+    else:  # S lies inside one branch
+        key, (lo, _) = next(iter(S.iv.items()))
+        a, b, side, ell = G.edge(key)
+        if ell is None:  # inside one ray
+            return make_point(G, key, lo)
+        target = a if i in side else b
+    path = G.topology.path(v, target)
+    for u, w in zip(path, path[1:]):
+        if u in S.vertices:
+            return LinePoint("vertex", u)
+        key = (u, w) if u < w else (w, u)
+        if key in S.iv:
+            # the end of the interval nearer u
+            return make_point(G, key, S.iv[key][u > w])
+    return LinePoint("vertex", target)
+
+
+def brute_pi_attachment(G: EmbeddedLine, I) -> LinePoint | None:
+    """pencil.pi_attachment as a gate walk on `brute_pi_set`'s `Fraction`
+    intervals: the gate from every leaf of I must be one point x, and every
+    branch at x free of I must be in the set out to its leaves' infinity."""
+    I = frozenset(I)
+    S = brute_pi_set(G, I)
+    if S.is_empty():
+        return None
+    topo = G.topology
+    gates = {_subtree_gate(G, S, i) for i in I} or {
+        LinePoint("vertex", v) for v in topo.internal_nodes
+    }
+    if len(gates) == 1:
+        (x,) = gates
+        free = [j for part in leaf_partition_at(G, x) if not part & I for j in part]
+        if all(S.iv.get((topo.node_of_leaf(j), j), (0, 0))[1] is None for j in free):
+            return x
+    raise TropError(f"Pi(G, {sorted(I)}) has no unique attachment point")
 
 
 def brute_plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:

@@ -5,21 +5,26 @@ support A iff the translated line G = L + A.P lies inside Pi_2, the locus
 where the coordinate minimum is attained at least twice.  That containment
 is decided at the internal vertices of G (`skeleton_level`).
 
-The vertex tests, `pi_set`'s branch walk and the locus systems run on
-integers.  Multiplying every coordinate by the same D > 0 keeps each
-argmin, each tie and each sign, and a line stores only its coordinates
-times some D (`EmbeddedLine.rows`).  With E clearing P's denominators,
-A.P = S / E for integers S, and L + A.P has the rows E * row + D * S on
-the scale D * E: `shifted_line` builds that line, and `is_fixed` reads
-its rows one vertex at a time without building it.
+Everything here runs on the line's integer scale until output.
+Multiplying every coordinate by the same D > 0 keeps each argmin, each
+tie and each sign, and a line stores only its coordinates times some D
+(`EmbeddedLine.rows`).  With E clearing P's denominators, A.P = S / E for
+integers S, and L + A.P has the rows E * row + D * S on the scale D * E:
+`shifted_line` builds that line, and `is_fixed` reads its rows one vertex
+at a time without building it, counting each row's minima with `min` and
+`count`.  Pi(G, I) and its attachment point are walked on integer
+interval ends D times the branch parameter (`_scaled_pi`); only the t of
+a returned `LinePoint` and the intervals of the public `pi_set` are
+`Fraction`s.  A fixed-locus cell keeps its integer forms and D, and
+`jsonio.cell_to_json` writes c / D straight from them.
 
 A branch is a bounded edge or a ray, which is an edge whose far end lies
 at infinity; the line keeps both in one table (`EmbeddedLine.branches`).
 Along a branch in direction e_J the coordinates split into a growing group
 J and a constant group, so the J group holds the minimum up to the
 breakpoint t* where the two group minima cross, and the other group from
-t* on.  `pi_set` walks the branches with that rule; `skeleton_level` and
-`pi_gamma` read only its consequences at the vertices.
+t* on.  `_scaled_pi` walks the branches with that rule; `skeleton_level`
+reads only its consequences at the vertices.
 
 The locus itself is enumerated per witness point c of L: a vertex with
 three leaves in pairwise distinct components of L - {c}, or an edge point
@@ -44,9 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import plane
-from .core import ProjPoint, SupportSet, TropError, clear_denominators, rat
+from .core import ProjPoint, SupportSet, TropError, rat
 from .trees import EmbeddedLine
 
 
@@ -56,9 +62,10 @@ def _scaled_shift(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> tuple:
     if A.n != L.n:
         raise ValueError("support size and leaf count differ")
     x, y, _ = P.coords
-    E, (Ex, Ey) = clear_denominators((x, y))
-    D = L.D
-    return E, [D * (r * Ex + s * Ey) for r, s, _ in A.points]
+    dx, dy = x.denominator, y.denominator
+    E = lcm(dx, dy)
+    DEx, DEy = L.D * x.numerator * (E // dx), L.D * y.numerator * (E // dy)
+    return E, [r * DEx + s * DEy for r, s, _ in A.points]
 
 
 def shifted_line(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> EmbeddedLine:
@@ -70,19 +77,20 @@ def shifted_line(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> EmbeddedLine:
 # skeleton level
 
 
-def _argmin(row) -> frozenset:
-    """The 1-based indices attaining the minimum of a row."""
-    m = min(row)
-    return frozenset(i for i, x in enumerate(row, 1) if x == m)
-
-
-def _vertex_counts(adj: dict, rows):
+def _vertex_counts(topo, rows):
     """Per pair (v, row of a line's coordinates at v, times some D > 0),
     |M_v| - [M_v holds a leaf whose ray starts at v], M_v = argmin of the
-    row; the scale changes no argmin."""
+    row; the scale changes no argmin.  Only the leaves next to v are
+    looked up in the row."""
+    n, adj = topo.n, topo.adj
     for v, row in rows:
-        argmin = _argmin(row)
-        yield len(argmin) - any(w in argmin for w in adj[v])
+        m = min(row)
+        count = row.count(m)
+        for w in adj[v]:
+            if w <= n and row[w - 1] == m:
+                count -= 1
+                break
+        yield count
 
 
 def skeleton_level(G: EmbeddedLine) -> int:
@@ -100,7 +108,7 @@ def skeleton_level(G: EmbeddedLine) -> int:
       max(t*, 0): M_v - {i} when i is in M_v, else M_v.  (With M_v = {i},
       the floor of 1 is attained at v already.)
     """
-    return max(1, min(_vertex_counts(G.topology.adj, G.rows.items())))
+    return max(1, min(_vertex_counts(G.topology, G.rows.items())))
 
 
 def is_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:
@@ -110,7 +118,7 @@ def is_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:
     one vertex at a time, with no translate built: the first vertex that
     fails the rule ends the test."""
     E, DS = _scaled_shift(L, A, P)
-    return all(count >= 2 for count in _vertex_counts(L.topology.adj, L._shifted_rows(E, DS)))
+    return all(count >= 2 for count in _vertex_counts(L.topology, L._shifted_rows(E, DS)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,57 +212,113 @@ class SubtreeSet:
         return hash(self.key())
 
 
-def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
-    """Pi(G, I): points of G where every coordinate in I is a global min.
+def _scaled_pi(G: EmbeddedLine, I: frozenset, mins: dict) -> tuple:
+    """Pi(G, I) on the line's scale: (vertices, {branch key: (lo, hi)})
+    with lo and hi D times the interval ends, ints, hi None when the
+    interval runs out along a ray; clipped as `SubtreeSet` clips.  mins
+    maps each vertex to the minimum of its row.
 
-    Read off `G.rows`: the group minima, the breakpoint and the
-    length of each branch come out D times too large, so each interval end
-    is divided by D once."""
-    I = frozenset(I)
+    Along branch (a, b) in direction e_J the group minima of a's row, the
+    breakpoint t* and the length all come out D times too large, so the
+    walk needs no division; the top of an edge, D * length, comes from the
+    length's numerator and denominator.  Raises ValueError for an index
+    of I outside 1..n."""
+    n = G.n
+    for i in I:
+        if not 1 <= i <= n:
+            raise ValueError(f"leaf index {i} is outside 1..{n}")
     D, rows = G.D, G.rows
-    verts = {v for v, row in rows.items() if I <= _argmin(row)}
+    verts = {v for v, row in rows.items() if all(row[i - 1] == mins[v] for i in I)}
     iv = {}
-    for a, b, J, ell in G.branches:
-        q = rows[a]
-        muJ = min(q[i - 1] for i in J)
-        mu0 = min(x for i, x in enumerate(q, 1) if i not in J)
+    for a, b, J, ell in G._branches.values():
+        q, m = rows[a], mins[a]
+        muJ = min([q[i - 1] for i in J])
+        # the row's minimum lies in one group at least
+        mu0 = m if muJ > m else min([x for i, x in enumerate(q, 1) if i not in J])
         if any(q[i - 1] != (muJ if i in J else mu0) for i in I):
             continue
         tstar = mu0 - muJ
-        lo, hi = 0, None if ell is None else int(D * ell)  # None: unbounded (rays)
+        top = None if ell is None else D // ell.denominator * ell.numerator
+        lo, hi = 0, top  # hi None: unbounded (rays)
         if I & J:  # the J group holds the minimum up to t*
             hi = tstar if hi is None else min(hi, tstar)
         if I - J:  # the rest holds it from t* on
             lo = max(lo, tstar)
-        if hi is None or lo <= hi:
-            iv[(a, b)] = (Fraction(lo, D), None if hi is None else Fraction(hi, D))
-    return SubtreeSet(G, verts, iv)
+        # an interval that reaches an end of the branch has I in the
+        # argmin there, so that end is in verts already; a lone end point
+        # is just its vertex
+        if (hi is None or 0 < hi and lo <= hi) and (top is None or lo < top):
+            iv[(a, b)] = (lo, hi)
+    return verts, iv
 
 
-def _gate(G: EmbeddedLine, S: SubtreeSet, i: int) -> LinePoint:
-    """The first point of the nonempty, connected S met coming in from leaf
-    i in I: the top of S on ray i, or else the first point of S on the path
-    from v_i towards S."""
+def _row_minima(G: EmbeddedLine) -> dict:
+    """The minimum of each vertex's row."""
+    return {v: min(row) for v, row in G.rows.items()}
+
+
+def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
+    """Pi(G, I): points of G where every coordinate in I is a global min.
+
+    The set of `_scaled_pi`, with each interval end divided by D."""
+    D = G.D
+    verts, iv = _scaled_pi(G, frozenset(I), _row_minima(G))
+    return SubtreeSet(
+        G, verts, {k: (Fraction(lo, D), hi if hi is None else Fraction(hi, D)) for k, (lo, hi) in iv.items()}
+    )
+
+
+def _scaled_point(G: EmbeddedLine, key, x: int) -> LinePoint:
+    """The point at D * t = x along the branch key, for x within the
+    branch; its ends come back as vertices."""
+    a, b, _, ell = G.edge(key)
+    if x == 0:
+        return LinePoint("vertex", a)
+    if ell is None:
+        return LinePoint("ray", key, Fraction(x, G.D))
+    t = Fraction(x, G.D)
+    return LinePoint("vertex", b) if t == ell else LinePoint("edge", key, t)
+
+
+def _gate(G: EmbeddedLine, verts, iv: dict, i: int) -> LinePoint:
+    """The first point of the nonempty, connected S = (verts, iv) of
+    `_scaled_pi` met coming in from leaf i in I: the top of S on ray i, or
+    else the first point of S on the path from v_i towards S."""
     v = G.topology.node_of_leaf(i)
-    if (v, i) in S.iv:
-        return make_point(G, (v, i), S.iv[(v, i)][1])
-    if S.vertices:
-        target = min(S.vertices)
+    if (v, i) in iv:
+        return _scaled_point(G, (v, i), iv[(v, i)][1])
+    if verts:
+        target = min(verts)
     else:  # S lies inside one branch
-        key, (lo, _) = next(iter(S.iv.items()))
+        key, (lo, _) = next(iter(iv.items()))
         a, b, side, ell = G.edge(key)
         if ell is None:  # inside one ray
-            return make_point(G, key, lo)
+            return _scaled_point(G, key, lo)
         target = a if i in side else b
     path = G.topology.path(v, target)
     for u, w in zip(path, path[1:]):
-        if u in S.vertices:
+        if u in verts:
             return LinePoint("vertex", u)
         key = (u, w) if u < w else (w, u)
-        if key in S.iv:
+        if key in iv:
             # the end of the interval nearer u
-            return make_point(G, key, S.iv[key][u > w])
+            return _scaled_point(G, key, iv[key][u > w])
     return LinePoint("vertex", target)
+
+
+def _attachment(G: EmbeddedLine, I: frozenset, mins: dict) -> LinePoint | None:
+    """`pi_attachment` with the row minima of G given."""
+    verts, iv = _scaled_pi(G, I, mins)
+    if not verts and not iv:
+        return None
+    topo = G.topology
+    gates = {_gate(G, verts, iv, i) for i in I} or {LinePoint("vertex", v) for v in topo.internal_nodes}
+    if len(gates) == 1:
+        (x,) = gates
+        free = [j for part in leaf_partition_at(G, x) if not part & I for j in part]
+        if all(iv.get((topo.node_of_leaf(j), j), (0, 0))[1] is None for j in free):
+            return x
+    raise TropError(f"Pi(G, {sorted(I)}) has no unique attachment point")
 
 
 def pi_attachment(G: EmbeddedLine, I) -> LinePoint | None:
@@ -264,19 +328,10 @@ def pi_attachment(G: EmbeddedLine, I) -> LinePoint | None:
     x must be the gate from every leaf of I (every vertex when I is empty).
     A branch holding a leaf i of I then meets S = Pi(G, I), which is
     connected, only at x; an I-free branch lies in S iff its leaf rays run
-    out to infinity inside S.  These two checks prove the shape."""
-    I = frozenset(I)
-    S = pi_set(G, I)
-    if S.is_empty():
-        return None
-    topo = G.topology
-    gates = {_gate(G, S, i) for i in I} or {LinePoint("vertex", v) for v in topo.internal_nodes}
-    if len(gates) == 1:
-        (x,) = gates
-        free = [j for part in leaf_partition_at(G, x) if not part & I for j in part]
-        if all(S.iv.get((topo.node_of_leaf(j), j), (0, 0))[1] is None for j in free):
-            return x
-    raise TropError(f"Pi(G, {sorted(I)}) has no unique attachment point")
+    out to infinity inside S.  These two checks prove the shape.  The walk
+    runs on `_scaled_pi`'s integer interval ends; only the t of the point
+    returned is a `Fraction`."""
+    return _attachment(G, frozenset(I), _row_minima(G))
 
 
 def pi_gamma(G: EmbeddedLine) -> ProjPoint:
@@ -291,8 +346,9 @@ def pi_gamma_location(G: EmbeddedLine) -> LinePoint:
     # Inside Pi_2 every coordinate that attains the minimum somewhere on G
     # attains it at a vertex (see skeleton_level): on a ray the other
     # coordinates take over at t* <= 0.
-    imax = frozenset().union(*map(_argmin, G.rows.values()))
-    p = pi_attachment(G, imax)
+    mins = _row_minima(G)
+    imax = frozenset(i for v, row in G.rows.items() for i, x in enumerate(row, 1) if x == mins[v])
+    p = _attachment(G, imax, mins)
     if p is None:
         raise TropError("no coordinate ever attains the minimum")
     return p
@@ -302,17 +358,53 @@ def pi_gamma_location(G: EmbeddedLine) -> LinePoint:
 # fixed locus enumeration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedLocusCell:
     """One candidate cell of the fixed locus: the witness point of L, the
     support indices required to attain the minimum, and the exact linear
-    description of the admissible P (closed)."""
+    description of the admissible P (closed).
 
-    witness: tuple  # ("vertex", node) or ("edge", (a, b), t-form)
+    Like `EmbeddedLine.rows`, the forms are stored as integer triples D
+    times the true affine forms, D the line's scale; `witness`,
+    `equalities` and `inequalities` divide them by D when read, and
+    `jsonio.cell_to_json` writes them from the integers.  Cells compare
+    by what they describe, whatever their D."""
+
+    site: tuple  # ("vertex", node) or ("edge", (a, b), D * t-form)
     indices: tuple
-    equalities: tuple  # affine forms, = 0
-    inequalities: tuple  # affine forms, >= 0
+    eq_forms: tuple  # D * affine forms, = 0
+    ineq_forms: tuple  # D * affine forms, >= 0
     geometry: object  # plane geometry, never None in fixed_locus output
+    D: int
+
+    def _unscaled(self, f) -> tuple:
+        return tuple(Fraction(c, self.D) for c in f)
+
+    @property
+    def witness(self) -> tuple:
+        """("vertex", node) or ("edge", (a, b), t-form)."""
+        if self.site[0] == "vertex":
+            return self.site
+        return (*self.site[:2], self._unscaled(self.site[2]))
+
+    @property
+    def equalities(self) -> tuple:
+        """The affine forms that vanish on the cell, as `Fraction`s."""
+        return tuple(map(self._unscaled, self.eq_forms))
+
+    @property
+    def inequalities(self) -> tuple:
+        """The affine forms that are >= 0 on the cell, as `Fraction`s."""
+        return tuple(map(self._unscaled, self.ineq_forms))
+
+    def _key(self) -> tuple:
+        return (self.witness, self.indices, self.equalities, self.inequalities, self.geometry)
+
+    def __eq__(self, other):
+        return isinstance(other, FixedLocusCell) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _term_forms(A: SupportSet, D: int, row) -> list:
@@ -323,18 +415,6 @@ def _term_forms(A: SupportSet, D: int, row) -> list:
 
 def _sub(f, g):
     return (f[0] - g[0], f[1] - g[1], f[2] - g[2])
-
-
-def _kept_cell(D: int, witness, indices, eqs, ineqs, geom) -> FixedLocusCell:
-    """The cell of integer forms D * T in the line's own units."""
-
-    def unscaled(f):
-        return tuple(Fraction(c, D) for c in f)
-
-    if witness[0] == "edge":
-        witness = (*witness[:2], unscaled(witness[2]))
-    eqs, ineqs = tuple(map(unscaled, eqs)), tuple(map(unscaled, ineqs))
-    return FixedLocusCell(witness, indices, eqs, ineqs, geom)
 
 
 def _dips(terms, nx, ny, det, floor) -> bool:
@@ -359,8 +439,9 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
 
     The systems are solved on the integer forms D * T_m (see
     `L.rows`): every form is D times the true one, which moves
-    no solution and flips no inequality.  A kept cell stores its forms
-    divided by D again.
+    no solution and flips no inequality.  A kept cell stores these
+    integer forms and D (see `FixedLocusCell`); no `Fraction` is made
+    until a caller reads its forms.
 
     Each candidate is decided on integers before any form is built.  When
     its two equalities meet in one point (nx, ny) / det with det > 0
@@ -386,7 +467,7 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
     D, rows = L.D, L.rows
     meet, coincide = plane._meet, plane._coincide
 
-    def keep(witness, indices, eqs, ineqs):
+    def keep(site, indices, eqs, ineqs):
         geom = plane.solve(eqs, ineqs)
         if geom is None:
             return
@@ -394,7 +475,7 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
             if geom in seen_points:
                 return
             seen_points.add(geom)
-        out.append(_kept_cell(D, witness, indices, eqs, ineqs, geom))
+        out.append(FixedLocusCell(site, indices, eqs, ineqs, geom, D))
 
     for v in topo.internal_nodes:
         T = _term_forms(A, D, rows[v])
@@ -422,7 +503,7 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
         inside = sorted(side)
         outside = sorted(set(range(1, L.n + 1)) - side)
         T_in, T_out = [T[m] for m in inside], [T[m] for m in outside]
-        top = int(D * ell)
+        top = D // ell.denominator * ell.numerator
         pairs_out = [(k, l, T[k], _sub(T[k], T[l])) for k, l in combinations(outside, 2)]
         for i, j in combinations(inside, 2):
             ai, bi, ci = Ti = T[i]

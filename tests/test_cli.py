@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from conftest import coprime_rational, make_lsq, rand_line, rand_support, run_in_process
-from troppencil import cli, compat, jsonio, stable
+from troppencil import cli, compat, jsonio, pencil, stable
 from troppencil.core import ProjPoint, rational_to_json
-from troppencil.oracle import brute_plucker_to_tree, brute_tropdet
+from troppencil.oracle import brute_fixed_locus, brute_plucker_to_tree, brute_tropdet
 from troppencil.trees import PlueckerVector, TreeTopology, embed
 
 SQ_JSON = {"degree": 2, "points": [[0, 0, 2], [1, 0, 1], [0, 1, 1], [1, 1, 0]]}
@@ -332,6 +332,43 @@ def test_forward_commands_match_golden_output():
     for k, case in enumerate(cases):
         code, out, _ = run_in_process([case["command"]], case["input"])
         assert (code, out) == (case["exit"], case["stdout"]), f"case {k}: {case['command']}"
+
+
+def _fixed_locus_cases() -> list:
+    return json.loads((Path(__file__).parent / "data" / "fixed_locus_golden.json").read_text())
+
+
+def test_fixed_locus_commands_match_golden_output():
+    """fixed-locus and is-fixed byte for byte against a committed record of
+    their stdout and exit code: 41 seeded requests on two random lines per
+    n = 4..10, one trivalent and one with contracted edges, anchors over
+    denominators 1..3 and lengths over 1..3, each line asked at a point of
+    its locus (the contracted one also at a random point), plus a segment
+    from a stable pencil of the square and a ray from three collinear
+    support points."""
+    cases = _fixed_locus_cases()
+    assert len(cases) == 41
+    for k, case in enumerate(cases):
+        code, out, _ = run_in_process([case["command"]], case["input"])
+        assert (code, out) == (case["exit"], case["stdout"]), f"case {k}: {case['command']}"
+
+
+def test_fixed_locus_cells_written_from_integers(monkeypatch):
+    # cell_to_json reads a cell's integer forms: the Fraction views are
+    # never built on the CLI path, and the cells are the brute ones
+    def refuse(self, f):
+        raise AssertionError("a kept cell built Fractions")
+
+    cases = [c for c in _fixed_locus_cases() if c["command"] == "fixed-locus"]
+    for case in cases:
+        obj = json.loads(case["input"])
+        A = jsonio.support_from_json(obj["support"])
+        L = jsonio.line_from_json(obj["line"], A.n)
+        assert pencil.fixed_locus(L, A) == brute_fixed_locus(L, A)
+    monkeypatch.setattr(pencil.FixedLocusCell, "_unscaled", refuse)
+    for case in cases:
+        code, out, _ = run_in_process(["fixed-locus"], case["input"])
+        assert (code, out) == (case["exit"], case["stdout"])
 
 
 def test_bad_json_is_exit_2():

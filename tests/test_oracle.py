@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,10 @@ from conftest import (
     locus_contains,
     locus_points,
     make_lsq,
+    plant_line,
     rand_config,
     rand_line,
+    rand_proj_point,
     rand_support,
 )
 from troppencil import plane
@@ -17,11 +20,13 @@ from troppencil.core import ProjPoint, TropError
 from troppencil.oracle import (
     EpsRational,
     brute_fixed_locus,
+    brute_pi_attachment,
+    brute_pi_set,
     brute_tropdet,
     perturbed_pencil,
     sampled_fixed,
 )
-from troppencil.pencil import fixed_locus, is_fixed, shifted_line
+from troppencil.pencil import _scaled_pi, fixed_locus, is_fixed, pi_attachment, pi_set, shifted_line
 from troppencil.stable import is_general, stable_pencil, tropdet
 from troppencil.trees import TreeTopology, embed
 
@@ -168,3 +173,63 @@ def test_perturbed_matches_stable_random():
         Ls = stable_pencil(A, C)
         assert perturbed_pencil(A, C, seed=trial) == Ls
         assert perturbed_pencil(A, C, seed=trial + 5000) == Ls  # seed independent
+
+
+def _crossing_argmins(G) -> list:
+    """The argmin of G's coordinates at each vertex and at each point of a
+    branch where a coordinate of the growing group meets one of the rest."""
+    out = []
+    coords = G.coords
+    for q in coords.values():
+        m = min(q)
+        out.append(frozenset(i for i, x in enumerate(q, 1) if x == m))
+    for a, _, side, ell in G.branches:
+        q = coords[a]
+        for t in {q[k - 1] - q[i - 1] for i in side for k in range(1, G.n + 1) if k not in side}:
+            if 0 < t and (ell is None or t < ell):
+                row = [x + t if i in side else x for i, x in enumerate(q, 1)]
+                m = min(row)
+                out.append(frozenset(i for i, x in enumerate(row, 1) if x == m))
+    return out
+
+
+def test_pi_attachment_matches_fraction_walk():
+    # the integer walk against the SubtreeSet gate walk on Fraction
+    # intervals: Pi(G, I) and its attachment point, or the same error
+    rng = random.Random(75)
+    lines = []
+    for m in range(70):
+        n = 4 + m % 7
+        contract_p = 0.4 * (m % 3 == 2)
+        L = [rand_line, coprime_line][m % 2](rng, n, contract_p=contract_p)
+        G = plant_line(rng, n, 1 + m % 3)[0]
+        A = rand_support(rng, n)
+        shifts = locus_points(L, A)[:2] + [rand_proj_point(rng)]
+        lines += [L, G] + [shifted_line(L, A, P) for P in shifts]
+    seen = {"none": 0, "vertex": 0, "edge": 0, "ray": 0, "error": 0}
+    pairs = 0
+    for G in lines:
+        n = G.n
+        crossings = _crossing_argmins(G)
+        subsets = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))) for _ in range(2)]
+        subsets += rng.sample(crossings, min(3, len(crossings)))
+        subsets.append(frozenset().union(*crossings[: len(G.rows)]))
+        mins = {v: min(row) for v, row in G.rows.items()}
+        for I in subsets:
+            pairs += 1
+            S = brute_pi_set(G, I)
+            assert pi_set(G, I) == S
+            # the integer core itself clips as SubtreeSet does
+            scaled = {k: (lo * G.D, None if hi is None else hi * G.D) for k, (lo, hi) in S.iv.items()}
+            assert _scaled_pi(G, I, mins) == (S.vertices, scaled)
+            try:
+                want = brute_pi_attachment(G, I)
+            except TropError as e:
+                with pytest.raises(TropError, match=re.escape(str(e))):
+                    pi_attachment(G, I)
+                seen["error"] += 1
+                continue
+            assert pi_attachment(G, I) == want
+            seen["none" if want is None else want.kind] += 1
+    assert pairs >= 2000
+    assert min(seen.values()) >= 30 and seen["edge"] + seen["ray"] >= 300, seen

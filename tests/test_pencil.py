@@ -304,6 +304,16 @@ def test_pi_set_examples(SQ):
     assert pi_set(L, []) == full_set(L)
 
 
+def test_leaf_indices_outside_range():
+    # index 0 would read coordinate n through q[-1], n + 2 past the row
+    L = rand_line(random.Random(0), 5)
+    for bad in (0, -1, 6, 7):
+        for f in (pi_set, pi_attachment):
+            for I in ({bad}, {2, bad}):
+                with pytest.raises(ValueError, match=rf"leaf index {bad} is outside 1\.\.5"):
+                    f(L, I)
+
+
 def test_pi_set_connected_random():
     rng = random.Random(33)
     for _ in range(40):
