@@ -67,7 +67,7 @@ from .subdivision import (
     is_maximal,
     regular_subdivision,
 )
-from .trees import EmbeddedLine, TreeTopology, embed, plucker_to_tree
+from .trees import EmbeddedLine, TreeTopology, _placed, embed, plucker_to_tree
 
 
 @dataclass(frozen=True)
@@ -264,12 +264,14 @@ def _edges(adj: dict) -> list:
 
 
 def _insert(adj: dict, n: int, m: int, x: int, y: int) -> dict:
-    """A copy of adj with leaf m hung from a new node on the edge (x, y)."""
+    """A copy of adj with leaf m hung from a new node on the edge (x, y).
+    Its id is the largest yet, so the tuples stay sorted: a trivalent tree
+    that `TreeTopology._built` takes as it stands, with no validation."""
     z = n + m - 2  # next internal id: an m-leaf tree has m-2 internals
     out = dict(adj)
-    out[x] = tuple(z if w == y else w for w in adj[x])
-    out[y] = tuple(z if w == x else w for w in adj[y])
-    out[z] = (x, y, m)
+    out[x] = (*(w for w in adj[x] if w != y), z)
+    out[y] = (*(w for w in adj[y] if w != x), z)
+    out[z] = tuple(sorted((x, y, m)))
     out[m] = (z,)
     return out
 
@@ -299,7 +301,7 @@ def iter_types(n: int):
     if n > 10:
         raise TropError("type enumeration capped at n = 10")
     for _, adj in _grow(n, 4, _star3(n), 0, lambda adj, m: True):
-        yield TreeTopology(n, adj)
+        yield TreeTopology._built(n, adj, None)
 
 
 def enumerate_types(n: int) -> list:
@@ -318,7 +320,7 @@ def type_by_id(n: int, type_id: int):
     adj = _star3(n)
     for m in range(4, n + 1):
         adj = _insert(adj, n, m, *_edges(adj)[digit[m]])
-    return TreeTopology(n, adj)
+    return TreeTopology._built(n, adj, None)
 
 
 def compatible_types(A: SupportSet):
@@ -361,7 +363,7 @@ def compatible_types(A: SupportSet):
         return True
 
     for type_id, adj in _grow(A.n, 4, _star3(A.n), 0, fits):
-        yield type_id, TreeTopology(A.n, adj)
+        yield type_id, TreeTopology._built(A.n, adj, None)
 
 
 def count_compatible(A: SupportSet) -> int:
@@ -430,15 +432,6 @@ def realize_type(A: SupportSet, T: TreeTopology, seed: int = 0) -> EmbeddedLine:
 
 def _unit_offsets(T: TreeTopology, anchor: int) -> dict:
     """{v: w_v} over the internal nodes: the sum of the e_I along the path
-    from the anchor, that is, where `embed` with unit lengths puts v
-    relative to the anchor."""
-    w = {anchor: (0,) * T.n}
-    stack = [anchor]
-    while stack:
-        a = stack.pop()
-        for b in T.adj[a]:
-            if not T.is_leaf(b) and b not in w:
-                side = T.leaves_beyond(a, b)
-                w[b] = tuple(x + (i in side) for i, x in enumerate(w[a], 1))
-                stack.append(b)
-    return w
+    from the anchor, that is, the rows of T placed with unit lengths from
+    0 at the anchor."""
+    return _placed(T, 1, anchor, (0,) * T.n, dict.fromkeys(T.internal_edges, 1)).rows

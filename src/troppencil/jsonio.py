@@ -11,6 +11,7 @@ size of the support.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 
 from . import plane
@@ -184,7 +185,10 @@ def line_from_json(obj, n: int) -> EmbeddedLine:
             continue
         if e.get("length") is None:
             raise MalformedInput(f"line: internal edge ({a},{b}) needs a length")
-        lengths[frozenset((a, b))] = _rational(e["length"], f"line.edges[{k}].length")
+        ell = _rational(e["length"], f"line.edges[{k}].length")
+        if ell <= 0:
+            raise MalformedInput(f"line.edges[{k}].length must be positive")
+        lengths[frozenset((a, b))] = ell
     anchor = expect(obj, "line.anchor", dict)
     node = expect(anchor, "line.anchor.node", int)
     coords = expect(anchor, "line.anchor.coords", list)
@@ -196,11 +200,11 @@ def line_from_json(obj, n: int) -> EmbeddedLine:
 
 
 def plucker_to_json(p) -> dict:
-    out = {}
-    for key in sorted(p.values, key=sorted):
-        i, j = sorted(key)
-        out[f"{i},{j}"] = rational_to_json(p.values[key])
-    return out
+    """Each pair coordinate, read from the vector's integer table over its
+    scale D, under the key "i,j" in the order of the pairs."""
+    pairs = list(combinations(range(1, p.n + 1), 2))
+    values = _scaled_form_to_json([p.table[i][j] for i, j in pairs], p.D)
+    return {f"{i},{j}": v for (i, j), v in zip(pairs, values)}
 
 
 def geometry_to_json(g) -> dict:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import plane
-from .core import ProjPoint, SupportSet, TropError, clear_denominators, dot, min_profile, rat
+from .core import ProjPoint, SupportSet, TropError, dot, min_profile, rat
 from .pencil import (
     FixedLocusCell,
     LinePoint,
@@ -33,7 +33,7 @@ from .pencil import (
     make_point,
 )
 from .subdivision import RegularSubdivision
-from .trees import EmbeddedLine, PlueckerError, PlueckerVector, TreeTopology, embed
+from .trees import EmbeddedLine, PlueckerVector, TreeTopology, embed
 
 
 class EpsRational:
@@ -350,31 +350,16 @@ def poly_plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
     """trees.plucker_to_tree by a polynomial split search: every quartet
     is checked, then leaves 4..n are inserted one at a time, keeping the
     leaf bipartitions whose quartets strictly dominate (_dominant_splits),
-    in O(n^4) scalar operations on the integer table D * p.
+    in O(n^4) scalar operations on the vector's integer table D * p.
     """
-    n = p.n
-    D, flat = clear_denominators(list(p.values.values()))
-    q = [[None] * (n + 1) for _ in range(n + 1)]
-    for (i, j), v in zip(p.values, flat):
-        q[i][j] = q[j][i] = v
-    _check_quartets(q, n)
+    p.validate()
+    n, D, q = p.n, p.D, p.table
     splits = _dominant_splits(q, n)
     topology = TreeTopology.from_splits(n, splits.keys())
     top = max(q[1][i] + q[1][j] - q[i][j] for i, j in combinations(range(2, n + 1), 2))
-    x = tuple(Fraction(c, D) for c in [top] + q[1][2:])
+    x = tuple(Fraction(c, D) for c in (top, *q[1][2:]))
     lengths = {s: Fraction(gap, D) for s, gap in splits.items()}
     return embed(topology, lengths, topology.node_of_leaf(1), x)
-
-
-def _check_quartets(q, n: int):
-    """`PlueckerVector.validate` on the symmetric pair table q, raising on
-    the same first quartet."""
-    for quartet in combinations(range(1, n + 1), 4):
-        i, j, k, l = quartet
-        sums = (q[i][j] + q[k][l], q[i][k] + q[j][l], q[i][l] + q[j][k])
-        m = min(sums)
-        if sums.count(m) < 2:
-            raise PlueckerError(f"not a Pluecker vector: quartet {quartet} fails")
 
 
 def _dominant_splits(q, n: int) -> dict:

@@ -18,9 +18,9 @@ row) and walk the minors from it (`_minors`): erasing a column keeps
 every other reduced cost feasible, so one phase for the row it freed
 restores optimality.  Minor (i, j) is one erasure away from the state
 without column i, so the walk takes at most k + (n - 1) + C(n, 2)
-phases instead of k per minor.  `solve_minors` subtracts minor
-(n - 1, n)'s optimum from each in integers and divides by D once, so the
-Pluecker vector arrives normalized.
+phases instead of k per minor.  `solve_minors` hands the integer optima
+and D to the Pluecker vector as they are; it subtracts minor (n - 1, n)'s
+optimum and divides out the common factor in integers.
 `tropdet` clears the denominators of the square it is given and runs one
 phase per row; `minor_tropdet` cuts one minor's square and solves it
 alone, the per-pair twin of the walk.  The rational matrix itself
@@ -284,10 +284,7 @@ def solve_minors(A: SupportSet, config) -> tuple:
         totals[pair] = total
         if singular is None and _has_cycle(arcs):
             singular = pair
-    # p_{n-1,n} = 0 already, so PlueckerVector subtracts nothing
-    ref = totals[A.n - 1, A.n]
-    values = {pair: Fraction(total - ref, D) for pair, total in totals.items()}
-    return GeneralityVerdict(singular is None, singular), PlueckerVector(A.n, values)
+    return GeneralityVerdict(singular is None, singular), PlueckerVector._scaled(A.n, D, totals)
 
 
 def plucker_of_config(A: SupportSet, config) -> PlueckerVector:

@@ -25,19 +25,24 @@ higher-valence vertices.
 A line stores its coordinates on one integer scale only, D > 0 and the
 rows D * x_v in Python ints; a translate by S / E (S integers) has the rows
 E * row + D * S on the scale D * E, the one formula that `translate`,
-`pencil.shifted_line` and `pencil.is_fixed` read.  `Fraction` coordinates
-are built only where a caller asks for them (`coords_of`).
+`pencil.shifted_line` and `pencil.is_fixed` read.  A pair vector likewise
+keeps the least D > 0 and the symmetric int table D * p, which
+`stable.solve_minors` and `tree_to_plucker` fill from their integers
+directly.  `Fraction`s are built only where a caller asks for them
+(`coords_of`, `PlueckerVector.get`).  One walk places every line
+(`_placed`): from an anchor row and integer edge lengths it lays out the
+rows and the branch table, for `embed`, for `plucker_to_tree` and for
+`compat`'s unit offsets.
 
 `plucker_to_tree` compares only sums of pair coordinates, which are
-linear in p, so it clears the denominators of p once (D), inserts the
-leaves and checks the pairs on D * p in Python integers.  The insertion
-tree already holds every node, edge, leaf set and depth, so the line is
-built from it directly, with neither `TreeTopology.from_splits` nor
-`embed`: same node ids, rows and branch table as `embed` would give, on
-the scale D, which is the least one here too.  Every scalar that enters
-a line or a pair vector is an exact rational: `embed`, `translate` and
-`PlueckerVector` coerce their inputs with `core.rat` and refuse anything
-else.
+linear in p, so it inserts the leaves and checks the pairs on the table
+D * p in Python integers.  The insertion tree already holds every node,
+edge, leaf set and depth, so the line is placed from it directly, with
+neither `TreeTopology.from_splits` nor `embed`: same node ids, rows and
+branch table as `embed` would give, on the scale D, which is the least
+one here too.  Every scalar that enters a line or a pair vector is an
+exact rational: `embed`, `translate` and `PlueckerVector` coerce their
+inputs with `core.rat` and refuse anything else.
 """
 
 from __future__ import annotations
@@ -70,9 +75,10 @@ class TreeTopology:
         self._validate()
 
     @classmethod
-    def _built(cls, n: int, adj: dict, below: dict) -> "TreeTopology":
+    def _built(cls, n: int, adj: dict, below) -> "TreeTopology":
         """A tree its builder knows to be valid: `adj` holds sorted tuples
-        already and `below` is the table `_below` would work out."""
+        already and `below` is the table `_below` would work out, or None
+        to have it worked out on first use."""
         self = cls.__new__(cls)
         self.n, self.adj, self._below_masks = n, adj, below
         return self
@@ -266,8 +272,8 @@ class EmbeddedLine:
 
     For every internal edge (a, b), coords(b) - coords(a) equals
     length * e_I where I = leaves beyond b; lengths are positive.  A ray is
-    an edge whose far end, the leaf, lies at infinity.  `embed` builds a
-    line and its one table of branches, keyed (a, b): the internal edges
+    an edge whose far end, the leaf, lies at infinity.  `_placed` builds
+    a line and its one table of branches, keyed (a, b): the internal edges
     (a, b, I, length) with a < b, then the rays (node, leaf, {leaf}, None)
     in sorted order.  Translates share the table.
 
@@ -366,8 +372,8 @@ def embed(topology: TreeTopology, lengths, anchor_node: int, anchor_coords) -> E
 
     `lengths` maps internal edges to positive lattice lengths; keys may be
     frozensets {a, b} of node ids or the split's leaf side (either side).
-    Each edge is placed once, and its branch goes into the line's table.
-    D is the lcm of the denominators of the anchor and the lengths.
+    D is the lcm of the denominators of the anchor and the lengths, and
+    `_placed` lays the rows and the branch table out on it.
     """
     if anchor_node not in topology.adj or topology.is_leaf(anchor_node):
         raise ValueError(f"anchor node {anchor_node} is not an internal node")
@@ -375,34 +381,53 @@ def embed(topology: TreeTopology, lengths, anchor_node: int, anchor_coords) -> E
     if len(anchor) != topology.n:
         raise ValueError("coordinate vectors must have one entry per leaf")
 
-    def edge_length(a, b, side, other):
-        for key in (frozenset((a, b)), side, other):
+    def names(a, b):  # the leaf sides only when the node pair is not a key
+        yield frozenset((a, b))
+        yield topology.leaves_beyond(a, b)
+        yield topology.leaves_beyond(b, a)
+
+    def edge_length(a, b):
+        for key in names(a, b):
             if key in lengths:
-                return rat(lengths[key])
+                ell = rat(lengths[key])
+                if not ell > 0:
+                    raise ValueError("non-positive length")
+                return ell
         raise ValueError(f"no length given for edge ({a},{b})")
 
-    edges, walk, stack = {}, [], [anchor_node]
+    keys = topology.internal_edges
+    ells = [edge_length(a, b) for a, b in keys]
+    D, ints = clear_denominators(anchor + ells)
+    n = topology.n
+    return _placed(topology, D, anchor_node, ints[:n], dict(zip(keys, ints[n:])))
+
+
+def _placed(topology: TreeTopology, D: int, anchor: int, row, int_lengths) -> EmbeddedLine:
+    """The line of `topology` on the scale D whose row at the internal node
+    `anchor` is `row`, with D times its length int_lengths[a, b] on each
+    internal edge (a, b), a < b; all of them ints.
+
+    The walk pops a node and places its children by increasing id, each
+    child's row its parent's plus the length on the leaves beyond it, so
+    rows come in that order.  The branch table holds the edges by key,
+    (a, b, leaves beyond b, length), then the rays by node."""
+    n, adj = topology.n, topology.adj
+    rows, edges, stack = {anchor: tuple(row)}, {}, [anchor]
     while stack:
         a = stack.pop()
-        for b in topology.adj[a]:
-            key = (a, b) if a < b else (b, a)
-            if topology.is_leaf(b) or key in edges:
+        above = rows[a]
+        for b in adj[a]:
+            if b <= n or b in rows:
                 continue
-            side, other = topology.leaves_beyond(a, b), topology.leaves_beyond(b, a)
-            ell = edge_length(a, b, side, other)
-            if not ell > 0:
-                raise ValueError("non-positive length")
-            edges[key] = (*key, side if a < b else other, ell)
-            walk.append((a, b, side))
+            key = (a, b) if a < b else (b, a)
+            ell, m = int_lengths[key], topology._mask_beyond(a, b)
+            rows[b] = tuple([x + ell if m >> i & 1 else x for i, x in enumerate(above, 1)])
+            edges[key] = (*key, topology.leaves_beyond(*key), Fraction(ell, D))
             stack.append(b)
-    D, ints = clear_denominators(anchor + [ell for *_, ell in edges.values()])
-    rows = {anchor_node: tuple(ints[: topology.n])}
-    for (a, b, side), ell in zip(walk, ints[topology.n :]):  # edges and walk share one order
-        rows[b] = tuple(x + ell if i in side else x for i, x in enumerate(rows[a], 1))
-    L = EmbeddedLine(topology, D, rows, dict(sorted(edges.items())))
-    for v, i in sorted((topology.node_of_leaf(i), i) for i in range(1, topology.n + 1)):
-        L._branches[(v, i)] = (v, i, frozenset((i,)), None)
-    return L
+    branches = dict(sorted(edges.items()))
+    for v, i in sorted((adj[i][0], i) for i in range(1, n + 1)):
+        branches[(v, i)] = (v, i, frozenset((i,)), None)
+    return EmbeddedLine(topology, D, rows, branches)
 
 
 def line_contains(L: EmbeddedLine, c: ProjPoint) -> bool:
@@ -430,53 +455,68 @@ def _ray_parameter(base, target, side, n):
 
 
 class PlueckerVector:
-    """The (n choose 2) tropical pair coordinates of a line, stored with
-    the canonical normalization p_{n-1,n} = 0."""
+    """The (n choose 2) tropical pair coordinates of a line, kept on one
+    integer scale as `EmbeddedLine` keeps its rows: the least D > 0 and the
+    symmetric table of ints table[i][j] = D * p_ij (None off the pairs),
+    normalized to p_{n-1,n} = 0.  `get` and `values` build `Fraction`s
+    only when read."""
 
-    __slots__ = ("n", "values")
+    __slots__ = ("n", "D", "table")
 
     def __init__(self, n: int, values: dict):
-        self.n = n
         vals = {}
         for key, v in values.items():
             i, j = sorted(key)
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad pair {key}")
-            vals[frozenset((i, j))] = rat(v)
+            vals[i, j] = rat(v)
         if len(vals) != n * (n - 1) // 2:
             raise ValueError("need a value for every pair")
-        ref = vals[frozenset((n - 1, n))]
-        self.values = {k: v - ref for k, v in vals.items()} if ref else vals
+        D, ints = clear_denominators(list(vals.values()))
+        self._fill(n, D, dict(zip(vals, ints)))
 
-    def get(self, i: int, j: int):
-        return self.values[frozenset((i, j))]
+    @classmethod
+    def _scaled(cls, n: int, D: int, pairs: dict) -> "PlueckerVector":
+        """The vector with p_ij = pairs[i, j] / D for every i < j, the
+        pairs ints and D > 0, on any scale."""
+        self = cls.__new__(cls)
+        self._fill(n, D, pairs)
+        return self
 
-    def quartet_sums(self, i, j, k, l) -> tuple:
-        """The three pairings of {i,j,k,l}: ((ij|kl) sum, (ik|jl), (il|jk))."""
-        return (
-            self.get(i, j) + self.get(k, l),
-            self.get(i, k) + self.get(j, l),
-            self.get(i, l) + self.get(j, k),
-        )
+    def _fill(self, n: int, D: int, pairs: dict):
+        """Normalize D * p to p_{n-1,n} = 0 and divide out the gcd with D."""
+        ref = pairs[n - 1, n]
+        g = gcd(D, *(v - ref for v in pairs.values()))
+        table = [[None] * (n + 1) for _ in range(n + 1)]
+        for (i, j), v in pairs.items():
+            table[i][j] = table[j][i] = (v - ref) // g
+        self.n, self.D, self.table = n, D // g, tuple(map(tuple, table))
+
+    def get(self, i: int, j: int) -> Fraction:
+        if not (0 < i <= self.n and 0 < j <= self.n and i != j):  # no wrap-around of -1
+            raise KeyError((i, j))
+        return Fraction(self.table[i][j], self.D)
+
+    @property
+    def values(self) -> dict:
+        """{frozenset({i, j}): p_ij} per pair, built on each access."""
+        return {frozenset(ij): self.get(*ij) for ij in combinations(range(1, self.n + 1), 2)}
 
     def validate(self):
         """Check the quartet relation: the minimum of the three pairing
         sums is attained at least twice, for every quartet."""
-        for q in combinations(range(1, self.n + 1), 4):
-            sums = self.quartet_sums(*q)
-            m = min(sums)
-            if sum(1 for s in sums if s == m) < 2:
-                raise PlueckerError(f"not a Pluecker vector: quartet {q} fails")
+        q = self.table
+        for quartet in combinations(range(1, self.n + 1), 4):
+            i, j, k, l = quartet
+            sums = (q[i][j] + q[k][l], q[i][k] + q[j][l], q[i][l] + q[j][k])
+            if sums.count(min(sums)) < 2:
+                raise PlueckerError(f"not a Pluecker vector: quartet {quartet} fails")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PlueckerVector)
-            and self.n == other.n
-            and self.values == other.values
-        )
+    def __eq__(self, other):  # the table has n + 1 rows
+        return isinstance(other, PlueckerVector) and (self.D, self.table) == (other.D, other.table)
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted((tuple(sorted(k)), v) for k, v in self.values.items()))))
+        return hash((self.n, self.D, self.table))
 
     def __repr__(self):
         pairs = ", ".join(
@@ -488,18 +528,17 @@ class PlueckerVector:
 def tree_to_plucker(L: EmbeddedLine) -> PlueckerVector:
     """Pair coordinates of a line, from the median relations
     p_jk + m_i = p_ik + m_j = p_ij + m_k at m = median(i, j, k), worked
-    out D times too large on the line's rows and divided by D at the end."""
-    n = L.n
-    topo = L.topology
-    p = {frozenset((n - 1, n)): 0}
+    out D times too large on the line's rows, in ints on the scale D."""
+    n, topo = L.n, L.topology
+    p = {(n - 1, n): 0}
     for i in range(1, n - 1):
         m = L.rows[topo.median(i, n - 1, n)]
-        p[frozenset((i, n))] = m[i - 1] - m[n - 2]
-        p[frozenset((i, n - 1))] = m[i - 1] - m[n - 1]
+        p[i, n] = m[i - 1] - m[n - 2]
+        p[i, n - 1] = m[i - 1] - m[n - 1]
     for i, j in combinations(range(1, n - 1), 2):
         m = L.rows[topo.median(i, j, n)]
-        p[frozenset((i, j))] = p[frozenset((j, n))] + m[i - 1] - m[n - 1]
-    return PlueckerVector(n, {k: Fraction(v, L.D) for k, v in p.items()})
+        p[i, j] = p[j, n] + m[i - 1] - m[n - 1]
+    return PlueckerVector._scaled(n, L.D, p)
 
 
 def plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
@@ -520,10 +559,7 @@ def plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:
     n = p.n
     if n < 3:
         raise ValueError(f"a line needs at least 3 leaves, got n = {n}")
-    D, flat = clear_denominators(list(p.values.values()))
-    q = [[None] * (n + 1) for _ in range(n + 1)]
-    for (i, j), v in zip(p.values, flat):
-        q[i][j] = q[j][i] = v
+    D, q = p.D, p.table
     q1 = q[1]
     g = {
         i: {j: q[i][j] - q1[i] - q1[j] for j in range(2, n + 1) if j != i}
@@ -578,27 +614,25 @@ def _hung_line(n, D, top, order, depth, kids, parent, leaves) -> EmbeddedLine:
     to `embed(TreeTopology.from_splits(...), ...)` of its splits.
 
     The tree hangs from order[0], the node next to leaf 1, whose row is
-    `top`; each other node adds its depth gap to its parent's row on the
-    leaves below it.  D is the least scale of the rows: they are integers
-    on it, and any scale that makes them integers makes p integer too
-    (`tree_to_plucker` reads p off the rows by integer sums), so it is a
-    multiple of D.  Node ids follow `from_splits`: n + 1 next to leaf n,
-    and n + 2 + the rank, by (-size, sorted leaves), of each edge's side
-    without leaf n at that side's end.  Rows come in `embed`'s walk order
-    and the branch table in its order."""
-    full = (1 << (n + 1)) - 2
+    `top`; each other node's edge up has its depth gap as D times its
+    length, and `_placed` lays the line out from order[0].  D is the least
+    scale of the rows: they are integers on it, and any scale that makes
+    them integers makes p integer too (`tree_to_plucker` reads p off the
+    rows by integer sums), so it is a multiple of D.  Node ids follow
+    `from_splits`: n + 1 next to leaf n, and n + 2 + the rank, by (-size,
+    sorted leaves), of each edge's side without leaf n at that side's end."""
     mask = {v: sum(1 << a for a in leaves[v]) for v in order}
-    sides = []  # (-size, side without leaf n, the node at its end, the lower node)
+    sides = []  # (-size, side without leaf n, the node at its end)
     for v in order[1:]:
         if mask[v] >> n & 1:
             side = [i for i in range(1, n + 1) if not mask[v] >> i & 1]
-            sides.append((-len(side), side, parent[v], v))
+            sides.append((-len(side), side, parent[v]))
         else:
-            sides.append((-len(leaves[v]), sorted(leaves[v]), v, v))
+            sides.append((-len(leaves[v]), sorted(leaves[v]), v))
     sides.sort()
     ids = {i: i for i in range(2, n + 1)}
     ids[parent[n]] = n + 1
-    ids.update((end, n + 2 + rank) for rank, (_, _, end, _) in enumerate(sides))
+    ids.update((end, n + 2 + rank) for rank, (_, _, end) in enumerate(sides))
 
     root = ids[order[0]]
     adj = {1: (root,), root: [1]}
@@ -609,26 +643,9 @@ def _hung_line(n, D, top, order, depth, kids, parent, leaves) -> EmbeddedLine:
             adj[ids[c]] = [a] if c in kids else (a,)
         adj[a] = tuple(sorted(adj[a]))
     below = {ids[v]: mask[v] for v in order}
-    below[root] = full  # leaf 1 hangs from the root too
-    topology = TreeTopology._built(n, adj, below)
-
-    edges, gap = {}, {}
-    for *_, v in sides:
+    below[root] = (1 << (n + 1)) - 2  # leaf 1 hangs from the root too
+    gaps = {}
+    for v in order[1:]:
         a, b = ids[parent[v]], ids[v]
-        gap[b] = depth[v] - depth[parent[v]]
-        key, side = ((a, b), frozenset(leaves[v])) if a < b else ((b, a), topology._leaves(full ^ mask[v]))
-        edges[key] = (*key, side, Fraction(gap[b], D))
-    # embed's walk: pop a node, then place its children by increasing id
-    rows, stack = {root: tuple(top)}, [root]
-    while stack:
-        a = stack.pop()
-        row = rows[a]
-        for b in adj[a]:
-            if b in gap and b not in rows:
-                ell, m = gap[b], below[b]
-                rows[b] = tuple([x + ell if m >> i & 1 else x for i, x in enumerate(row, 1)])
-                stack.append(b)
-    branches = dict(sorted(edges.items()))
-    for v, i in sorted((adj[i][0], i) for i in range(1, n + 1)):
-        branches[(v, i)] = (v, i, frozenset((i,)), None)
-    return EmbeddedLine(topology, D, rows, branches)
+        gaps[(a, b) if a < b else (b, a)] = depth[v] - depth[parent[v]]
+    return _placed(TreeTopology._built(n, adj, below), D, root, top, gaps)

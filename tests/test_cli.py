@@ -260,6 +260,15 @@ def test_configuration_point_needs_three_coordinates(point):
     assert code == 2 and out["error"].startswith("point ")
 
 
+@pytest.mark.parametrize("length", [0, "-1/2"])
+def test_line_edge_length_must_be_positive(length):
+    line = jsonio.line_to_json(make_lsq())
+    k = next(k for k, e in enumerate(line["edges"]) if e["length"] is not None)
+    line["edges"][k]["length"] = length
+    code, out = run_cli("fixed-locus", {"support": SQ_JSON, "line": line})
+    assert code == 2 and out == {"error": f"line.edges[{k}].length must be positive"}
+
+
 @pytest.mark.parametrize("node", [9, 0, 2])
 def test_line_anchor_must_be_internal_node(node):
     # the star on 4 leaves has one internal node, 5
@@ -573,6 +582,9 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, capture_output=True, text=True, env=ENV
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the demos are deterministic; their output is pinned byte for byte
+    golden = demo.parents[1] / "tests" / "data" / "demo_golden" / f"{demo.stem}.txt"
+    assert proc.stdout == golden.read_text()
 
 
 def test_point_round_trip():

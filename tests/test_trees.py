@@ -154,7 +154,35 @@ def test_plucker_projective_invariance():
     L = rand_line(rng, 6)
     lam = Fraction(7, 3)
     shifted = L.translate([lam] * 6)
-    assert tree_to_plucker(L) == tree_to_plucker(shifted)
+    p = tree_to_plucker(shifted)
+    assert tree_to_plucker(L) == p
+    # the translate's rows need the scale 3 D; p keeps its own least scale
+    assert shifted.D == 3 * L.D > p.D == lcm(*(v.denominator for v in p.values.values()))
+
+
+def test_plucker_vector_integer_form():
+    # one vector three ways: from Fractions, from ints on a scale k * D with
+    # k > 1, and from Fractions off the normalization p_{n-1,n} = 0
+    rng = random.Random(25)
+    for n in (3, 4, 6, 8):
+        p = tree_to_plucker(mixed_line(rng, n))
+        pairs = list(combinations(range(1, n + 1), 2))
+        k, c = rng.randint(2, 9), Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(COPRIME))
+        ways = [
+            PlueckerVector(n, {ij: p.get(*ij) for ij in pairs}),
+            PlueckerVector._scaled(n, k * p.D, {(i, j): k * p.table[i][j] for i, j in pairs}),
+            PlueckerVector(n, {ij: p.get(*ij) + c for ij in pairs}),
+        ]
+        assert p.D == lcm(*(v.denominator for v in p.values.values()))
+        assert p.table[n - 1][n] == 0
+        for q in ways:
+            assert (q.n, q.D, q.table) == (p.n, p.D, p.table)
+            assert q == p and hash(q) == hash(p)
+            assert [q.get(*ij) for ij in pairs] == [p.get(*ij) for ij in pairs]
+            assert q.values == p.values and repr(q) == repr(p)
+        for i, j in ((0, 1), (-1, 2), (2, 2), (1, n + 1)):
+            with pytest.raises(KeyError):
+                p.get(i, j)
 
 
 def test_translate_matches_validating_embed():
