@@ -164,13 +164,14 @@ def line_to_json(L: EmbeddedLine) -> dict:
     pairs = sorted(tuple(sorted((node(v), node(w)))) for v in topo.adj for w in topo.adj[v] if v < w)
     lengths = {tuple(sorted((node(a), node(b)))): rational_to_json(ell) for a, b, _, ell in L.edges}
     anchor = topo.node_of_leaf(1)
+    row = L.rows[anchor]
     return {
         "n": topo.n,
         "edges": [{"a": a, "b": b, "length": lengths.get((a, b))} for a, b in pairs],
         "leaf_map": {str(i): node(topo.node_of_leaf(i)) for i in range(1, topo.n + 1)},
         "anchor": {
             "node": relabel[anchor],
-            "coords": point_to_json(ProjPoint(L.coords_of(anchor))),
+            "coords": _scaled_form_to_json([x - row[-1] for x in row], L.D),
         },
     }
 

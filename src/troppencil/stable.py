@@ -16,11 +16,14 @@ value matrix in integers, which changes neither argmin sets nor ties.
 They solve the k x n rectangular problem once (k = n - 2, one phase per
 row) and walk the minors from it (`_minors`): erasing a column keeps
 every other reduced cost feasible, so one phase for the row it freed
-restores optimality.  Minor (i, j) is one erasure away from the state
-without column i, so the walk takes at most k + (n - 1) + C(n, 2)
-phases instead of k per minor.  `solve_minors` hands the integer optima
-and D to the Pluecker vector as they are; it subtracts minor (n - 1, n)'s
-optimum and divides out the common factor in integers.
+restores optimality and leaves one column free.  One reverse
+shortest-path tree to that column (`_tree`) then gives every minor
+(i, j) of the state without column i: its optimal bijection flips the
+tree path from j.  The walk takes at most k + (n - 1) phases and
+O(n^3) work instead of k phases per minor.  `solve_minors` hands the
+integer optima and D to the Pluecker vector as they are; it subtracts
+minor (n - 1, n)'s optimum and divides out the common factor in
+integers.
 `tropdet` clears the denominators of the square it is given and runs one
 phase per row; `minor_tropdet` cuts one minor's square and solves it
 alone, the per-pair twin of the walk.  The rational matrix itself
@@ -29,10 +32,13 @@ is certified on the reduced integer entries of the surviving columns:
 after subtracting optimal row/column potentials the optimal bijections
 are exactly the perfect matchings of the zero-entry bipartite graph, so
 the optimum is unique iff that graph has no alternating cycle through
-the matching found.  One scan per minor (`_zero_arcs`) checks that the
-potentials are optimal and collects the graph's arcs; the cycle search
+the matching found.  The potentials shifted by the tree's distances are
+one dual solution for every minor (i, .): one scan per i checks them
+on all n - 1 columns and collects the reduced zeros, and each minor
+checks the arcs of its flipped path, so every minor's dual solution is
+verified; `tropdet` checks its own with `_zero_arcs`.  The cycle search
 (`_has_cycle`) runs only until the first singular pair, since the
-verdict names that pair alone, while the scan still covers every minor.
+verdict names that pair alone, while the checks still cover every minor.
 
 The tropical determinants of all pairs always satisfy the quartet
 relations, so they are the pair coordinates of a line: the stable pencil
@@ -204,30 +210,91 @@ def _drop(M, u, v, match, c, cols) -> tuple:
     return u, v, match
 
 
+def _tree(columns, u, v, match, f, cols) -> tuple:
+    """(dist, parent): a reverse shortest-path tree to the free column f
+    over the reduced costs, by Dijkstra.
+
+    The state (u, v, match) is optimal on the columns `cols`, all matched
+    but f.  dist[c] is the reduced length of the cheapest alternating path
+    that gives the row of column c another column and ends at f: row
+    match[c] takes parent[c], whose row takes parent[parent[c]], and so on.
+    dist[f] is 0; other columns of `cols` settle by increasing dist, the
+    first in `cols` order among equals."""
+    dist, parent = [0] * len(v), [f] * len(v)
+    col, vf = columns[f], v[f]
+    pending = {c: col[match[c]] - u[match[c]] - vf for c in cols if c != f}
+    while pending:
+        c0 = min(pending, key=pending.__getitem__)
+        d0 = dist[c0] = pending.pop(c0)
+        col, base = columns[c0], d0 - v[c0]
+        for c, d in pending.items():
+            r = match[c]
+            x = col[r] - u[r] + base
+            if x < d:
+                pending[c] = x
+                parent[c] = c0
+    return dist, parent
+
+
 def _minors(N):
     """Yield ((i, j), optimum, arcs) for the maximal minor of the integer
     k x n matrix N that erases support columns i and j, for all pairs in
     combinations order.
 
-    N is solved once as a rectangular assignment problem.  Erasing a column
-    keeps every other reduced cost >= 0 and v = 0 on the free columns, so
-    one phase for the row it freed restores optimality (`_drop`): once per
-    i, and once more per j > i from i's state.  On the k columns left the
-    potentials are optimal for the square minor, which `_zero_arcs` checks
-    for every minor; its optimum is unique iff `_has_cycle(arcs)` is
-    false, a search the caller runs only while it needs the answer."""
+    N is solved once as a rectangular assignment problem.  Erasing column
+    i keeps every other reduced cost >= 0, so one phase for the row it
+    freed restores optimality (`_drop`) and leaves one free column f.
+    Minor (i, j) is that state with column j erased: its optimal bijection
+    is the state with the tree path from j to f flipped (`_tree`), and
+    both come from one tree per i.  Shifting the potentials by dist (u of
+    each row up by the dist of its column, v down by it) keeps them
+    feasible and makes every tree arc tight, so one dual solution
+    certifies every minor (i, .): one scan per i checks it on all n - 1
+    columns and collects each column's reduced zeros, and each minor
+    checks the arcs of its own path.  A minor's optimum is the sum of its
+    own bijection, the state's sum updated along the path, and is unique
+    iff `_has_cycle(arcs)` is false, a search the caller runs only while
+    it needs the answer.  The walk takes at most k + (n - 1) phases and
+    O(n^3) work besides the cycle searches."""
     n, columns = len(N[0]), list(zip(*N))
     assignment, u, v = _assignment(N)
     v, match = [*v, 0], _match(assignment, n)
     for i in range(n - 1):
-        cols_i = [c for c in range(n) if c != i]
-        ui, vi, mi = _drop(N, u, v, match, i, cols_i)
+        cols = [c for c in range(n) if c != i]
+        ui, vi, mi = _drop(N, u, v, match, i, cols)
+        f = next(c for c in cols if mi[c] < 0)
+        dist, parent = _tree(columns, ui, vi, mi, f, cols)
+        us = ui[:]
+        for c in cols:
+            if c != f:
+                us[mi[c]] += dist[c]
+        zeros, total = {}, 0
+        for c in cols:
+            t = list(map(sub, columns[c], us))  # reduced costs plus the shifted v[c]
+            vc, mine = vi[c] - dist[c], mi[c]
+            if min(t) < vc or (mine >= 0 and t[mine] != vc):
+                raise InternalError("potentials are not optimal")
+            if mine >= 0:
+                total += columns[c][mine]
+            if t.count(vc) > (mine >= 0):  # a zero besides its own row's: arcs or path ends
+                zeros[c] = [r for r, x in enumerate(t) if x == vc]
         for j in range(i + 1, n):
-            cols = cols_i[:]
-            cols.remove(j)
-            uj, vj, mj = _drop(N, ui, vi, mi, j, cols)
-            total = sum(columns[c][mj[c]] for c in cols)
-            yield (i + 1, j + 1), total, _zero_arcs(columns, mj, uj, vj, cols)
+            minor, moved, c = total, {}, j
+            while c != f:
+                p, r = parent[c], mi[c]
+                if r not in zeros.get(p, ()):
+                    raise InternalError("potentials are not optimal")
+                minor += columns[p][r] - columns[c][r]
+                moved[p] = r
+                c = p
+            succ = {}
+            for c, rows in zeros.items():
+                if c != j:
+                    owner = moved.get(c, mi[c])
+                    for r in rows:
+                        if r != owner:
+                            succ.setdefault(r, []).append(owner)
+            yield (i + 1, j + 1), minor, succ
 
 
 def minor_columns(n: int, i: int, j: int) -> list:
@@ -276,7 +343,7 @@ def is_general(A: SupportSet, config) -> GeneralityVerdict:
 def solve_minors(A: SupportSet, config) -> tuple:
     """(GeneralityVerdict, PlueckerVector) from one solve of every maximal
     minor; is_general alone stops at the first singular pair instead.
-    Every minor's potentials are checked, but the cycle search stops at
+    Every minor's dual solution is checked, but the cycle search stops at
     the first singular pair: later answers cannot change the verdict."""
     D, N = _integer_rows(A, config)
     totals, singular = {}, None

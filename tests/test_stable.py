@@ -248,41 +248,55 @@ def test_failed_optimality_check_is_internal_error():
     assert not isinstance(info.value, (ValueError, TropError))
 
 
-def _minor_configs(rng, ns):
-    """(A, C) per n in ns: two degree-3 supports where n fits (n <= 10) and
-    two degree-4 ones, each with small integer grid points (ties), generic
-    rationals and mixed coprime denominators."""
+def _minor_configs(rng, ns, degrees=lambda n: (3, 3, 4, 4) if n <= 10 else (4, 4)):
+    """(A, C) per n in ns and per degree in `degrees(n)` (by default two
+    degree-3 supports where n fits, n <= 10, and two degree-4 ones), each
+    with small integer grid points (ties), generic rationals and mixed
+    coprime denominators."""
     for n in ns:
-        for degree in (3, 3, 4, 4) if n <= 10 else (4, 4):
+        for degree in degrees(n):
             A = rand_support(rng, n, degree)
             yield A, [ProjPoint((rng.randint(-3, 3), rng.randint(-3, 3), 0)) for _ in range(n - 2)]
             yield A, rand_config(rng, n)
             yield A, [ProjPoint((coprime_rational(rng), coprime_rational(rng), 0)) for _ in range(n - 2)]
 
 
+def _walk_against_twin(A, C) -> int:
+    """The minor walk against `minor_tropdet` solving each minor alone from
+    the rational value matrix: every value, every uniqueness flag (the
+    cycle search run on every minor's arcs), the first singular pair.
+    Returns the number of tied minors."""
+    n = A.n
+    M = value_matrix(A, C)
+    twin = {(i, j): minor_tropdet(M, n, i, j) for i, j in combinations(A.indices(), 2)}
+    D, N = stable._integer_rows(A, C)
+    walk = list(stable._minors(N))
+    assert [pair for pair, _, _ in walk] == list(twin)
+    for pair, total, arcs in walk:
+        assert Fraction(total, D) == twin[pair].value
+        assert (not stable._has_cycle(arcs)) == twin[pair].unique
+    singular = next((pair for pair, res in twin.items() if not res.unique), None)
+    verdict, p = solve_minors(A, C)
+    assert verdict.singular_pair == singular and is_general(A, C) == verdict
+    ref = twin[(n - 1, n)].value
+    assert all(p.get(i, j) == res.value - ref for (i, j), res in twin.items())
+    return sum(not res.unique for res in twin.values())
+
+
 def test_minor_walk_matches_per_pair_minors_beyond_brute_cap():
-    """The incremental walk against `minor_tropdet` solving each minor
-    alone from the rational value matrix, at sizes enumeration cannot
-    reach: every value, every uniqueness flag (the cycle search run on
-    every minor's arcs), the first singular pair."""
+    """The walk against the per-pair twin at sizes enumeration cannot
+    reach."""
     rng = random.Random(63)
-    tied = 0
-    for A, C in _minor_configs(rng, range(9, 16)):
-        n = A.n
-        M = value_matrix(A, C)
-        twin = {(i, j): minor_tropdet(M, n, i, j) for i, j in combinations(A.indices(), 2)}
-        D, N = stable._integer_rows(A, C)
-        walk = list(stable._minors(N))
-        assert [pair for pair, _, _ in walk] == list(twin)
-        for pair, total, arcs in walk:
-            assert Fraction(total, D) == twin[pair].value
-            assert (not stable._has_cycle(arcs)) == twin[pair].unique
-        tied += sum(not res.unique for res in twin.values())
-        singular = next((pair for pair, res in twin.items() if not res.unique), None)
-        verdict, p = solve_minors(A, C)
-        assert verdict.singular_pair == singular and is_general(A, C) == verdict
-        ref = twin[(n - 1, n)].value
-        assert all(p.get(i, j) == res.value - ref for (i, j), res in twin.items())
+    tied = sum(_walk_against_twin(A, C) for A, C in _minor_configs(rng, range(9, 16)))
+    assert tied > 100  # the integer grids tie minors
+
+
+def test_minor_walk_matches_per_pair_minors_at_scale():
+    """The walk against the per-pair twin at n = 18, 24 and 30, one support
+    of the least degree that fits n points, with each kind of points."""
+    rng = random.Random(68)
+    fits = lambda n: [next(d for d in range(3, 8) if (d + 1) * (d + 2) // 2 >= n + 3)]
+    tied = sum(_walk_against_twin(A, C) for A, C in _minor_configs(rng, (18, 24, 30), fits))
     assert tied > 100  # the integer grids tie minors
 
 
@@ -300,25 +314,53 @@ def _early_singular(rng, ns):
 
 
 def test_optimality_scan_covers_minors_after_the_first_singular_pair(monkeypatch):
-    """Potentials corrupted on the last minor alone still raise
+    """A shortest-path tree corrupted for the last minor alone still raises
     InternalError in solve_minors, after its first singular pair;
-    is_general stops at that pair and never reaches them."""
-    drop = stable._drop
+    is_general stops at that pair and never reaches it."""
+    tree = stable._tree
     for A, C, singular in _early_singular(random.Random(66), range(5, 11)):
         n = A.n
 
-        def corrupted(M, u, v, match, c, cols):
-            u, v, match = drop(M, u, v, match, c, cols)
-            if list(cols) == list(range(n - 2)):  # minor (n - 1, n)
-                v = v[:]
-                v[0] += 1  # column 0 is matched: no longer tight
-            return u, v, match
+        def corrupted(columns, u, v, match, f, cols):
+            dist, parent = tree(columns, u, v, match, f, cols)
+            if list(cols) == [*range(n - 2), n - 1]:  # support column n - 1 erased: minor (n - 1, n)
+                c = next(c for c in cols if c != f)
+                dist[c] += 1  # the arc from c's row to parent[c] turns negative
+            return dist, parent
 
-        monkeypatch.setattr(stable, "_drop", corrupted)
+        monkeypatch.setattr(stable, "_tree", corrupted)
         with pytest.raises(InternalError, match="potentials are not optimal"):
             solve_minors(A, C)
         assert is_general(A, C).singular_pair == singular
-        monkeypatch.setattr(stable, "_drop", drop)
+        monkeypatch.setattr(stable, "_tree", tree)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_tree_with_one_distance_off_by_one_raises(monkeypatch, delta):
+    """One dist of one erased column's shortest-path tree moved by one, on
+    a column some minor of that tree erases, raises InternalError: a dist
+    too large makes a reduced cost negative in the scan, one too small
+    leaves an arc of that minor's flipped path not tight."""
+    tree = stable._tree
+    rng = random.Random(69)
+    for n in (5, 6, 7, 8):
+        A = rand_support(rng, n, 3)
+        grid = [ProjPoint((rng.randint(-3, 3), rng.randint(-3, 3), 0)) for _ in range(n - 2)]
+        for C in (rand_config(rng, n), grid):
+            N = stable._integer_rows(A, C)[1]
+            for i in range(n - 2):
+                for q in range(n - 2 - i):  # columns after i other than f, at least n - 2 - i
+
+                    def mutant(columns, u, v, match, f, cols):
+                        dist, parent = tree(columns, u, v, match, f, cols)
+                        if i not in cols:
+                            dist[[c for c in cols if c > i and c != f][q]] += delta
+                        return dist, parent
+
+                    monkeypatch.setattr(stable, "_tree", mutant)
+                    with pytest.raises(InternalError, match="potentials are not optimal"):
+                        list(stable._minors(N))
+            monkeypatch.setattr(stable, "_tree", tree)
 
 
 def test_cycle_search_stops_at_the_first_singular_pair(monkeypatch):
@@ -400,8 +442,7 @@ def test_rectangular_assignment_kernel():
 @pytest.mark.parametrize("n", [7, 10, 12])
 def test_minor_walk_phase_count(monkeypatch, n):
     """One solve_minors takes at most one phase per row of the rectangular
-    solve, one per first erased column and one per minor: O(n^4) work, not
-    a Hungarian solve per minor."""
+    solve and one per first erased column, none per minor."""
     phases = 0
     phase = stable._phase
 
@@ -414,4 +455,4 @@ def test_minor_walk_phase_count(monkeypatch, n):
     rng = random.Random(65 + n)
     A = rand_support(rng, n, 3 if n <= 10 else 4)
     solve_minors(A, rand_config(rng, n))
-    assert 0 < phases <= (n - 2) + n + n * (n - 1) // 2
+    assert 0 < phases <= (n - 2) + (n - 1)
