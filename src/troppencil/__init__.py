@@ -77,6 +77,7 @@ from .oracle import (
     brute_plucker_to_tree,
     brute_regular_subdivision,
     brute_tropdet,
+    brute_vertex_fixed_points,
     perturbed_pencil,
     poly_plucker_to_tree,
     sampled_fixed,

@@ -8,7 +8,11 @@ line whose vertices all induce point-saturated triangulations determines a
 configuration: each vertex contributes the dual point of a triangle with
 one corner in each class of the vertex's leaf partition (such a "rainbow"
 triangle always exists), and those points form a general configuration
-whose stable pencil is the line we started from.  The generality proof is
+whose stable pencil is the line we started from.  The vertices are read
+off one lower hull per line: the first vertex's hull gives S, and each
+later vertex is checked against S's cells, O(n) side tests per cell; only
+a vertex outside S's secondary cone, as on a stable pencil that crosses
+a wall, gets a hull of its own.  The generality proof is
 executable: the bipartite vertex/support graphs built from minimum
 attainment are forests satisfying Hall's condition, so each maximal minor
 has a unique optimal matching found by stripping leaves.
@@ -36,7 +40,8 @@ S's secondary cone (Gelfand-Kapranov-Zelevinsky, 1994, ch. 7) is linear
 in the heights, so the eps that keep every vertex inside form an open
 interval (0, eps*), with eps* the least ratio of a determinant at c to
 minus the one at some w_v.  The realized length is the largest 2^-k
-below eps*, computed from eps* in integers, with no trial embeddings.
+below eps*, computed from eps* in integers, with no trial embeddings, and
+the line is laid out on the integer scale lcm(D_c, 2^k) directly.
 """
 
 from __future__ import annotations
@@ -45,13 +50,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from .core import (
     ProjPoint,
     SupportSet,
     TropError,
     between,
+    clear_denominators,
     component_count,
     dot,
     min_profile,
@@ -61,13 +67,14 @@ from .pencil import LinePoint, coords_at
 from .stable import solve_minors
 from .subdivision import (
     RegularSubdivision,
+    _cell_planes,
     _cone_bound,
     _dual_point,
     _lower_faces,
     is_maximal,
     regular_subdivision,
 )
-from .trees import EmbeddedLine, TreeTopology, _placed, embed, plucker_to_tree
+from .trees import EmbeddedLine, TreeTopology, _placed, plucker_to_tree
 
 
 @dataclass(frozen=True)
@@ -164,16 +171,38 @@ def vertex_fixed_point(L: EmbeddedLine, A: SupportSet, v: int) -> ProjPoint:
 
 
 def vertex_fixed_points(L: EmbeddedLine, A: SupportSet) -> dict:
-    """P_v for every vertex, after checking the full hypotheses."""
-    if not L.topology.is_trivalent():
+    """P_v for every vertex, after checking the full hypotheses: the values
+    and errors of `vertex_fixed_point` at each vertex in id order, from one
+    lower hull per line.
+
+    The first vertex's hull gives a strict-maximal S.  A later vertex whose
+    lifts lie strictly above every cell's plane induces S too
+    (`_cell_planes`), with those planes; one that does not gets a hull of
+    its own, which becomes S for the vertices after it.  The rainbow
+    triangle is the first cell of S with one corner in each side of the
+    vertex, read off the sides' leaf bitmasks."""
+    topo = L.topology
+    if not topo.is_trivalent():
         raise TropError("hypotheses violated: line is not trivalent")
     verdict = is_compatible(L, A)
     if not verdict:
         raise TropError(f"hypotheses violated: incompatible, quartet {verdict.witness}")
-    try:
-        return {v: vertex_fixed_point(L, A, v) for v in L.topology.internal_nodes}
-    except TropError as e:
-        raise TropError(f"hypotheses violated: {e}") from e
+    out, S = {}, None
+    for v in topo.internal_nodes:
+        row = L.rows[v]
+        planes = None if S is None else _cell_planes(A, row, S.cells)
+        if planes is None:
+            planes = _lower_faces(A, row)
+            S = RegularSubdivision(A, tuple(sorted(planes)))
+            if not is_maximal(S, "strict"):
+                raise TropError(f"hypotheses violated: subdivision at vertex {v} is not strict-maximal")
+            masks = [sum(1 << i for i in cell) for cell in S.cells]
+        sides = [topo._mask_beyond(v, w) for w in topo.adj[v]]
+        cell = next((c for c, m in zip(S.cells, masks) if all(side & m for side in sides)), None)
+        if cell is None:
+            raise TropError("hypotheses violated: no rainbow triangle")
+        out[v] = _dual_point(L.D, planes[cell])
+    return out
 
 
 def construct_configuration(L: EmbeddedLine, A: SupportSet) -> list:
@@ -416,7 +445,11 @@ def realize_type(A: SupportSet, T: TreeTopology, seed: int = 0) -> EmbeddedLine:
     keep every vertex inside form an open interval (0, eps*), and
     `_cone_bound` reads eps* off the integer planes of the cone's cells.
     So 2^-k < eps* picks k = floor(1/eps*).bit_length(), exactly: the
-    first length that halving from 1 would accept."""
+    first length that halving from 1 would accept.
+
+    The line is placed on integers, as `embed` would place it: on the
+    scale D = lcm(D_c, 2^k), D_c the lcm of c's denominators, the anchor's
+    row is D*c and every internal edge has length D / 2^k."""
     verdict = is_compatible(T, A)
     if not verdict:
         raise TropError(f"not compatible: quartet {verdict.witness}")
@@ -426,8 +459,10 @@ def realize_type(A: SupportSet, T: TreeTopology, seed: int = 0) -> EmbeddedLine:
     k = 0 if bound is None else (bound.denominator // bound.numerator).bit_length()
     if k >= MAX_HALVINGS:
         raise TropError("edge lengths did not stabilize inside the secondary cone")
-    eps = Fraction(1, 2**k)
-    return embed(T, {frozenset(e): eps for e in T.internal_edges}, anchor, c)
+    Dc, cs = clear_denominators(c.coords)
+    D = lcm(Dc, 1 << k)
+    row = [D // Dc * x for x in cs]
+    return _placed(T, D, anchor, row, dict.fromkeys(T.internal_edges, D >> k))
 
 
 def _unit_offsets(T: TreeTopology, anchor: int) -> dict:

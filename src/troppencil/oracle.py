@@ -5,8 +5,9 @@ lower hulls from `Fraction` planes, curve membership by exhaustive
 breakpoint walks, trees from Pluecker vectors by trying every leaf
 bipartition or by a quartet-by-quartet split search, stable pencils as
 honest limits of first-order infinitesimal perturbations, and fixed loci
-by solving every witness system with `plane.solve`, and Pi(G, I) and its
-attachment point from `Fraction` coordinates and `SubtreeSet` intervals.
+by solving every witness system with `plane.solve`, Pi(G, I) and its
+attachment point from `Fraction` coordinates and `SubtreeSet` intervals,
+and the vertex fixed points of a line from one lower hull per vertex.
 They ship with the library (not only the tests) so verdicts can be
 re-derived on demand.
 
@@ -22,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import plane
+from .compat import is_compatible, vertex_fixed_point
 from .core import ProjPoint, SupportSet, TropError, dot, min_profile, rat
 from .pencil import (
     FixedLocusCell,
@@ -162,6 +164,22 @@ def brute_regular_subdivision(A: SupportSet, c: ProjPoint) -> RegularSubdivision
         if all(d >= 0 for d in diffs):
             cells.add(tuple(m for m, d in zip(idx, diffs) if d == 0))
     return RegularSubdivision(A, tuple(sorted(cells)))
+
+
+def brute_vertex_fixed_points(L: EmbeddedLine, A: SupportSet) -> dict:
+    """compat.vertex_fixed_points with a lower hull of its own at every
+    vertex: `vertex_fixed_point` (`_lower_faces`, then `rainbow_triangle`
+    on the leaf partition's frozensets) per vertex in id order, after the
+    same hypothesis checks, with the same errors."""
+    if not L.topology.is_trivalent():
+        raise TropError("hypotheses violated: line is not trivalent")
+    verdict = is_compatible(L, A)
+    if not verdict:
+        raise TropError(f"hypotheses violated: incompatible, quartet {verdict.witness}")
+    try:
+        return {v: vertex_fixed_point(L, A, v) for v in L.topology.internal_nodes}
+    except TropError as e:
+        raise TropError(f"hypotheses violated: {e}") from e
 
 
 def sampled_fixed(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> bool:

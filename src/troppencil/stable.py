@@ -37,8 +37,9 @@ one dual solution for every minor (i, .): one scan per i checks them
 on all n - 1 columns and collects the reduced zeros, and each minor
 checks the arcs of its flipped path, so every minor's dual solution is
 verified; `tropdet` checks its own with `_zero_arcs`.  The cycle search
-(`_has_cycle`) runs only until the first singular pair, since the
-verdict names that pair alone, while the checks still cover every minor.
+(`_has_cycle`), and the arcs it reads (`_arcs`), run only until the
+first singular pair, since the verdict names that pair alone, while the
+checks still cover every minor.
 
 The tropical determinants of all pairs always satisfy the quartet
 relations, so they are the pair coordinates of a line: the stable pencil
@@ -237,7 +238,7 @@ def _tree(columns, u, v, match, f, cols) -> tuple:
 
 
 def _minors(N):
-    """Yield ((i, j), optimum, arcs) for the maximal minor of the integer
+    """Yield ((i, j), optimum, graph) for the maximal minor of the integer
     k x n matrix N that erases support columns i and j, for all pairs in
     combinations order.
 
@@ -253,9 +254,10 @@ def _minors(N):
     columns and collects each column's reduced zeros, and each minor
     checks the arcs of its own path.  A minor's optimum is the sum of its
     own bijection, the state's sum updated along the path, and is unique
-    iff `_has_cycle(arcs)` is false, a search the caller runs only while
-    it needs the answer.  The walk takes at most k + (n - 1) phases and
-    O(n^3) work besides the cycle searches."""
+    iff `_has_cycle(_arcs(*graph))` is false: the caller builds the arcs
+    and searches them only while it needs the answer.  The walk takes at
+    most k + (n - 1) phases and O(n^3) work besides the arcs and the
+    cycle searches."""
     n, columns = len(N[0]), list(zip(*N))
     assignment, u, v = _assignment(N)
     v, match = [*v, 0], _match(assignment, n)
@@ -287,14 +289,22 @@ def _minors(N):
                 minor += columns[p][r] - columns[c][r]
                 moved[p] = r
                 c = p
-            succ = {}
-            for c, rows in zeros.items():
-                if c != j:
-                    owner = moved.get(c, mi[c])
-                    for r in rows:
-                        if r != owner:
-                            succ.setdefault(r, []).append(owner)
-            yield (i + 1, j + 1), minor, succ
+            yield (i + 1, j + 1), minor, (zeros, j, moved, mi)
+
+
+def _arcs(zeros, j, moved, match) -> dict:
+    """The arcs of the reduced-zero graph of a minor from `_minors`, as
+    `_zero_arcs` gives them: zeros[c] holds the rows with a reduced zero
+    on column c, j is the erased column, and the row of column c is
+    moved[c] on the flipped path and match[c] off it."""
+    succ = {}
+    for c, rows in zeros.items():
+        if c != j:
+            owner = moved.get(c, match[c])
+            for r in rows:
+                if r != owner:
+                    succ.setdefault(r, []).append(owner)
+    return succ
 
 
 def minor_columns(n: int, i: int, j: int) -> list:
@@ -334,8 +344,8 @@ class GeneralityVerdict:
 def is_general(A: SupportSet, config) -> GeneralityVerdict:
     """General iff every maximal minor's tropical determinant is unique;
     reports the first singular pair otherwise."""
-    for pair, _, arcs in _minors(_integer_rows(A, config)[1]):
-        if _has_cycle(arcs):
+    for pair, _, graph in _minors(_integer_rows(A, config)[1]):
+        if _has_cycle(_arcs(*graph)):
             return GeneralityVerdict(False, pair)
     return GeneralityVerdict(True, None)
 
@@ -343,13 +353,14 @@ def is_general(A: SupportSet, config) -> GeneralityVerdict:
 def solve_minors(A: SupportSet, config) -> tuple:
     """(GeneralityVerdict, PlueckerVector) from one solve of every maximal
     minor; is_general alone stops at the first singular pair instead.
-    Every minor's dual solution is checked, but the cycle search stops at
-    the first singular pair: later answers cannot change the verdict."""
+    Every minor's dual solution is checked, but the arcs and the cycle
+    search stop at the first singular pair: later answers cannot change
+    the verdict."""
     D, N = _integer_rows(A, config)
     totals, singular = {}, None
-    for pair, total, arcs in _minors(N):
+    for pair, total, graph in _minors(N):
         totals[pair] = total
-        if singular is None and _has_cycle(arcs):
+        if singular is None and _has_cycle(_arcs(*graph)):
             singular = pair
     return GeneralityVerdict(singular is None, singular), PlueckerVector._scaled(A.n, D, totals)
 

@@ -165,6 +165,27 @@ def _cone_bound(S: RegularSubdivision, c: ProjPoint, ws) -> Fraction | None:
     return None if best is None else Fraction(best[0], D * best[1])
 
 
+def _cell_planes(A: SupportSet, hs, cells) -> dict | None:
+    """{cell: (O, P, Q)} when the integer heights hs induce the strict-
+    maximal triangulation with these cells, else None.
+
+    It is `_cone_bound`'s argument: heights induce such a triangulation iff
+    every other lift lies strictly above the plane of each cell, O(n) side
+    tests per cell instead of a hull.  Each plane is `_plane` of the cell's
+    triple in index order, the one `_lower_faces` keeps for a triangle."""
+    lifts = _lifts(A, hs)
+    planes = {}
+    for cell in cells:
+        i, j, k = cell
+        l1 = lifts[i - 1]
+        O, P, Q = planes[cell] = _plane(l1, lifts[j - 1], lifts[k - 1])
+        r1, s1, h1 = l1
+        for m, (r, s, h) in enumerate(lifts, 1):
+            if O * (h - h1) - P * (r - r1) - Q * (s - s1) <= 0 and m not in cell:
+                return None
+    return planes
+
+
 def _dual_point(D: int, plane) -> ProjPoint:
     """The point where the terms on the plane (O, P, Q) of heights D*c tie."""
     O, P, Q = plane

@@ -362,6 +362,23 @@ def test_fixed_locus_commands_match_golden_output():
         assert (code, out) == (case["exit"], case["stdout"]), f"case {k}: {case['command']}"
 
 
+def test_reverse_commands_match_golden_output():
+    """realize-type --seed s and construct-config byte for byte against a
+    committed record of their stdout and exit code: every compatible type
+    of SQ, TRI5 and HEX6, up to two types on each of three seeded cubic
+    supports per n = 4..9, each realized line fed back to
+    construct-config, an incompatible type and an id out of range;
+    construct-config on 12 stable pencils of general configurations whose
+    vertices induce different triangulations, on 3 whose vertices are not
+    all strict-maximal, and on one line each that is not trivalent,
+    incompatible, or flat over the square."""
+    cases = json.loads((Path(__file__).parent / "data" / "reverse_golden.json").read_text())
+    assert len(cases) == 134
+    for k, case in enumerate(cases):
+        code, out, _ = run_in_process(case["args"], case["input"])
+        assert (code, out) == (case["exit"], case["stdout"]), f"case {k}: {case['args']}"
+
+
 def test_fixed_locus_cells_written_from_integers(monkeypatch):
     # cell_to_json reads a cell's integer forms: the Fraction views are
     # never built on the CLI path, and the cells are the brute ones

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, islice, permutations
 
@@ -29,6 +30,7 @@ from troppencil.core import ProjPoint, SupportSet, TropError, orient2d
 from troppencil.pencil import LinePoint
 from troppencil.stable import is_general, minor_tropdet, stable_pencil, value_matrix
 from troppencil.jsonio import line_to_json
+from troppencil.oracle import brute_vertex_fixed_points
 from troppencil.subdivision import (
     _cone_bound,
     cell_dual_point,
@@ -104,10 +106,12 @@ def test_vertex_fixed_point_examples(SQ, TRI):
     assert vertex_fixed_point(star, TRI, 4) == ProjPoint((0, 0, 0))
 
 
-def test_vertex_fixed_point_matches_cell_dual_point_twin(SQ, TRI5, HEX6):
-    # one hull of L.rows[v] against a fresh ProjPoint, its own subdivision
-    # and cell_dual_point's second lift; translating by 1/3 everywhere
-    # leaves the line as it is but triples D and unnormalizes the rows
+def _vertex_lines(SQ, TRI5, HEX6) -> list:
+    """(L, A): LSQ, every realized fixture type and realized lines of
+    random supports at n = 6..8, 40 in all, and 20 general trivalent
+    stable pencils at n = 4..7 whose vertices all carry fixed points;
+    then each of them translated by 1/3 everywhere, which leaves the line
+    as it is but triples D and unnormalizes the rows."""
     rng = random.Random(72)
     lines = [(make_lsq(), SQ)]
     lines += [(realize_type(A, T), A) for A in (SQ, TRI5, HEX6) for _, T in compatible_types(A)]
@@ -131,12 +135,72 @@ def test_vertex_fixed_point_matches_cell_dual_point_twin(SQ, TRI5, HEX6):
     lines += [(L.translate([Fraction(1, 3)] * L.n), A) for L, A in lines]
     assert any(L.D > 1 for L, _ in lines)
     assert any(row[-1] != 0 for L, _ in lines for row in L.rows.values())
-    for L, A in lines:
+    return lines
+
+
+def test_vertex_fixed_point_matches_cell_dual_point_twin(SQ, TRI5, HEX6):
+    # one hull of L.rows[v] against a fresh ProjPoint, its own subdivision
+    # and cell_dual_point's second lift
+    for L, A in _vertex_lines(SQ, TRI5, HEX6):
         for v in L.topology.internal_nodes:
             cv = ProjPoint(L.coords_of(v))
             parts = L.topology.leaf_partition(v)
             twin = cell_dual_point(A, cv, rainbow_triangle(regular_subdivision(A, cv), parts))
             assert vertex_fixed_point(L, A, v) == twin
+
+
+def _outcome(f, L, A):
+    try:
+        return f(L, A)
+    except TropError as e:
+        return str(e)
+
+
+def test_vertex_fixed_points_match_per_vertex_hull_twin(SQ, TRI5, HEX6):
+    # values or error text against one hull per vertex, on the lines above
+    # and on lines that break a hypothesis: stable pencils whatever their
+    # verdict, random lines with contracted edges and the square's flat line
+    rng = random.Random(73)
+    lines = _vertex_lines(SQ, TRI5, HEX6)
+    for _ in range(60):
+        n = rng.randint(4, 7)
+        A = rand_support(rng, n)
+        lines.append((stable_pencil(A, rand_config(rng, n)), A))
+        lines.append((rand_line(rng, n, contract_p=0.3), A))
+    T = TreeTopology.from_splits(4, [frozenset({1, 2})])
+    lines.append((embed(T, {frozenset({1, 2}): 1}, T.node_of_leaf(1), (0, 0, 0, 0)), SQ))
+    errors = set()
+    for L, A in lines:
+        got = _outcome(vertex_fixed_points, L, A)
+        assert got == _outcome(brute_vertex_fixed_points, L, A)
+        if isinstance(got, str):
+            errors.add(re.sub(r"(quartet|vertex) .*", r"\1", got))
+    assert errors == {
+        "hypotheses violated: line is not trivalent",
+        "hypotheses violated: incompatible, quartet",
+        "hypotheses violated: subdivision at vertex",
+    }
+
+
+def test_one_lower_hull_per_realized_line(monkeypatch, SQ, TRI5, HEX6):
+    # realize_type keeps every vertex in one cone, so the first hull serves
+    # the whole line; a stable pencil may cross walls and take more
+    hulls, lower_faces = [], compat._lower_faces
+
+    def counted(A, hs):
+        hulls.append(hs)
+        return lower_faces(A, hs)
+
+    monkeypatch.setattr(compat, "_lower_faces", counted)
+    lines = _vertex_lines(SQ, TRI5, HEX6)
+    counts = []
+    for L, A in lines:
+        hulls.clear()
+        vertex_fixed_points(L, A)
+        counts.append(len(hulls))
+    assert counts[:40] == [1] * 40  # the realized lines, before the 20 stable pencils
+    assert counts[60:100] == [1] * 40  # their translates
+    assert max(counts[40:60]) > 1
 
 
 def test_construct_configuration_fixture(SQ, CFG):
@@ -367,6 +431,21 @@ def test_realize_type_length_is_the_least_halving(SQ, TRI5, HEX6):
             wider = _embed_all(T, 2 * eps, c)
             assert any(regular_subdivision(A, ProjPoint(wider.coords[v])) != S for v in T.internal_nodes)
     assert halved > 30
+
+
+def test_realize_type_places_the_embedding_on_integers(SQ, TRI5, HEX6):
+    # the same scale, rows and branch table, in the same order, as embed
+    # with every length 2^-k at the cone's heights
+    fixtures = [(A, T, 0) for A in (SQ, TRI5, HEX6) for _, T in compatible_types(A)]
+    for A, T, seed in fixtures + _realize_cases(random.Random(74), 100):
+        L = realize_type(A, T, seed=seed)
+        _, c = find_strict_maximal_subdivision(A, seed=seed)
+        (eps,) = {ell for *_, ell in L.edges}
+        assert eps.numerator == 1 and eps.denominator.bit_count() == 1
+        want = _embed_all(T, eps, c)
+        assert L.D == want.D
+        assert list(L.rows.items()) == list(want.rows.items())
+        assert list(L._branches.items()) == list(want._branches.items())
 
 
 def test_unit_offsets_are_the_unit_embedding():

@@ -272,9 +272,9 @@ def _walk_against_twin(A, C) -> int:
     D, N = stable._integer_rows(A, C)
     walk = list(stable._minors(N))
     assert [pair for pair, _, _ in walk] == list(twin)
-    for pair, total, arcs in walk:
+    for pair, total, graph in walk:
         assert Fraction(total, D) == twin[pair].value
-        assert (not stable._has_cycle(arcs)) == twin[pair].unique
+        assert (not stable._has_cycle(stable._arcs(*graph))) == twin[pair].unique
     singular = next((pair for pair, res in twin.items() if not res.unique), None)
     verdict, p = solve_minors(A, C)
     assert verdict.singular_pair == singular and is_general(A, C) == verdict
@@ -388,6 +388,22 @@ def test_cycle_search_stops_at_the_first_singular_pair(monkeypatch):
         assert verdict.singular_pair == singular and answers == want
         answers.clear()
     assert 0 < general < len(cases)
+
+
+def test_arcs_are_built_only_for_the_cycle_search(monkeypatch):
+    """solve_minors builds a minor's reduced-zero arcs only for the cycle
+    searches it runs, up to the first singular pair."""
+    arcs, built = stable._arcs, []
+
+    def counted(*graph):
+        built.append(graph)
+        return arcs(*graph)
+
+    monkeypatch.setattr(stable, "_arcs", counted)
+    for A, C, singular in _early_singular(random.Random(70), range(5, 11)):
+        built.clear()
+        solve_minors(A, C)
+        assert len(built) == list(combinations(A.indices(), 2)).index(singular) + 1
 
 
 def _solved(M):
