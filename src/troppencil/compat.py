@@ -221,7 +221,8 @@ def construct_configuration(L: EmbeddedLine, A: SupportSet) -> list:
 class SupportGraph:
     """Bipartite graph between the vertices of a line and its support
     points: (w, l) is an edge iff term l attains the minimum of
-    {c_l + a_l . P_w} at the base point c."""
+    {c_l + a_l . P_w} at the base point c.  Vertex ids, as internal node
+    ids, lie outside 1..n, so both sides are plain int nodes of one graph."""
 
     base: LinePoint
     vertex_ids: tuple
@@ -229,10 +230,7 @@ class SupportGraph:
     edges: frozenset  # pairs (vertex id, support index)
 
     def component_count(self) -> int:
-        nodes = [("w", w) for w in self.vertex_ids] + [
-            ("a", l) for l in range(1, self.n + 1)
-        ]
-        return component_count(nodes, ((("w", w), ("a", l)) for w, l in self.edges))
+        return component_count([*self.vertex_ids, *range(1, self.n + 1)], self.edges)
 
     def is_forest(self) -> bool:
         # genus = |E| - |V| + components
@@ -258,13 +256,13 @@ def unique_matching(G: SupportGraph, excluded) -> dict:
     """The perfect matching between line vertices and the support minus
     the excluded pair, by stripping leaves of the forest."""
     i, j = excluded
-    adj = {("w", w): set() for w in G.vertex_ids}
-    adj.update({("a", l): set() for l in range(1, G.n + 1) if l not in (i, j)})
+    adj = {w: set() for w in G.vertex_ids}
+    adj.update({l: set() for l in range(1, G.n + 1) if l not in (i, j)})
     for w, l in G.edges:
         if l in (i, j):
             continue
-        adj[("w", w)].add(("a", l))
-        adj[("a", l)].add(("w", w))
+        adj[w].add(l)
+        adj[l].add(w)
     matching = {}
     alive = set(adj)
     while alive:
@@ -274,10 +272,9 @@ def unique_matching(G: SupportGraph, excluded) -> dict:
         if leaf is None:
             raise TropError("no matching")
         (mate,) = adj[leaf] & alive
-        pair = (leaf, mate) if leaf[0] == "w" else (mate, leaf)
-        matching[pair[0][1]] = pair[1][1]
-        alive.discard(leaf)
-        alive.discard(mate)
+        alive -= {leaf, mate}
+        w, l = (mate, leaf) if 1 <= leaf <= G.n else (leaf, mate)
+        matching[w] = l
     return matching
 
 

@@ -1,9 +1,11 @@
 """Exact rational primitives shared by every other module.
 
-All scalars are `fractions.Fraction` (arbitrary precision, always in lowest
-terms, positive denominator).  Nothing in this package ever touches floating
-point: the geometric predicates below are tie-detections, which are
-meaningless under rounding.
+Scalars are exact: the computing modules clear denominators once
+(`clear_denominators`) and work on Python ints on one positive scale, and
+`fractions.Fraction` (lowest terms, positive denominator) is what callers
+pass in and read out (`rat` coerces, and refuses floats).  No computation
+rounds: the geometric predicates are tie-detections, which are
+meaningless under rounding; only `svg` converts to floats, to draw.
 
 Index conventions: support points and tree leaves are numbered 1..n
 throughout, matching the usual mathematical labelling.

@@ -182,17 +182,24 @@ def line_from_json(obj, n: int) -> EmbeddedLine:
     lengths = {}
     for k, e in enumerate(obj["edges"]):  # checked by topology_from_json
         a, b = e["a"], e["b"]
+        field = f"line.edges[{k}].length"
         if topo.is_leaf(a) or topo.is_leaf(b):
+            if e.get("length") is not None:
+                raise MalformedInput(f"{field} must be null on a leaf edge")
             continue
         if e.get("length") is None:
-            raise MalformedInput(f"line: internal edge ({a},{b}) needs a length")
-        ell = _rational(e["length"], f"line.edges[{k}].length")
+            raise MalformedInput(f"{field} is missing on the internal edge ({a},{b})")
+        ell = _rational(e["length"], field)
         if ell <= 0:
-            raise MalformedInput(f"line.edges[{k}].length must be positive")
+            raise MalformedInput(f"{field} must be positive")
         lengths[frozenset((a, b))] = ell
     anchor = expect(obj, "line.anchor", dict)
     node = expect(anchor, "line.anchor.node", int)
+    if node not in topo.adj or topo.is_leaf(node):
+        raise MalformedInput(f"line.anchor.node: anchor node {node} is not an internal node")
     coords = expect(anchor, "line.anchor.coords", list)
+    if len(coords) != n:
+        raise MalformedInput(f"line.anchor.coords must list {n} coordinates, one per leaf")
     coords = tuple(_rational(c, "line.anchor.coords") for c in coords)
     try:
         return embed(topo, lengths, node, coords)

@@ -163,36 +163,27 @@ def canonical_pieces(geoms) -> list:
         else:
             raise TypeError(f"unknown geometry {g!r}")
 
-    out = []
     line_pieces = []
     for (d, offset), intervals in sorted(lines.items()):
+        # a segment's two ends differ, so every bounded interval has lo < hi
         merged = _merge_intervals(intervals)
-        foot = _foot(d, offset)
         for lo, hi in merged:
             if lo is None and hi is None:
-                line_pieces.append(LineGeom(foot, d))
+                line_pieces.append(LineGeom(_point(d, offset, 0), d))
             elif lo is None:
-                line_pieces.append(RayGeom(_from_param(foot, d, hi), (-d[0], -d[1])))
+                line_pieces.append(RayGeom(_point(d, offset, hi), (-d[0], -d[1])))
             elif hi is None:
-                line_pieces.append(RayGeom(_from_param(foot, d, lo), d))
-            elif lo == hi:
-                points.add(_from_param(foot, d, lo))
+                line_pieces.append(RayGeom(_point(d, offset, lo), d))
             else:
-                line_pieces.append(
-                    SegmentGeom(_from_param(foot, d, lo), _from_param(foot, d, hi))
-                )
+                line_pieces.append(SegmentGeom(_point(d, offset, lo), _point(d, offset, hi)))
         # absorb points sitting on a merged piece of this line
         for pt in list(points):
             if -d[1] * pt[0] + d[0] * pt[1] != offset:
                 continue
             s = _param(d, pt)
-            for lo, hi in merged:
-                if (lo is None or lo <= s) and (hi is None or s <= hi) and lo != hi:
-                    points.discard(pt)
-                    break
-    out.extend(PointGeom(x, y) for x, y in sorted(points))
-    out.extend(line_pieces)
-    return out
+            if any((lo is None or lo <= s) and (hi is None or s <= hi) for lo, hi in merged):
+                points.discard(pt)
+    return [PointGeom(x, y) for x, y in sorted(points)] + line_pieces
 
 
 def _line_key(point, d) -> tuple:
@@ -204,16 +195,10 @@ def _param(d, point) -> Fraction:
     return d[0] * point[0] + d[1] * point[1]
 
 
-def _foot(d, offset) -> tuple:
-    n = (-d[1], d[0])
-    nn = n[0] * n[0] + n[1] * n[1]
-    return (Fraction(offset * n[0], nn), Fraction(offset * n[1], nn))
-
-
-def _from_param(foot, d, s) -> tuple:
+def _point(d, offset, s) -> tuple:
+    """The point X with d.X = s and (-d1, d0).X = offset."""
     dd = d[0] * d[0] + d[1] * d[1]
-    u = Fraction(s - _param(d, foot), dd)
-    return (foot[0] + u * d[0], foot[1] + u * d[1])
+    return (Fraction(s * d[0] - offset * d[1], dd), Fraction(s * d[1] + offset * d[0], dd))
 
 
 def _merge_intervals(intervals) -> list:

@@ -10,9 +10,13 @@ general iff every minor's optimum is attained by a single bijection.
 The assignment problem is solved by an exact potentials-based
 augmenting-path search over Python integers: `_phase` gives one row a
 column along a shortest augmenting path and keeps the potentials
-feasible and tight.  `solve_minors` and `is_general` clear the
-denominators of the points' coordinates once (D) and form D times the
-value matrix in integers, which changes neither argmin sets nor ties.
+feasible and tight.  Its state (u, v, match) holds the row and column
+potentials and the row of each column, with a virtual start column
+last; `_assignment` returns it as the phases leave it, and `_drop`,
+`_tree` and `_zero_arcs` read it in that order.  `solve_minors` and
+`is_general` clear the denominators of the points' coordinates once (D)
+and form D times the value matrix in integers, which changes neither
+argmin sets nor ties.
 They solve the k x n rectangular problem once (k = n - 2, one phase per
 row) and walk the minors from it (`_minors`): erasing a column keeps
 every other reduced cost feasible, so one phase for the row it freed
@@ -77,9 +81,10 @@ def tropdet(square) -> TropdetResult:
         raise ValueError("matrix is not square")
     D, flat = clear_denominators([rat(x) for row in square for x in row])
     N = [flat[i * k : (i + 1) * k] for i in range(k)]
-    assignment, u, v = _assignment(N)
+    u, v, match = _assignment(N)
+    assignment = sorted(range(k), key=match.__getitem__)  # the column of each row
     total = sum(row[c] for row, c in zip(N, assignment))
-    unique = _is_unique(list(zip(*N)), _match(assignment, len(N)), u, v)
+    unique = not _has_cycle(_zero_arcs(list(zip(*N)), u, v, match, range(k)))
     return TropdetResult(Fraction(total, D), tuple(assignment), unique)
 
 
@@ -129,45 +134,26 @@ def _phase(M, u, v, match, r, cols) -> None:
 
 def _assignment(M):
     """Optimal assignment of the rows of an integer k x m matrix (k <= m)
-    to distinct columns: one phase per row over all columns.  Returns
-    (column per row, u, v) with optimal potentials: v <= 0 everywhere and
-    v = 0 on every unmatched column."""
+    to distinct columns: one phase per row over all columns.  Returns the
+    state (u, v, match) of `_phase`, the virtual start column last in v
+    and in match, with optimal potentials: v <= 0 everywhere and v = 0 on
+    every unmatched column."""
     k, m = len(M), len(M[0]) if M else 0
     u, v, match = [0] * k, [0] * (m + 1), [-1] * (m + 1)
     for r in range(k):
         _phase(M, u, v, match, r, range(m))
-    assignment = [0] * k
-    for j in range(m):
-        if match[j] >= 0:
-            assignment[match[j]] = j
-    return assignment, u, v[:m]
+    return u, v, match
 
 
-def _match(assignment, m: int) -> list:
-    """The row of each of m columns (-1 if free) under a column-per-row
-    assignment, plus the virtual start column of `_phase`."""
-    match = [-1] * (m + 1)
-    for r, c in enumerate(assignment):
-        match[c] = r
-    return match
-
-
-def _is_unique(columns, match, u, v, cols=None) -> bool:
-    """No alternating cycle through the matching in the reduced-zero graph
-    of the square on the columns `cols` (all of them by default)."""
-    cols = range(len(columns)) if cols is None else cols
-    return not _has_cycle(_zero_arcs(columns, match, u, v, cols))
-
-
-def _zero_arcs(columns, match, u, v, cols) -> dict:
+def _zero_arcs(columns, u, v, match, cols) -> dict:
     """The arcs of the reduced-zero graph on the columns `cols`, as a
     successor list per row that has one; checks on the way that the
     potentials are dual-feasible and tight on the matching.
 
-    columns[j] is column j of an integer matrix, match[j] the row matched
-    to it, u and v the row and column potentials.  Row r has an arc to row
-    match[j] when its reduced cost on column j is 0 and j is not its own
-    column."""
+    columns[j] is column j of an integer matrix and (u, v, match) a state
+    of `_phase`: u and v the row and column potentials, match[j] the row
+    matched to column j.  Row r has an arc to row match[j] when its
+    reduced cost on column j is 0 and j is not its own column."""
     succ = {}
     for j in cols:
         t = list(map(sub, columns[j], u))  # reduced costs plus v[j]
@@ -259,8 +245,7 @@ def _minors(N):
     most k + (n - 1) phases and O(n^3) work besides the arcs and the
     cycle searches."""
     n, columns = len(N[0]), list(zip(*N))
-    assignment, u, v = _assignment(N)
-    v, match = [*v, 0], _match(assignment, n)
+    u, v, match = _assignment(N)
     for i in range(n - 1):
         cols = [c for c in range(n) if c != i]
         ui, vi, mi = _drop(N, u, v, match, i, cols)

@@ -87,6 +87,8 @@ class TreeTopology:
         nodes = set(self.adj)
         if set(range(1, self.n + 1)) - nodes:
             raise ValueError("missing leaf nodes")
+        if min(nodes) < 1:
+            raise ValueError(f"internal node id {min(nodes)} is not above n = {self.n}")
         deg_sum = 0
         for v, nb in self.adj.items():
             for w in nb:

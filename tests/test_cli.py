@@ -269,6 +269,37 @@ def test_line_edge_length_must_be_positive(length):
     assert code == 2 and out == {"error": f"line.edges[{k}].length must be positive"}
 
 
+@pytest.mark.parametrize("length", ["abc", -1, 1])
+def test_line_leaf_edge_length_must_be_null(length):
+    line = jsonio.line_to_json(make_lsq())
+    k = next(k for k, e in enumerate(line["edges"]) if (e["a"], e["b"]) == (1, 5))
+    line["edges"][k]["length"] = length
+    code, out = run_cli("fixed-locus", {"support": SQ_JSON, "line": line})
+    assert code == 2 and out["error"].startswith(f"line.edges[{k}].length")
+
+
+def test_line_internal_edge_needs_a_length():
+    line = jsonio.line_to_json(make_lsq())
+    k = next(k for k, e in enumerate(line["edges"]) if e["length"] is not None)
+    line["edges"][k]["length"] = None
+    code, out = run_cli("fixed-locus", {"support": SQ_JSON, "line": line})
+    assert code == 2 and out["error"].startswith(f"line.edges[{k}].length")
+
+
+@pytest.mark.parametrize("ids", [(0, -3), (5, 0)])
+def test_line_internal_node_ids_are_above_n(ids):
+    # internal ids 0 or below once crashed the commands that read a line
+    line = jsonio.line_to_json(make_lsq())
+    relabel = dict(zip((5, 6), ids))
+    for e in line["edges"]:
+        e["a"], e["b"] = relabel.get(e["a"], e["a"]), relabel.get(e["b"], e["b"])
+    line["leaf_map"] = {k: relabel.get(v, v) for k, v in line["leaf_map"].items()}
+    line["anchor"]["node"] = relabel[line["anchor"]["node"]]
+    for command in ("fixed-locus", "construct-config", "compat-check"):
+        code, out = run_cli(command, {"support": SQ_JSON, "line": line})
+        assert code == 2 and out["error"].startswith("line: bad tree: internal node id")
+
+
 @pytest.mark.parametrize("node", [9, 0, 2])
 def test_line_anchor_must_be_internal_node(node):
     # the star on 4 leaves has one internal node, 5
@@ -276,6 +307,15 @@ def test_line_anchor_must_be_internal_node(node):
     line = dict(star, anchor={"node": node, "coords": [0, 0, 0, 0]})
     code, out = run_cli("fixed-locus", {"support": SQ_JSON, "line": line})
     assert code == 2 and f"anchor node {node}" in out["error"]
+    assert out["error"].startswith("line.anchor.node")
+
+
+@pytest.mark.parametrize("coords", [[0, 0, 0], [0, 0, 0, 0, 0]])
+def test_line_anchor_needs_one_coordinate_per_leaf(coords):
+    star = jsonio.topology_to_json(TreeTopology.star(4))
+    line = dict(star, anchor={"node": 5, "coords": coords})
+    code, out = run_cli("fixed-locus", {"support": SQ_JSON, "line": line})
+    assert code == 2 and out["error"].startswith("line.anchor.coords")
 
 
 def test_compat_check_command():
@@ -414,8 +454,8 @@ def test_internal_error_is_exit_3(monkeypatch, tmp_path, capsys):
     solve = stable._assignment
 
     def broken(M):
-        assignment, u, v = solve(M)
-        return assignment, [x + 1 for x in u], v
+        u, v, match = solve(M)
+        return [x + 1 for x in u], v, match
 
     monkeypatch.setattr(stable, "_assignment", broken)
     request = tmp_path / "in.json"

@@ -79,7 +79,7 @@ SUPPORT_FAULTS = ["duplicate point", "short point", "non-number point", "bad deg
 HEIGHT_FAULTS = ["short heights", "long heights", "non-number height", "heights not a list"]
 CONFIG_FAULTS = ["other point count", "bad configuration point", "configuration not an object"]
 LINE_FAULTS = ["other leaf count", "bad length", "bad edge", "repeated edge", "wrong leaf map",
-               "bad anchor", "line not an object"]
+               "bad anchor", "line not an object", "leaf length"]
 FIELD_OF = dict.fromkeys(SUPPORT_FAULTS, "support")
 FIELD_OF.update(dict.fromkeys(HEIGHT_FAULTS, "c"))
 FIELD_OF.update(dict.fromkeys(CONFIG_FAULTS, "configuration"))
@@ -184,6 +184,10 @@ def _line(A, fault, draw):
         leaf = str(draw(st.integers(1, A.n)))
         nodes = {e[k] for e in obj["edges"] for k in "ab"} - {obj["leaf_map"][leaf]}
         obj["leaf_map"][leaf] = draw(st.one_of(JUNK, st.sampled_from(sorted(nodes))))
+    elif fault == "leaf length":  # any non-null value on a leaf edge
+        next(e for e in obj["edges"] if e["length"] is None)["length"] = draw(
+            st.one_of(JUNK.filter(lambda x: x is not None), RATIONALS)
+        )
     elif fault == "bad anchor":
         obj["anchor"]["coords"] = draw(
             st.one_of(JUNK, st.lists(RATIONALS, max_size=A.n + 1).filter(lambda xs: len(xs) != A.n))
