@@ -239,8 +239,10 @@ class SupportGraph:
 
 def support_graph(L: EmbeddedLine, A: SupportSet, c) -> SupportGraph:
     """The graph G_c for c a vertex (pass a node id or LinePoint) or any
-    2-valent point of L."""
+    2-valent point of L.  A node id must be an internal node of L."""
     if isinstance(c, int):
+        if c not in L.rows:
+            raise ValueError(f"node {c} is not an internal node of the line")
         c = LinePoint("vertex", c)
     pv = vertex_fixed_points(L, A)
     cvec = coords_at(L, c)

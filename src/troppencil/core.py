@@ -116,12 +116,14 @@ class SupportSet:
         return len(self.points)
 
     def point(self, i: int) -> tuple:
-        """The triple a_i, 1-based."""
+        """The triple a_i, 1-based; raises ValueError for i outside 1..n."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"support index {i} is not in 1..{self.n}")
         return self.points[i - 1]
 
     def rs(self, i: int) -> tuple:
         """The (r, s) projection of a_i, 1-based."""
-        p = self.points[i - 1]
+        p = self.point(i)
         return (p[0], p[1])
 
     def indices(self) -> range:

@@ -15,10 +15,10 @@ from itertools import combinations
 from math import gcd
 
 from . import plane
-from .core import ProjPoint, SupportSet, rational_from_json, rational_to_json
+from .core import ProjPoint, SupportSet, clear_denominators, rational_from_json, rational_to_json
 from .pencil import FixedLocusCell
 from .subdivision import CurveGraph, RegularSubdivision
-from .trees import EmbeddedLine, TreeTopology, embed
+from .trees import EmbeddedLine, TreeTopology, _placed
 
 
 class MalformedInput(Exception):
@@ -177,7 +177,9 @@ def line_to_json(L: EmbeddedLine) -> dict:
 
 
 def line_from_json(obj, n: int) -> EmbeddedLine:
-    """The embedded line with n leaves in the field "line"."""
+    """The embedded line with n leaves in the field "line".  Its anchor
+    row and internal lengths are cleared to one integer scale, the least,
+    and `trees._placed` lays the line out from them, as `embed` would."""
     topo = topology_from_json(obj, n, "line")
     lengths = {}
     for k, e in enumerate(obj["edges"]):  # checked by topology_from_json
@@ -192,7 +194,7 @@ def line_from_json(obj, n: int) -> EmbeddedLine:
         ell = _rational(e["length"], field)
         if ell <= 0:
             raise MalformedInput(f"{field} must be positive")
-        lengths[frozenset((a, b))] = ell
+        lengths[(a, b) if a < b else (b, a)] = ell
     anchor = expect(obj, "line.anchor", dict)
     node = expect(anchor, "line.anchor.node", int)
     if node not in topo.adj or topo.is_leaf(node):
@@ -200,11 +202,9 @@ def line_from_json(obj, n: int) -> EmbeddedLine:
     coords = expect(anchor, "line.anchor.coords", list)
     if len(coords) != n:
         raise MalformedInput(f"line.anchor.coords must list {n} coordinates, one per leaf")
-    coords = tuple(_rational(c, "line.anchor.coords") for c in coords)
-    try:
-        return embed(topo, lengths, node, coords)
-    except ValueError as e:
-        raise MalformedInput(f"line: {e}") from e
+    row = [_rational(c, "line.anchor.coords") for c in coords]
+    D, ints = clear_denominators(row + list(lengths.values()))
+    return _placed(topo, D, node, ints[:n], dict(zip(lengths, ints[n:])))
 
 
 def plucker_to_json(p) -> dict:

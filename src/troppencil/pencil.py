@@ -268,32 +268,20 @@ def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
     )
 
 
-def _scaled_point(G: EmbeddedLine, key, x: int) -> LinePoint:
-    """The point at D * t = x along the branch key, for x within the
-    branch; its ends come back as vertices."""
-    a, b, _, ell = G.edge(key)
-    if x == 0:
-        return LinePoint("vertex", a)
-    if ell is None:
-        return LinePoint("ray", key, Fraction(x, G.D))
-    t = Fraction(x, G.D)
-    return LinePoint("vertex", b) if t == ell else LinePoint("edge", key, t)
-
-
 def _gate(G: EmbeddedLine, verts, iv: dict, i: int) -> LinePoint:
     """The first point of the nonempty, connected S = (verts, iv) of
     `_scaled_pi` met coming in from leaf i in I: the top of S on ray i, or
     else the first point of S on the path from v_i towards S."""
     v = G.topology.node_of_leaf(i)
     if (v, i) in iv:
-        return _scaled_point(G, (v, i), iv[(v, i)][1])
+        return make_point(G, (v, i), Fraction(iv[(v, i)][1], G.D))
     if verts:
         target = min(verts)
     else:  # S lies inside one branch
         key, (lo, _) = next(iter(iv.items()))
         a, b, side, ell = G.edge(key)
         if ell is None:  # inside one ray
-            return _scaled_point(G, key, lo)
+            return make_point(G, key, Fraction(lo, G.D))
         target = a if i in side else b
     path = G.topology.path(v, target)
     for u, w in zip(path, path[1:]):
@@ -302,7 +290,7 @@ def _gate(G: EmbeddedLine, verts, iv: dict, i: int) -> LinePoint:
         key = (u, w) if u < w else (w, u)
         if key in iv:
             # the end of the interval nearer u
-            return _scaled_point(G, key, iv[key][u > w])
+            return make_point(G, key, Fraction(iv[key][u > w], G.D))
     return LinePoint("vertex", target)
 
 

@@ -13,7 +13,7 @@ column along a shortest augmenting path and keeps the potentials
 feasible and tight.  Its state (u, v, match) holds the row and column
 potentials and the row of each column, with a virtual start column
 last; `_assignment` returns it as the phases leave it, and `_drop`,
-`_tree` and `_zero_arcs` read it in that order.  `solve_minors` and
+`_tree` and `_zeros` read it in that order.  `solve_minors` and
 `is_general` clear the denominators of the points' coordinates once (D)
 and form D times the value matrix in integers, which changes neither
 argmin sets nor ties.
@@ -37,13 +37,13 @@ after subtracting optimal row/column potentials the optimal bijections
 are exactly the perfect matchings of the zero-entry bipartite graph, so
 the optimum is unique iff that graph has no alternating cycle through
 the matching found.  The potentials shifted by the tree's distances are
-one dual solution for every minor (i, .): one scan per i checks them
-on all n - 1 columns and collects the reduced zeros, and each minor
-checks the arcs of its flipped path, so every minor's dual solution is
-verified; `tropdet` checks its own with `_zero_arcs`.  The cycle search
-(`_has_cycle`), and the arcs it reads (`_arcs`), run only until the
-first singular pair, since the verdict names that pair alone, while the
-checks still cover every minor.
+one dual solution for every minor (i, .): one scan per i (`_zeros`)
+checks them on all n - 1 columns and collects the reduced zeros, and
+each minor checks the arcs of its flipped path, so every minor's dual
+solution is verified; `tropdet` checks its own with the same scan.  The
+cycle search (`_has_cycle`), and the arcs it reads (`_arcs`), run only
+until the first singular pair, since the verdict names that pair alone,
+while the checks still cover every minor.
 
 The tropical determinants of all pairs always satisfy the quartet
 relations, so they are the pair coordinates of a line: the stable pencil
@@ -84,7 +84,7 @@ def tropdet(square) -> TropdetResult:
     u, v, match = _assignment(N)
     assignment = sorted(range(k), key=match.__getitem__)  # the column of each row
     total = sum(row[c] for row, c in zip(N, assignment))
-    unique = not _has_cycle(_zero_arcs(list(zip(*N)), u, v, match, range(k)))
+    unique = not _has_cycle(_arcs(_zeros(list(zip(*N)), u, v, match, range(k)), None, {}, match))
     return TropdetResult(Fraction(total, D), tuple(assignment), unique)
 
 
@@ -145,30 +145,28 @@ def _assignment(M):
     return u, v, match
 
 
-def _zero_arcs(columns, u, v, match, cols) -> dict:
-    """The arcs of the reduced-zero graph on the columns `cols`, as a
-    successor list per row that has one; checks on the way that the
-    potentials are dual-feasible and tight on the matching.
+def _zeros(columns, u, v, match, cols) -> dict:
+    """{c: the rows with a reduced zero on column c} for each column c of
+    `cols` that has a zero besides its own row's; checks on the way that
+    the potentials are dual-feasible and tight on the matching.
 
-    columns[j] is column j of an integer matrix and (u, v, match) a state
-    of `_phase`: u and v the row and column potentials, match[j] the row
-    matched to column j.  Row r has an arc to row match[j] when its
-    reduced cost on column j is 0 and j is not its own column."""
-    succ = {}
-    for j in cols:
-        t = list(map(sub, columns[j], u))  # reduced costs plus v[j]
-        vj, mine = v[j], match[j]
-        if min(t) < vj or t[mine] != vj:
+    columns[c] is column c of an integer matrix and (u, v, match) a state
+    of `_phase`: u and v the row and column potentials, match[c] the row
+    matched to column c, or -1 for a free column, which has no tightness
+    test."""
+    zeros = {}
+    for c in cols:
+        t = list(map(sub, columns[c], u))  # reduced costs plus v[c]
+        vc, mine = v[c], match[c]
+        if min(t) < vc or (mine >= 0 and t[mine] != vc):
             raise InternalError("potentials are not optimal")
-        if t.count(vj) > 1:
-            for r, x in enumerate(t):
-                if x == vj and r != mine:
-                    succ.setdefault(r, []).append(mine)
-    return succ
+        if t.count(vc) > (mine >= 0):  # a zero besides its own row's: arcs or path ends
+            zeros[c] = [r for r, x in enumerate(t) if x == vc]
+    return zeros
 
 
 def _has_cycle(succ) -> bool:
-    """Whether the arcs of `_zero_arcs` close a cycle: an alternating cycle
+    """Whether the arcs of `_arcs` close a cycle: an alternating cycle
     through the matching, that is, a second optimal bijection."""
     color = dict.fromkeys(succ, 0)  # 0 unseen, 1 on the current path, 2 done
 
@@ -236,13 +234,13 @@ def _minors(N):
     both come from one tree per i.  Shifting the potentials by dist (u of
     each row up by the dist of its column, v down by it) keeps them
     feasible and makes every tree arc tight, so one dual solution
-    certifies every minor (i, .): one scan per i checks it on all n - 1
-    columns and collects each column's reduced zeros, and each minor
-    checks the arcs of its own path.  A minor's optimum is the sum of its
-    own bijection, the state's sum updated along the path, and is unique
-    iff `_has_cycle(_arcs(*graph))` is false: the caller builds the arcs
-    and searches them only while it needs the answer.  The walk takes at
-    most k + (n - 1) phases and O(n^3) work besides the arcs and the
+    certifies every minor (i, .): one scan per i (`_zeros`) checks it on
+    all n - 1 columns and collects each column's reduced zeros, and each
+    minor checks the arcs of its own path.  A minor's optimum is the sum
+    of its own bijection, the state's sum updated along the path, and is
+    unique iff `_has_cycle(_arcs(*graph))` is false: the caller builds the
+    arcs and searches them only while it needs the answer.  The walk takes
+    at most k + (n - 1) phases and O(n^3) work besides the arcs and the
     cycle searches."""
     n, columns = len(N[0]), list(zip(*N))
     u, v, match = _assignment(N)
@@ -251,20 +249,12 @@ def _minors(N):
         ui, vi, mi = _drop(N, u, v, match, i, cols)
         f = next(c for c in cols if mi[c] < 0)
         dist, parent = _tree(columns, ui, vi, mi, f, cols)
-        us = ui[:]
+        us, total = ui[:], 0
         for c in cols:
             if c != f:
                 us[mi[c]] += dist[c]
-        zeros, total = {}, 0
-        for c in cols:
-            t = list(map(sub, columns[c], us))  # reduced costs plus the shifted v[c]
-            vc, mine = vi[c] - dist[c], mi[c]
-            if min(t) < vc or (mine >= 0 and t[mine] != vc):
-                raise InternalError("potentials are not optimal")
-            if mine >= 0:
-                total += columns[c][mine]
-            if t.count(vc) > (mine >= 0):  # a zero besides its own row's: arcs or path ends
-                zeros[c] = [r for r, x in enumerate(t) if x == vc]
+                total += columns[c][mi[c]]
+        zeros = _zeros(columns, us, list(map(sub, vi, dist)), mi, cols)
         for j in range(i + 1, n):
             minor, moved, c = total, {}, j
             while c != f:
@@ -278,10 +268,12 @@ def _minors(N):
 
 
 def _arcs(zeros, j, moved, match) -> dict:
-    """The arcs of the reduced-zero graph of a minor from `_minors`, as
-    `_zero_arcs` gives them: zeros[c] holds the rows with a reduced zero
-    on column c, j is the erased column, and the row of column c is
-    moved[c] on the flipped path and match[c] off it."""
+    """The arcs of the reduced-zero graph, as a successor list per row
+    that has one: row r has an arc to the row of column c when its reduced
+    cost on c is 0 and c is not its own column.  zeros[c] holds the rows
+    with a reduced zero on column c (`_zeros`), j is an erased column
+    (None for none), and the row of column c is moved[c] on a minor's
+    flipped path and match[c] off it."""
     succ = {}
     for c, rows in zeros.items():
         if c != j:

@@ -22,6 +22,10 @@ h is scaled by D > 0 or shifted: h = D*c + const has the cells of c.  The
 `ProjPoint` entry points clear c once (`_heights`).  In the heights c a
 cell's plane is c = (P*r + Q*s) / (O*D) + const, so its terms tie at
 (-P/(O*D), -Q/(O*D), 0) (`_dual_point`), free of scale and shift.
+`_lower_faces` tests every triple this way and drops a candidate at its
+first lift below; `_sides` gives one known triple's plane and the side
+values of all other lifts, for `_cell_planes`, `_cone_bound` and
+`cell_dual_point`.
 """
 
 from __future__ import annotations
@@ -134,6 +138,24 @@ def _lower_faces(A: SupportSet, hs) -> dict:
     return planes
 
 
+def _sides(lifts, cell) -> tuple:
+    """(plane, sides) for a triple of 1-based indices in increasing order:
+    `_plane` of its lifts, and the side value O*(h - h1) - P*(r - r1) -
+    Q*(s - s1) of every other lift, in index order; (None, []) when the
+    three are collinear."""
+    i, j, k = cell
+    l1 = lifts[i - 1]
+    plane = _plane(l1, lifts[j - 1], lifts[k - 1])
+    if plane is None:
+        return None, []
+    O, P, Q = plane
+    r1, s1, h1 = l1
+    return plane, [
+        O * (h - h1) - P * (r - r1) - Q * (s - s1)
+        for m, (r, s, h) in enumerate(lifts, 1) if m not in cell
+    ]
+
+
 def _cone_bound(S: RegularSubdivision, c: ProjPoint, ws) -> Fraction | None:
     """The supremum eps* of the eps > 0 for which every c + eps*w, w in the
     integer vectors ws, induces S, or None when every eps > 0 does.  The
@@ -148,16 +170,7 @@ def _cone_bound(S: RegularSubdivision, c: ProjPoint, ws) -> Fraction | None:
     lifted = [_lifts(S.support, h) for h in (hs, *ws)]
     best = None  # (side(D*c), -side(w)) of the least ratio so far
     for cell in S.cells:
-        corner = [i - 1 for i in cell]
-        sides = []
-        for ls in lifted:
-            O, P, Q = _plane(*(ls[i] for i in corner))
-            r1, s1, h1 = ls[corner[0]]
-            sides.append([
-                O * (h - h1) - P * (r - r1) - Q * (s - s1)
-                for m, (r, s, h) in enumerate(ls) if m not in corner
-            ])
-        base, *rest = sides
+        base, *rest = (_sides(ls, cell)[1] for ls in lifted)
         for w_sides in rest:
             for up, down in zip(base, w_sides):
                 if down < 0 and (best is None or up * best[1] < best[0] * -down):
@@ -176,13 +189,9 @@ def _cell_planes(A: SupportSet, hs, cells) -> dict | None:
     lifts = _lifts(A, hs)
     planes = {}
     for cell in cells:
-        i, j, k = cell
-        l1 = lifts[i - 1]
-        O, P, Q = planes[cell] = _plane(l1, lifts[j - 1], lifts[k - 1])
-        r1, s1, h1 = l1
-        for m, (r, s, h) in enumerate(lifts, 1):
-            if O * (h - h1) - P * (r - r1) - Q * (s - s1) <= 0 and m not in cell:
-                return None
+        planes[cell], sides = _sides(lifts, cell)
+        if sides and min(sides) <= 0:
+            return None
     return planes
 
 
@@ -212,16 +221,14 @@ def cell_dual_point(A: SupportSet, c: ProjPoint, cell) -> ProjPoint:
     cell = tuple(sorted(cell))
     if len(cell) != 3:
         raise ValueError("cell must be an index triple")
+    if not 1 <= cell[0] <= cell[2] <= A.n:
+        raise ValueError(f"cell {cell} has an index outside 1..{A.n}")
     D, hs = _heights(A, c)
-    lifts = _lifts(A, hs)
-    plane = _plane(*(lifts[i - 1] for i in cell))
+    plane, sides = _sides(_lifts(A, hs), cell)
     if plane is None:
         raise TropError("degenerate cell")
-    O, P, Q = plane
-    r1, s1, h1 = lifts[cell[0] - 1]
-    for m, (r, s, h) in enumerate(lifts, 1):
-        if m not in cell and O * (h - h1) - P * (r - r1) - Q * (s - s1) <= 0:
-            raise TropError("not a face")
+    if sides and min(sides) <= 0:
+        raise TropError("not a face")
     return _dual_point(D, plane)
 
 

@@ -31,8 +31,9 @@ keeps the least D > 0 and the symmetric int table D * p, which
 directly.  `Fraction`s are built only where a caller asks for them
 (`coords_of`, `PlueckerVector.get`).  One walk places every line
 (`_placed`): from an anchor row and integer edge lengths it lays out the
-rows and the branch table, for `embed`, for `plucker_to_tree` and for
-`compat`'s unit offsets.
+rows and the branch table, for `embed`, for `plucker_to_tree`, for
+`compat`'s unit offsets and realized types, and for the JSON line
+decoder (`jsonio.line_from_json`).
 
 `plucker_to_tree` compares only sums of pair coordinates, which are
 linear in p, so it inserts the leaves and checks the pairs on the table

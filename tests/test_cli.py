@@ -12,9 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from conftest import coprime_rational, make_lsq, rand_line, rand_support, run_in_process
+from conftest import (
+    coprime_line,
+    coprime_rational,
+    make_lsq,
+    mixed_line,
+    rand_line,
+    rand_support,
+    run_in_process,
+)
 from troppencil import cli, compat, jsonio, pencil, stable
-from troppencil.core import ProjPoint, rational_to_json
+from troppencil.core import ProjPoint, rational_from_json, rational_to_json
 from troppencil.oracle import brute_fixed_locus, brute_plucker_to_tree, brute_tropdet
 from troppencil.trees import PlueckerVector, TreeTopology, embed
 
@@ -417,6 +425,52 @@ def test_reverse_commands_match_golden_output():
     for k, case in enumerate(cases):
         code, out, _ = run_in_process(case["args"], case["input"])
         assert (code, out) == (case["exit"], case["stdout"]), f"case {k}: {case['args']}"
+
+
+def _lines_in(obj):
+    """Every object with "edges" and "anchor" inside a JSON value."""
+    if isinstance(obj, dict):
+        if "edges" in obj and "anchor" in obj:
+            yield obj
+        for v in obj.values():
+            yield from _lines_in(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _lines_in(v)
+
+
+def _embedded(obj):
+    """`embed` of the topology, lengths and anchor written in a line's JSON."""
+    n = obj["n"]
+    topo = jsonio.topology_from_json(obj, n, "line")
+    lengths = {
+        frozenset((e["a"], e["b"])): rational_from_json(e["length"])
+        for e in obj["edges"]
+        if e["length"] is not None
+    }
+    anchor = obj["anchor"]
+    return embed(topo, lengths, anchor["node"], [rational_from_json(c) for c in anchor["coords"]])
+
+
+def test_line_decoder_places_lines_as_embed_does():
+    # random, contracted and coprime-denominator lines at n = 3..12, and
+    # every line in the inputs and outputs of the golden records
+    rng, objs = random.Random(28), []
+    for n in range(3, 13):
+        for make in (rand_line, coprime_line, mixed_line):
+            for contract_p in (0, 0.4):
+                objs.append(jsonio.line_to_json(make(rng, n, contract_p=contract_p)))
+    for name in ("cli_golden", "fixed_locus_golden", "reverse_golden"):
+        for case in json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text()):
+            if case["exit"] == 0:
+                objs += _lines_in(json.loads(case["input"]))
+                objs += _lines_in(json.loads(case["stdout"]))
+    assert len(objs) > 200
+    for obj in objs:
+        L, M = jsonio.line_from_json(obj, obj["n"]), _embedded(obj)
+        assert L.topology.adj == M.topology.adj and L.D == M.D
+        assert list(L.rows.items()) == list(M.rows.items())
+        assert list(L._branches.items()) == list(M._branches.items())
 
 
 def test_fixed_locus_cells_written_from_integers(monkeypatch):

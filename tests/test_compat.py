@@ -47,6 +47,12 @@ def test_quartet_examples(SQ):
     assert quartet_ok(SQ, 1, 3, 2, 4).ok
 
 
+def test_quartet_refuses_indices_outside_the_support(SQ):
+    # index 0 used to stand for a_4, so this judged the quartet 4, 1, 2, 3
+    with pytest.raises(ValueError, match=r"support index 0 is not in 1\.\.4"):
+        quartet_ok(SQ, 0, 1, 2, 3)
+
+
 def test_quartet_degenerate_rules(TRI5):
     # 1=(0,0) 2=(1,0) 3=(2,0) 4=(0,1) 5=(0,2)
     # occupied segment: 2 sits inside conv(a_1, a_3)
@@ -250,6 +256,14 @@ def test_support_graph_fixture(SQ):
     assert psi == {u: 3, w: 4}
     psi34 = unique_matching(Gc, (3, 4))
     assert psi34 == {u: 1, w: 2}
+
+
+def test_support_graph_refuses_a_node_that_is_not_internal(SQ):
+    # a leaf id used to raise KeyError from the line's rows
+    L = make_lsq()
+    for c in (1, 4, max(L.rows) + 1):
+        with pytest.raises(ValueError, match=f"node {c} is not an internal node"):
+            support_graph(L, SQ, c)
 
 
 def test_matching_sum_equals_tropdet(SQ):

@@ -100,6 +100,16 @@ def test_support_set_validation():
         SupportSet(2, ((0, 0, 2), (1, 0, 1), (2, 0, 0)))  # collinear
 
 
+def test_support_indices_outside_the_range_raise():
+    # 0 and -1 used to wrap around to a_n and a_(n-1), n + 1 was an IndexError
+    A = SupportSet(2, ((0, 0, 2), (1, 0, 1), (0, 1, 1), (1, 1, 0)))
+    for i in (0, -1, 5):
+        for lookup in (A.point, A.rs):
+            with pytest.raises(ValueError, match=rf"support index {i} is not in 1\.\.4"):
+                lookup(i)
+    assert A.point(4) == (1, 1, 0) and A.rs(1) == (0, 0)
+
+
 def test_support_set_refuses_non_integer_coordinates():
     # int() used to truncate these: (-0.5, 1.5, 1) was read as (0, 1, 1)
     for bad in ((-0.5, 1.5, 1), (0, True, 1), (Fraction(1), 1, 0)):

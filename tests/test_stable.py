@@ -244,7 +244,16 @@ def test_failed_optimality_check_is_internal_error():
     # column potentials (0, 0) with row potentials (0, 0) are feasible, but
     # the matching (1, 0) is not tight on them
     with pytest.raises(InternalError) as info:
-        stable._zero_arcs([[0, 1], [1, 0]], [0, 0], [0, 0, 0], [1, 0, -1], range(2))
+        stable._zeros([[0, 1], [1, 0]], [0, 0], [0, 0, 0], [1, 0, -1], range(2))
+    assert not isinstance(info.value, (ValueError, TropError))
+    # a free column has no tightness test: row 1's reduced cost 1 there is
+    # fine, but a reduced cost -1 is below its potential 0
+    assert stable._zeros([[0, 0], [0, 1]], [0, 0], [0, 0, 0], [0, -1, -1], range(2)) == {
+        0: [0, 1],
+        1: [0],
+    }
+    with pytest.raises(InternalError) as info:
+        stable._zeros([[0, 0], [-1, 0]], [0, 0], [0, 0, 0], [0, -1, -1], range(2))
     assert not isinstance(info.value, (ValueError, TropError))
 
 

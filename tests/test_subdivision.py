@@ -76,6 +76,14 @@ def test_cell_dual_point_errors(SQ):
         cell_dual_point(degenerate, ProjPoint((0, 0, 0, 0)), (1, 2, 3))
 
 
+def test_cell_dual_point_refuses_indices_outside_the_support(SQ):
+    # index 0 used to read a_4's lift (TropError "not a face"), index 5 an IndexError
+    c = ProjPoint((3, 1, 2, 1))
+    for cell in ((0, 1, 2), (2, 3, 5)):
+        with pytest.raises(ValueError, match=r"has an index outside 1\.\.4"):
+            cell_dual_point(SQ, c, cell)
+
+
 def test_is_maximal_modes(SQ, TRI5):
     S = regular_subdivision(SQ, ProjPoint((1, 0, 0, 0)))
     assert is_maximal(S, "strict") and is_maximal(S, "lenient")
