@@ -9,7 +9,8 @@ The library works over exact rationals throughout.  Its pieces:
 - ``stable``: tropical determinants, generality, stable pencils
 - ``compat``: tree/support compatibility and the constructive round trip
   between compatible lines and general configurations
-- ``oracle``: slow reference implementations for differential checks
+- ``oracle``: slow reference implementations for differential checks;
+  import them from ``troppencil.oracle``, the package does not load it
 - ``cli``: the ``troppencil`` command
 """
 
@@ -68,19 +69,6 @@ from .compat import (
     type_count,
     unique_matching,
     vertex_fixed_point,
-)
-from .oracle import (
-    EpsRational,
-    brute_fixed_locus,
-    brute_pi_attachment,
-    brute_pi_set,
-    brute_plucker_to_tree,
-    brute_regular_subdivision,
-    brute_tropdet,
-    brute_vertex_fixed_points,
-    perturbed_pencil,
-    poly_plucker_to_tree,
-    sampled_fixed,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,13 @@ be written, 3 on any other exception, which is a bug (also reported as
 {"error": ...}).  When the reader of stdout closes it early (say
 `| head`), the command stops quietly with exit 1.  All randomness is
 behind explicit --seed flags, so identical inputs give identical outputs.
+
+A success payload is written by `_json_text`, which gives the bytes of
+`json.dumps(payload, indent=2)` for the values payloads hold (dicts with
+str keys, lists, tuples, str, int, bool and None) without the pure-Python
+encoder that `indent` selects; an error payload is one compact line from
+`json.dumps`.  `oracle` is imported only by the --oracle branches and
+`svg` only when --svg is given.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
-from . import compat, jsonio, oracle, pencil, plane, stable, svg, trees
+from . import compat, jsonio, pencil, plane, stable, trees
 from .core import InternalError, TropError
 from .jsonio import MalformedInput, expect
 from .subdivision import dual_curve, is_maximal, regular_subdivision
@@ -53,8 +61,38 @@ def _save(flag: str, path: str, text: str):
         raise MalformedInput(f"{flag}: cannot write {path}: {e.strerror}") from e
 
 
+def _json_text(x, nl="\n") -> str:
+    """json.dumps(x, indent=2) for dicts with str keys, lists, tuples,
+    str, int, bool and None; any other value raises TypeError.  `nl` is
+    the newline and indent that x's own lines start with.  Strings go
+    through the C escaper json.dumps uses and ints through int.__repr__,
+    so an int past the str digit limit raises the same ValueError."""
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    inner = nl + "  "
+    if t is dict:
+        if not x:
+            return "{}"
+        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in x]) + nl + "]"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _write(args, payload):
-    text = json.dumps(payload, indent=2)
+    text = _json_text(payload)
     if args.output and args.output != "-":
         _save("--output", args.output, text)
     else:
@@ -62,11 +100,14 @@ def _write(args, payload):
 
 
 def _write_svg(args, draw, what):
-    """Draw only when --svg asks for it; drawing converts to floats."""
+    """Draw only when --svg asks for it, with the `svg` function named
+    `draw`; drawing converts to floats."""
     if not args.svg:
         return
+    from . import svg
+
     try:
-        markup = draw(what)
+        markup = getattr(svg, draw)(what)
     except OverflowError as e:
         raise TropError(f"coordinates too large to draw: {e}") from e
     _save("--svg", args.svg, markup)
@@ -77,7 +118,7 @@ def _write_svg(args, draw, what):
 
 def cmd_curve(args, obj, A):
     curve = dual_curve(A, jsonio.point_from_json(expect(obj, "c"), "c", A.n))
-    _write_svg(args, svg.curve_svg, curve)
+    _write_svg(args, "curve_svg", curve)
     return jsonio.curve_to_json(curve)
 
 
@@ -99,6 +140,8 @@ def cmd_stable_pencil(args, obj, A):
     verdict, p = stable.solve_minors(A, C)
     L = trees.plucker_to_tree(p)
     if args.oracle:
+        from . import oracle
+
         twin = oracle.perturbed_pencil(A, C, seed=args.seed)
         if twin != L:
             raise TropError("oracle mismatch: perturbed pencil differs")
@@ -110,7 +153,7 @@ def cmd_fixed_locus(args, obj, A):
     L = jsonio.line_from_json(expect(obj, "line", dict), A.n)
     cells = pencil.fixed_locus(L, A)
     pieces = plane.canonical_pieces([c.geometry for c in cells])
-    _write_svg(args, svg.pieces_svg, pieces)
+    _write_svg(args, "pieces_svg", pieces)
     return {
         "cells": [jsonio.cell_to_json(c) for c in cells],
         "pieces": [jsonio.geometry_to_json(g) for g in pieces],
@@ -121,8 +164,11 @@ def cmd_is_fixed(args, obj, A):
     L = jsonio.line_from_json(expect(obj, "line", dict), A.n)
     P = jsonio.point_from_json(expect(obj, "point"), "point", 3)
     fixed = pencil.is_fixed(L, A, P)
-    if args.oracle and oracle.sampled_fixed(L, A, P) != fixed:
-        raise TropError("oracle mismatch: sampled walk disagrees")
+    if args.oracle:
+        from . import oracle
+
+        if oracle.sampled_fixed(L, A, P) != fixed:
+            raise TropError("oracle mismatch: sampled walk disagrees")
     return {"fixed": fixed}
 
 
@@ -132,15 +178,13 @@ def cmd_construct_config(args, obj, A):
 
 
 def cmd_enumerate_types(args, obj, A):
-    types = compat.enumerate_types(A.n)
+    # one TreeTopology alive at a time; the walk refuses n > 10 before
+    # compatible_types starts
+    types = [jsonio.topology_to_json(T) for T in compat.iter_types(A.n)]
     ids = {k for k, _ in compat.compatible_types(A)}
-    return {
-        "total": compat.type_count(A.n),
-        "compatible": len(ids),
-        "types": [
-            dict(jsonio.topology_to_json(T), compatible=k in ids) for k, T in enumerate(types)
-        ],
-    }
+    for k, row in enumerate(types):
+        row["compatible"] = k in ids
+    return {"total": len(types), "compatible": len(ids), "types": types}
 
 
 def cmd_realize_type(args, obj, A):

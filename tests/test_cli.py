@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -425,6 +426,177 @@ def test_reverse_commands_match_golden_output():
     for k, case in enumerate(cases):
         code, out, _ = run_in_process(case["args"], case["input"])
         assert (code, out) == (case["exit"], case["stdout"]), f"case {k}: {case['args']}"
+
+
+def test_other_commands_match_golden_output():
+    """curve, subdivision (no flag, --mode strict, --mode lenient),
+    enumerate-types and compat-check byte for byte against a committed
+    record of their stdout and exit code: the square and triangle
+    fixtures and two seeded supports per n = 3..8, each with random
+    rational heights and with squared-distance heights; enumerate-types
+    on the square and on seeded supports at n = 3..6; compat-check with a
+    line and with a topology, compatible and not, at n = 4..8; and twelve
+    exit-1 and exit-2 error payloads."""
+    cases = json.loads((Path(__file__).parent / "data" / "curve_types_golden.json").read_text())
+    assert len(cases) == 152
+    for k, case in enumerate(cases):
+        code, out, _ = run_in_process(case["args"], case["input"])
+        assert (code, out) == (case["exit"], case["stdout"]), f"case {k}: {case['args']}"
+
+
+def test_forward_compatibility_reproducer_stands():
+    # ROADMAP item 1 is open: the paper's forward theorem says the stable
+    # pencil of a general configuration is compatible, and on this support,
+    # whose a3 lies inside the hull of the others, it is not.  These lines
+    # pin today's answers; mending the item changes them.
+    support = {"degree": 3, "points": [[0, 0, 3], [0, 1, 2], [1, 1, 1], [2, 0, 1], [1, 2, 0]]}
+    config = {"points": [[11, "-11/2", 0], ["-55/6", "-35/6", 0], [9, "7/2", 0]]}
+    code, out = run_cli("check-general", {"support": support, "configuration": config})
+    assert code == 0 and out["general"] is True
+    code, out = run_cli("stable-pencil", {"support": support, "configuration": config})
+    assert code == 0
+    request = {"support": support, "line": out["line"]}
+    code, out = run_cli("compat-check", request)
+    assert code == 0 and out == {"compatible": False, "witness": [1, 3, 2, 4]}
+    code, out = run_cli("construct-config", request)
+    assert code == 1 and out == {"error": "hypotheses violated: incompatible, quartet (1, 3, 2, 4)"}
+
+
+def test_cli_import_loads_no_oracle_or_svg():
+    # the reference twins and the drawing code load only when a flag asks
+    probe = "import sys, troppencil.cli; print(sorted(m for m in sys.modules if m.startswith('troppencil')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout
+    assert "troppencil.cli" in loaded
+    assert "troppencil.oracle" not in loaded and "troppencil.svg" not in loaded
+
+
+def _payloads(monkeypatch, requests):
+    """The success payloads `cli.main` hands its writer for (argv, text)
+    requests, and the error payloads it prints."""
+    seen, write = [], cli._write
+
+    def record(args, payload):
+        seen.append(payload)
+        write(args, payload)
+
+    monkeypatch.setattr(cli, "_write", record)
+    for argv, text in requests:
+        code, out, _ = run_in_process(argv, text)
+        if code:
+            seen.append(json.loads(out))
+    return seen
+
+
+def _golden_requests():
+    data = Path(__file__).parent / "data"
+    for name in ("cli_golden", "fixed_locus_golden", "reverse_golden", "curve_types_golden"):
+        for case in json.loads((data / f"{name}.json").read_text()):
+            yield case.get("args", [case.get("command")]), case["input"]
+
+
+def _random_requests(rng):
+    """Seeded requests for each of the ten subcommands at n = 3..7."""
+    rat = rational_to_json
+    for n in range(3, 8):
+        A = rand_support(rng, n)
+        support = {"degree": A.degree, "points": A.points}
+        c = [rat(coprime_rational(rng)) for _ in range(n)]
+        yield ["curve"], json.dumps({"support": support, "c": c})
+        yield ["subdivision", "--mode", rng.choice(("strict", "lenient"))], json.dumps({"support": support, "c": c})
+        config = {"points": [[rat(coprime_rational(rng)), rat(coprime_rational(rng)), 0] for _ in range(n - 2)]}
+        yield ["check-general"], json.dumps({"support": support, "configuration": config})
+        yield ["stable-pencil"], json.dumps({"support": support, "configuration": config})
+        if n >= 4:
+            L = rand_line(rng, n, contract_p=0.3)
+            line = jsonio.line_to_json(L)
+            yield ["fixed-locus"], json.dumps({"support": support, "line": line})
+            point = [rat(coprime_rational(rng)), rat(coprime_rational(rng)), 0]
+            yield ["is-fixed"], json.dumps({"support": support, "line": line, "point": point})
+            yield ["construct-config"], json.dumps({"support": support, "line": line})
+            yield ["compat-check"], json.dumps({"support": support, "line": line})
+            topology = jsonio.topology_to_json(L.topology)
+            yield ["compat-check"], json.dumps({"support": support, "topology": topology})
+        yield ["enumerate-types"], json.dumps({"support": support})
+        ids = [k for k, _ in compat.compatible_types(A)]
+        for type_id in (rng.choice(ids), rng.randrange(compat.type_count(n))):
+            yield ["realize-type"], json.dumps({"support": support, "type_id": type_id})
+
+
+def test_writer_matches_json_dumps_on_cli_payloads(monkeypatch):
+    # json.dumps(indent=2) is the twin: every payload of the golden inputs
+    # and of seeded requests to all ten subcommands, errors included
+    rng = random.Random(29)
+    requests = list(_golden_requests()) + list(_random_requests(rng))
+    assert {argv[0] for argv, _ in requests} == set(READS)
+    payloads = _payloads(monkeypatch, requests)
+    assert len(payloads) == len(requests)
+    for p in payloads:
+        assert cli._json_text(p) == json.dumps(p, indent=2)
+
+
+WRITER_EDGES = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [{}, [[]], ()], "d": {"e": {"f": []}}},
+    [[], [[], [{}]]],
+    ["", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "é", "∞", "\U0001d11e", "\ud800"],
+    {'key "quoted"': 1, "k\\": 2, "\n": 3, "é": "∞"},
+    [True, 1, False, 0, None, -1, 10**40, -(10**40)],
+    {"t": (1, (2, (3,)), ()), "n": None},
+    0,
+    "plain",
+    None,
+    True,
+]
+
+
+@pytest.mark.parametrize("value", WRITER_EDGES, ids=range(len(WRITER_EDGES)))
+def test_writer_matches_json_dumps_on_edge_shapes(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, Fraction(1, 2), {"a": [0.0]}, {1: 2}])
+def test_writer_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def test_writer_raises_as_json_dumps_past_the_digit_limit(monkeypatch):
+    big = {"x": [10**5000]}
+    with pytest.raises(ValueError) as twin:
+        json.dumps(big, indent=2)
+    with pytest.raises(ValueError) as ours:
+        cli._json_text(big)
+    assert str(ours.value) == str(twin.value)
+    # the CLI reports it as a bug, with nothing of the payload before it
+    monkeypatch.setattr(cli, "_COMMANDS", dict(cli._COMMANDS, curve=(lambda args, obj, A: big, ("--svg",))))
+    code, out, _ = run_in_process(["curve"], json.dumps({"support": SQ_JSON, "c": [0] * 4}))
+    assert code == 3 and out == json.dumps({"error": f"ValueError: {twin.value}"}) + "\n"
+
+
+def test_enumerate_types_holds_one_topology_at_a_time(monkeypatch):
+    # the walk hands out each type and drops it before the next
+    walk, alive = compat.iter_types, []
+
+    def live():
+        gc.collect()
+        return sum(type(o) is TreeTopology for o in gc.get_objects())
+
+    def counted(n):
+        for T in walk(n):
+            yield T
+            del T  # the caller asks for the next type: count what it holds
+            alive.append(live())
+
+    before = live()
+    monkeypatch.setattr(compat, "iter_types", counted)
+    support = {"degree": 2, "points": [[0, 0, 2], [1, 0, 1], [2, 0, 0], [0, 1, 1], [0, 2, 0]]}
+    code, out, _ = run_in_process(["enumerate-types"], json.dumps({"support": support}))
+    assert code == 0 and len(json.loads(out)["types"]) == len(alive) == 15
+    assert max(alive) <= before + 1
 
 
 def _lines_in(obj):
