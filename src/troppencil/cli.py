@@ -66,7 +66,8 @@ def _json_text(x, nl="\n") -> str:
     str, int, bool and None; any other value raises TypeError.  `nl` is
     the newline and indent that x's own lines start with.  Strings go
     through the C escaper json.dumps uses and ints through int.__repr__,
-    so an int past the str digit limit raises the same ValueError."""
+    so an int past the str digit limit raises the same ValueError; inside
+    a dict or a list both are written inline, with no call per value."""
     t = type(x)
     if t is str:
         return _quote(x)
@@ -76,12 +77,23 @@ def _json_text(x, nl="\n") -> str:
     if t is dict:
         if not x:
             return "{}"
-        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in x.items()]
+        items = []
+        for k, v in x.items():
+            tv = type(v)
+            items.append(
+                _quote(k)
+                + ": "
+                + (_quote(v) if tv is str else int.__repr__(v) if tv is int else _json_text(v, inner))
+            )
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if t is list or t is tuple:
         if not x:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in x]) + nl + "]"
+        items = []
+        for v in x:
+            tv = type(v)
+            items.append(_quote(v) if tv is str else int.__repr__(v) if tv is int else _json_text(v, inner))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     if x is None:
         return "null"
     if x is True:

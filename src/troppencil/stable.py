@@ -31,19 +31,28 @@ integers.
 `tropdet` clears the denominators of the square it is given and runs one
 phase per row; `minor_tropdet` cuts one minor's square and solves it
 alone, the per-pair twin of the walk.  The rational matrix itself
-(`value_matrix`) is only for callers that read its entries.  Uniqueness
-is certified on the reduced integer entries of the surviving columns:
-after subtracting optimal row/column potentials the optimal bijections
-are exactly the perfect matchings of the zero-entry bipartite graph, so
-the optimum is unique iff that graph has no alternating cycle through
-the matching found.  The potentials shifted by the tree's distances are
-one dual solution for every minor (i, .): one scan per i (`_zeros`)
-checks them on all n - 1 columns and collects the reduced zeros, and
-each minor checks the arcs of its flipped path, so every minor's dual
-solution is verified; `tropdet` checks its own with the same scan.  The
-cycle search (`_has_cycle`), and the arcs it reads (`_arcs`), run only
-until the first singular pair, since the verdict names that pair alone,
-while the checks still cover every minor.
+(`value_matrix`) is only for callers that read its entries.
+
+Every optimum is certified on the reduced integer entries of the
+surviving columns: after subtracting optimal row/column potentials the
+optimal bijections are exactly the perfect matchings of the zero-entry
+bipartite graph.  The potentials shifted by the tree's distances are one
+dual solution for every minor (i, .): one scan per i (`_zeros`) checks
+them on all n - 1 columns and collects the reduced zeros, and one check
+per tree arc makes every flipped path tight, so every minor's dual
+solution is verified and its optimum is the dual objective; `tropdet`
+checks its own with the same scan.  A minor is unique iff its zero graph
+has no alternating cycle through the matching found.  For the minors
+(i, .) that is one question about one column digraph per i: against the
+state, each optimal bijection of minor (i, j) is a path from j to the
+free column f plus disjoint cycles.  When that digraph is acyclic, one
+path count (`_paths`, capped at 2) decides every minor (i, .) at once.
+A cycle makes minor {i, f} singular, and only then does each minor of
+that column search its own arcs (`_arcs`).  `_flags` runs only until the
+first singular pair, since the verdict names that pair alone, while the
+checks still cover every minor.  The first column with a cycle holds the
+first singular pair, so the per-minor searches run on one column at
+most, and the whole certificate takes O(n^3) work.
 
 The tropical determinants of all pairs always satisfy the quartet
 relations, so they are the pair coordinates of a line: the stable pencil
@@ -84,7 +93,7 @@ def tropdet(square) -> TropdetResult:
     u, v, match = _assignment(N)
     assignment = sorted(range(k), key=match.__getitem__)  # the column of each row
     total = sum(row[c] for row, c in zip(N, assignment))
-    unique = not _has_cycle(_arcs(_zeros(list(zip(*N)), u, v, match, range(k)), None, {}, match))
+    unique = _paths(_arcs(_zeros(list(zip(*N)), u, v, match, range(k)), None, {}, match), ()) is not None
     return TropdetResult(Fraction(total, D), tuple(assignment), unique)
 
 
@@ -165,21 +174,32 @@ def _zeros(columns, u, v, match, cols) -> dict:
     return zeros
 
 
-def _has_cycle(succ) -> bool:
-    """Whether the arcs of `_arcs` close a cycle: an alternating cycle
-    through the matching, that is, a second optimal bijection."""
-    color = dict.fromkeys(succ, 0)  # 0 unseen, 1 on the current path, 2 done
+def _paths(succ, ends) -> dict | None:
+    """{x: the number of paths from x to `ends` over the arcs succ, capped
+    at 2} for every vertex reached, or None when the arcs close a cycle.
+    A vertex of `ends` counts 1 and has no arcs; any other vertex without
+    arcs counts 0.  With no ends it only asks whether the arcs are
+    acyclic: a cycle of `_arcs` is an alternating cycle through the
+    matching, that is, a second optimal bijection."""
+    count = dict.fromkeys(ends, 1)
 
-    def visit(r) -> bool:
-        color[r] = 1
-        for nxt in succ[r]:
-            c = color.get(nxt, 2)  # a row without arcs ends every path
-            if c == 1 or (c == 0 and visit(nxt)):
-                return True
-        color[r] = 2
-        return False
+    def visit(x) -> int:
+        count[x] = -1  # on the current path
+        total = 0
+        for nxt in succ.get(x, ()):
+            c = count.get(nxt)
+            if c is None:
+                c = visit(nxt)
+            if c < 0:
+                return -1
+            total += c
+        count[x] = total = min(total, 2)
+        return total
 
-    return any(color[r] == 0 and visit(r) for r in succ)
+    for x in succ:
+        if x not in count and visit(x) < 0:
+            return None
+    return count
 
 
 def _drop(M, u, v, match, c, cols) -> tuple:
@@ -222,9 +242,9 @@ def _tree(columns, u, v, match, f, cols) -> tuple:
 
 
 def _minors(N):
-    """Yield ((i, j), optimum, graph) for the maximal minor of the integer
-    k x n matrix N that erases support columns i and j, for all pairs in
-    combinations order.
+    """Yield ({(i + 1, j + 1): optimum}, graph) per erased column i, for
+    the maximal minors of the integer k x n matrix N that erase support
+    columns i and j > i, in combinations order.
 
     N is solved once as a rectangular assignment problem.  Erasing column
     i keeps every other reduced cost >= 0, so one phase for the row it
@@ -236,12 +256,12 @@ def _minors(N):
     feasible and makes every tree arc tight, so one dual solution
     certifies every minor (i, .): one scan per i (`_zeros`) checks it on
     all n - 1 columns and collects each column's reduced zeros, and each
-    minor checks the arcs of its own path.  A minor's optimum is the sum
-    of its own bijection, the state's sum updated along the path, and is
-    unique iff `_has_cycle(_arcs(*graph))` is false: the caller builds the
-    arcs and searches them only while it needs the answer.  The walk takes
-    at most k + (n - 1) phases and O(n^3) work besides the arcs and the
-    cycle searches."""
+    tree arc is checked once, so every minor's flipped path is tight.  Its
+    bijection then attains the dual objective, the sum of the shifted u
+    and of the shifted v on every column but j.  graph = (i, zeros,
+    parent, match) is what `_flags` reads for the uniqueness of the minors
+    (i, .).  The walk takes at most k + (n - 1) phases and O(n^3)
+    work."""
     n, columns = len(N[0]), list(zip(*N))
     u, v, match = _assignment(N)
     for i in range(n - 1):
@@ -249,22 +269,50 @@ def _minors(N):
         ui, vi, mi = _drop(N, u, v, match, i, cols)
         f = next(c for c in cols if mi[c] < 0)
         dist, parent = _tree(columns, ui, vi, mi, f, cols)
-        us, total = ui[:], 0
+        us, vs = ui[:], list(map(sub, vi, dist))
         for c in cols:
             if c != f:
                 us[mi[c]] += dist[c]
-                total += columns[c][mi[c]]
-        zeros = _zeros(columns, us, list(map(sub, vi, dist)), mi, cols)
-        for j in range(i + 1, n):
-            minor, moved, c = total, {}, j
-            while c != f:
-                p, r = parent[c], mi[c]
-                if r not in zeros.get(p, ()):
-                    raise InternalError("potentials are not optimal")
-                minor += columns[p][r] - columns[c][r]
-                moved[p] = r
-                c = p
-            yield (i + 1, j + 1), minor, (zeros, j, moved, mi)
+        zeros = _zeros(columns, us, vs, mi, cols)
+        for c in cols:  # the tree arcs: row mi[c] moves from c to parent[c]
+            if c != f and mi[c] not in zeros.get(parent[c], ()):
+                raise InternalError("potentials are not optimal")
+        dual = sum(us) + sum(vs[c] for c in cols)
+        yield {(i + 1, j + 1): dual - vs[j] for j in range(i + 1, n)}, (i, zeros, parent, mi)
+
+
+def _flags(i, zeros, parent, match):
+    """Yield ((i + 1, j + 1), unique) for the minors (i, j), j > i, of one
+    erased column, from the graph `_minors` yields for it.
+
+    The optimal bijections of minor (i, j) are the perfect matchings of
+    the reduced zeros without column j.  Against the state, each is one
+    path j ~> f of the column digraph (an arc c -> c' when the row of c
+    has a reduced zero on c') flipped, plus vertex-disjoint cycles off
+    that path.  `_arcs` with no erased column gives that digraph on the
+    columns' rows, f's row being -1.  When it is acyclic, minor (i, j) is
+    unique iff exactly one path leads from j to f, and one count
+    (`_paths`) answers every j.  A cycle makes minor {i, f} singular, and
+    each other minor of the column then searches its own arcs."""
+    count = _paths(_arcs(zeros, None, {}, match), (-1,))
+    for j in range(i + 1, len(match) - 1):
+        if count is not None:
+            unique = count[match[j]] == 1
+        elif match[j] < 0:
+            unique = False
+        else:
+            unique = _paths(_arcs(zeros, j, _moved(parent, match, j), match), ()) is not None
+        yield (i + 1, j + 1), unique
+
+
+def _moved(parent, match, j) -> dict:
+    """{c: the row that takes column c} along the tree path from j to the
+    free column: the flipped path of minor (i, j)."""
+    moved, c = {}, j
+    while match[c] >= 0:
+        moved[parent[c]] = match[c]
+        c = parent[c]
+    return moved
 
 
 def _arcs(zeros, j, moved, match) -> dict:
@@ -273,7 +321,7 @@ def _arcs(zeros, j, moved, match) -> dict:
     cost on c is 0 and c is not its own column.  zeros[c] holds the rows
     with a reduced zero on column c (`_zeros`), j is an erased column
     (None for none), and the row of column c is moved[c] on a minor's
-    flipped path and match[c] off it."""
+    flipped path and match[c] off it, -1 for a free column."""
     succ = {}
     for c, rows in zeros.items():
         if c != j:
@@ -320,25 +368,25 @@ class GeneralityVerdict:
 
 def is_general(A: SupportSet, config) -> GeneralityVerdict:
     """General iff every maximal minor's tropical determinant is unique;
-    reports the first singular pair otherwise."""
-    for pair, _, graph in _minors(_integer_rows(A, config)[1]):
-        if _has_cycle(_arcs(*graph)):
-            return GeneralityVerdict(False, pair)
-    return GeneralityVerdict(True, None)
+    reports the first singular pair otherwise, and walks no column after
+    the one that holds it."""
+    walk = _minors(_integer_rows(A, config)[1])
+    singular = next((pair for _, graph in walk for pair, unique in _flags(*graph) if not unique), None)
+    return GeneralityVerdict(singular is None, singular)
 
 
 def solve_minors(A: SupportSet, config) -> tuple:
     """(GeneralityVerdict, PlueckerVector) from one solve of every maximal
     minor; is_general alone stops at the first singular pair instead.
-    Every minor's dual solution is checked, but the arcs and the cycle
-    search stop at the first singular pair: later answers cannot change
-    the verdict."""
+    Every minor's dual solution is checked, but the uniqueness search
+    (`_flags`) stops at the first singular pair: later answers cannot
+    change the verdict."""
     D, N = _integer_rows(A, config)
     totals, singular = {}, None
-    for pair, total, graph in _minors(N):
-        totals[pair] = total
-        if singular is None and _has_cycle(_arcs(*graph)):
-            singular = pair
+    for minors, graph in _minors(N):
+        totals.update(minors)
+        if singular is None:
+            singular = next((pair for pair, unique in _flags(*graph) if not unique), None)
     return GeneralityVerdict(singular is None, singular), PlueckerVector._scaled(A.n, D, totals)
 
 

@@ -215,6 +215,28 @@ def locus_points(L, A) -> list:
     return [ProjPoint((x, y, 0)) for x, y in out]
 
 
+def locus_draw(rng, L, A) -> list | None:
+    """n - 2 distinct points drawn from the fixed locus of L: the point
+    pieces, a segment's ends and its points at 1/3 and 2/3, a ray's
+    origin and the next three lattice steps along it, four lattice steps
+    of a full line.  None when the locus offers fewer."""
+    pool = []
+    for g in fixed_locus_pieces(L, A):
+        if isinstance(g, plane.PointGeom):
+            pool.append((g.x, g.y))
+        elif isinstance(g, plane.SegmentGeom):
+            (x0, y0), (x1, y1) = g.start, g.end
+            pool += [(x0 + (x1 - x0) * Fraction(t, 3), y0 + (y1 - y0) * Fraction(t, 3)) for t in range(4)]
+        else:
+            (x0, y0), (dx, dy) = g.origin, g.direction
+            ts = range(4) if isinstance(g, plane.RayGeom) else range(-2, 2)
+            pool += [(x0 + t * dx, y0 + t * dy) for t in ts]
+    pool = sorted(set(pool))
+    if len(pool) < A.n - 2:
+        return None
+    return [ProjPoint((x, y, 0)) for x, y in rng.sample(pool, A.n - 2)]
+
+
 def full_set(G) -> SubtreeSet:
     return SubtreeSet(
         G,

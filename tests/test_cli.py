@@ -18,6 +18,7 @@ from conftest import (
     coprime_rational,
     make_lsq,
     mixed_line,
+    rand_config,
     rand_line,
     rand_support,
     run_in_process,
@@ -460,6 +461,66 @@ def test_forward_compatibility_reproducer_stands():
     assert code == 0 and out == {"compatible": False, "witness": [1, 3, 2, 4]}
     code, out = run_cli("construct-config", request)
     assert code == 1 and out == {"error": "hypotheses violated: incompatible, quartet (1, 3, 2, 4)"}
+
+
+def _orient(a, b, c) -> int:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _interior_points(A) -> set:
+    """The support indices whose point lies strictly inside a triangle of
+    three other support points."""
+    pts = dict(zip(A.indices(), (p[:2] for p in A.points)))
+    inside = set()
+    for k, p in pts.items():
+        others = [q for l, q in pts.items() if l != k]
+        for tri in combinations(others, 3):
+            turns = [_orient(a, b, p) for a, b in zip(tri, tri[1:] + tri[:1])]
+            if min(turns) > 0 or max(turns) < 0:
+                inside.add(k)
+    return inside
+
+
+def _strictly_convex(A) -> bool:
+    """Every support point is a vertex of the convex hull, none on an edge."""
+    pts = sorted(p[:2] for p in A.points)
+
+    def chain(ps):
+        hull = []
+        for p in ps:
+            while len(hull) >= 2 and _orient(hull[-2], hull[-1], p) <= 0:
+                hull.pop()
+            hull.append(p)
+        return hull[:-1]
+
+    return len(chain(pts) + chain(pts[::-1])) == len(pts)
+
+
+def test_forward_compatibility_off_the_fixtures():
+    # ROADMAP item 1 is open: beside the reproducer above, these lines pin
+    # today's forward behaviour on random supports.  A seeded support with
+    # a point strictly inside a triangle of others has a general
+    # configuration whose stable pencil `is_compatible` rejects, with that
+    # point in the witness; on a support in strictly convex position every
+    # general configuration's stable pencil passes.  Mending the item may
+    # change the first half.
+    rng = random.Random(73)
+    A = next(A for A in iter(lambda: rand_support(rng, 5, 3), None) if _interior_points(A))
+    for _ in range(200):
+        C = rand_config(rng, 5)
+        if stable.is_general(A, C) and not (verdict := compat.is_compatible(stable.stable_pencil(A, C), A)):
+            break
+    else:
+        pytest.fail("no general configuration with an incompatible stable pencil")
+    assert set(verdict.witness) & _interior_points(A)
+    A = next(A for A in iter(lambda: rand_support(rng, 5, 3), None) if _strictly_convex(A))
+    general = 0
+    for _ in range(100):
+        C = rand_config(rng, 5)
+        if stable.is_general(A, C):
+            general += 1
+            assert compat.is_compatible(stable.stable_pencil(A, C), A)
+    assert general >= 50
 
 
 def test_cli_import_loads_no_oracle_or_svg():

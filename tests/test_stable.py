@@ -8,11 +8,13 @@ from conftest import (
     PRIMES,
     coprime_rational,
     edge_lengths,
+    locus_draw,
     prime_rational,
     rand_config,
     rand_support,
 )
 from troppencil import stable
+from troppencil.compat import compatible_types, realize_type
 from troppencil.core import InternalError, ProjPoint, TropError
 from troppencil.oracle import brute_tropdet
 from troppencil.pencil import is_fixed
@@ -140,6 +142,43 @@ def test_general_configurations_have_fixed_points():
         assert curves_through(A, C, L)
         for P in C:
             assert is_fixed(L, A, P)
+
+
+def test_configurations_drawn_from_the_fixed_locus():
+    """The general configurations whose stable pencil is L are the general
+    (n - 2)-tuples of L's fixed locus.  Lines are realized types and
+    stable pencils of integer configurations; every drawn point is fixed,
+    every general draw has stable pencil L, and a general draw with one
+    point moved off the locus has another pencil when it stays general."""
+    rng = random.Random(72)
+    draws = general = moved = 0
+    for trial in range(300):
+        n = rng.randint(5, 8)
+        A = rand_support(rng, n, 3)
+        if trial % 2:
+            types = [T for _, T in compatible_types(A)]
+            if not types:
+                continue
+            L = realize_type(A, rng.choice(types))
+        else:
+            L = stable_pencil(A, [ProjPoint((rng.randint(-3, 3), rng.randint(-3, 3), 0)) for _ in range(n - 2)])
+        for _ in range(4):
+            C = locus_draw(rng, L, A)
+            if C is None:
+                break
+            draws += 1
+            assert all(is_fixed(L, A, P) for P in C)
+            if not is_general(A, C):
+                continue
+            general += 1
+            assert stable_pencil(A, C) == L
+            k = rng.randrange(n - 2)
+            Q = ProjPoint((C[k][0] + Fraction(1, 7), C[k][1] + Fraction(1, 11), 0))
+            C[k] = Q
+            if not is_fixed(L, A, Q) and is_general(A, C):
+                moved += 1
+                assert stable_pencil(A, C) != L
+    assert draws >= 1000 and general >= 300 and moved >= 300, (draws, general, moved)
 
 
 def test_minor_tropdet_indices(SQ, CFG):
@@ -272,24 +311,60 @@ def _minor_configs(rng, ns, degrees=lambda n: (3, 3, 4, 4) if n <= 10 else (4, 4
 
 def _walk_against_twin(A, C) -> int:
     """The minor walk against `minor_tropdet` solving each minor alone from
-    the rational value matrix: every value, every uniqueness flag (the
-    cycle search run on every minor's arcs), the first singular pair.
+    the rational value matrix: every value, every uniqueness flag (from
+    the per-column step, on every column), the first singular pair.
     Returns the number of tied minors."""
     n = A.n
     M = value_matrix(A, C)
     twin = {(i, j): minor_tropdet(M, n, i, j) for i, j in combinations(A.indices(), 2)}
     D, N = stable._integer_rows(A, C)
     walk = list(stable._minors(N))
-    assert [pair for pair, _, _ in walk] == list(twin)
-    for pair, total, graph in walk:
-        assert Fraction(total, D) == twin[pair].value
-        assert (not stable._has_cycle(stable._arcs(*graph))) == twin[pair].unique
+    values = {pair: total for minors, _ in walk for pair, total in minors.items()}
+    flags = [flag for _, graph in walk for flag in stable._flags(*graph)]
+    assert list(values) == [pair for pair, _ in flags] == list(twin)
+    for pair, unique in flags:
+        assert Fraction(values[pair], D) == twin[pair].value
+        assert unique == twin[pair].unique
     singular = next((pair for pair, res in twin.items() if not res.unique), None)
     verdict, p = solve_minors(A, C)
     assert verdict.singular_pair == singular and is_general(A, C) == verdict
     ref = twin[(n - 1, n)].value
     assert all(p.get(i, j) == res.value - ref for (i, j), res in twin.items())
     return sum(not res.unique for res in twin.values())
+
+
+def _column_count(graph):
+    """The per-column path count of one erased column's graph: None when
+    its column digraph has a cycle."""
+    _, zeros, _, match = graph
+    return stable._paths(stable._arcs(zeros, None, {}, match), (-1,))
+
+
+def test_per_column_uniqueness_matches_per_minor_search():
+    """At every erased column, the per-column flag of every minor, after
+    the first singular pair too, equals the alternating-cycle search on
+    that minor's own arcs and the per-pair twin; cyclic columns, a path
+    count of 1 and one of 2 or more all occur."""
+    rng = random.Random(71)
+    fits = lambda n: [next(d for d in range(3, 8) if (d + 1) * (d + 2) // 2 >= n + 3)]
+    configs = list(_minor_configs(rng, range(4, 16), lambda n: (3, 4) if n <= 10 else (4,)))
+    configs += _minor_configs(rng, (18, 24, 30), fits)
+    seen = {"cyclic": 0, "one": 0, "two": 0}
+    for A, C in configs:
+        M = value_matrix(A, C)
+        for _, graph in stable._minors(stable._integer_rows(A, C)[1]):
+            _, zeros, parent, match = graph
+            count = _column_count(graph)
+            for (a, b), unique in stable._flags(*graph):
+                j = b - 1
+                arcs = stable._arcs(zeros, j, stable._moved(parent, match, j), match)
+                assert unique == (stable._paths(arcs, ()) is not None)
+                assert unique == minor_tropdet(M, A.n, a, b).unique
+                if count is None:
+                    seen["cyclic"] += 1
+                else:
+                    seen["one" if count[match[j]] == 1 else "two"] += 1
+    assert all(seen.values()), seen
 
 
 def test_minor_walk_matches_per_pair_minors_beyond_brute_cap():
@@ -373,46 +448,63 @@ def test_tree_with_one_distance_off_by_one_raises(monkeypatch, delta):
 
 
 def test_cycle_search_stops_at_the_first_singular_pair(monkeypatch):
-    """solve_minors and is_general run the alternating-cycle search on the
-    minors up to the first singular pair and on none after it."""
+    """solve_minors and is_general run the per-column uniqueness search on
+    the erased columns up to the one that holds the first singular pair,
+    and on none after it."""
     rng = random.Random(67)
     cases = [(A, C) for A, C, _ in _early_singular(rng, range(5, 11))]
     cases += [(A, rand_config(rng, A.n)) for A, _ in cases]  # mostly general
-    has_cycle, answers = stable._has_cycle, []
+    paths, columns = stable._paths, []
 
-    def counted(arcs):
-        answers.append(has_cycle(arcs))
-        return answers[-1]
+    def counted(succ, ends):
+        if ends:  # the per-column count, to the free column's row -1
+            columns.append(succ)
+        return paths(succ, ends)
 
-    monkeypatch.setattr(stable, "_has_cycle", counted)
+    monkeypatch.setattr(stable, "_paths", counted)
     general = 0
     for A, C in cases:
-        pairs = list(combinations(A.indices(), 2))
         singular = is_general(A, C).singular_pair
         general += singular is None
-        want = [False] * len(pairs) if singular is None else [False] * pairs.index(singular) + [True]
-        assert answers == want
-        answers.clear()
+        want = A.n - 1 if singular is None else singular[0]  # erased columns searched
+        assert len(columns) == want
+        columns.clear()
         verdict, _ = solve_minors(A, C)
-        assert verdict.singular_pair == singular and answers == want
-        answers.clear()
+        assert verdict.singular_pair == singular and len(columns) == want
+        columns.clear()
     assert 0 < general < len(cases)
 
 
 def test_arcs_are_built_only_for_the_cycle_search(monkeypatch):
-    """solve_minors builds a minor's reduced-zero arcs only for the cycle
-    searches it runs, up to the first singular pair."""
+    """solve_minors builds a minor's own reduced-zero arcs only for the
+    fallback minors of a cyclic column, up to the first singular pair, and
+    one column digraph per erased column up to that pair's column.  The
+    first cyclic column holds that pair, so the fallback runs on one
+    column at most."""
     arcs, built = stable._arcs, []
 
-    def counted(*graph):
-        built.append(graph)
-        return arcs(*graph)
+    def counted(zeros, j, moved, match):
+        built.append(j)
+        return arcs(zeros, j, moved, match)
 
-    monkeypatch.setattr(stable, "_arcs", counted)
-    for A, C, singular in _early_singular(random.Random(70), range(5, 11)):
-        built.clear()
+    fallbacks = 0
+    for A, C, singular in _early_singular(random.Random(70), [*range(5, 11)] * 3):
+        want = []
+        for _, graph in stable._minors(stable._integer_rows(A, C)[1]):
+            i, _, _, match = graph
+            want.append(None)  # the column digraph
+            if _column_count(graph) is None:  # only the pair's column can have a cycle
+                assert i == singular[0] - 1
+                want += [j for j in range(i + 1, singular[1]) if match[j] >= 0]
+            if i == singular[0] - 1:
+                break
+        fallbacks += len(want) - want.count(None)
+        monkeypatch.setattr(stable, "_arcs", counted)
         solve_minors(A, C)
-        assert len(built) == list(combinations(A.indices(), 2)).index(singular) + 1
+        monkeypatch.setattr(stable, "_arcs", arcs)
+        assert built == want
+        built.clear()
+    assert fallbacks >= 5  # columns holding the pair are often cyclic
 
 
 def _check_optimal(M, u, v, match, cols):
