@@ -67,17 +67,23 @@ def _json_text(x, nl="\n") -> str:
     the newline and indent that x's own lines start with.  Strings go
     through the C escaper json.dumps uses and ints through int.__repr__,
     so an int past the str digit limit raises the same ValueError; inside
-    a dict or a list both are written inline, with no call per value."""
+    a dict or a list both are written inline, with no call per value.  A
+    container joins its items once and drops them before it brackets the
+    text, so it holds at most two copies of that text at a time."""
     t = type(x)
     if t is str:
         return _quote(x)
     if t is int:
         return int.__repr__(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
     inner = nl + "  "
     if t is dict:
-        if not x:
-            return "{}"
-        items = []
+        ends, items = "{}", []
         for k, v in x.items():
             tv = type(v)
             items.append(
@@ -85,22 +91,18 @@ def _json_text(x, nl="\n") -> str:
                 + ": "
                 + (_quote(v) if tv is str else int.__repr__(v) if tv is int else _json_text(v, inner))
             )
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if t is list or t is tuple:
-        if not x:
-            return "[]"
-        items = []
+    elif t is list or t is tuple:
+        ends, items = "[]", []
         for v in x:
             tv = type(v)
             items.append(_quote(v) if tv is str else int.__repr__(v) if tv is int else _json_text(v, inner))
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not items:
+        return ends
+    text = ("," + inner).join(items)
+    del items
+    return f"{ends[0]}{inner}{text}{nl}{ends[1]}"
 
 
 def _write(args, payload):

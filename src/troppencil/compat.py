@@ -17,7 +17,7 @@ executable: the bipartite vertex/support graphs built from minimum
 attainment are forests satisfying Hall's condition, so each maximal minor
 has a unique optimal matching found by stripping leaves.
 
-Degenerate quartets follow one fixed rule, kept isolated here: a segment
+Degenerate quartets follow one fixed rule, kept in `_quartet_edge`: a segment
 counts as a hull edge iff both endpoints are hull vertices, the segment
 lies on the hull boundary, and the other two points sit weakly on one
 side; for four collinear points, iff its endpoints are the two extremes or
@@ -74,7 +74,7 @@ from .subdivision import (
     is_maximal,
     regular_subdivision,
 )
-from .trees import EmbeddedLine, TreeTopology, _placed, plucker_to_tree
+from .trees import EmbeddedLine, TreeTopology, _hang, _placed, plucker_to_tree
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,18 @@ def quartet_ok(A: SupportSet, i: int, j: int, k: int, l: int) -> QuartetVerdict:
     """The hull-edge condition for the quartet with pairs {i,j}, {k,l}."""
     if len({i, j, k, l}) != 4:
         raise ValueError("quartet needs four distinct indices")
-    if _segment_is_edge(A.rs(i), A.rs(j), A.rs(k), A.rs(l)):
-        return QuartetVerdict((i, j, k, l), True, f"conv(a_{i},a_{j})")
-    if _segment_is_edge(A.rs(k), A.rs(l), A.rs(i), A.rs(j)):
-        return QuartetVerdict((i, j, k, l), True, f"conv(a_{k},a_{l})")
-    return QuartetVerdict((i, j, k, l), False, "both diagonals")
+    edge = _quartet_edge(A.rs(i), A.rs(j), A.rs(k), A.rs(l))
+    reason = ("both diagonals", f"conv(a_{i},a_{j})", f"conv(a_{k},a_{l})")[edge]
+    return QuartetVerdict((i, j, k, l), edge > 0, reason)
+
+
+def _quartet_edge(p, q, r, s) -> int:
+    """The one quartet rule, for the pairing {p, q} | {r, s}: 1 when
+    [p, q] is a free edge of conv{p, q, r, s}, else 2 when [r, s] is, else
+    0 (both segments are diagonals)."""
+    if _segment_is_edge(p, q, r, s):
+        return 1
+    return 2 if _segment_is_edge(r, s, p, q) else 0
 
 
 def _segment_is_edge(p, q, r, s) -> bool:
@@ -139,8 +146,7 @@ def is_compatible(T, A: SupportSet) -> CompatibilityVerdict:
         comp = sorted(set(range(1, topo.n + 1)) - side)
         for i, j in combinations(sorted(side), 2):
             for k, l in combinations(comp, 2):
-                p, q, r, s = rs[i], rs[j], rs[k], rs[l]
-                if not (_segment_is_edge(p, q, r, s) or _segment_is_edge(r, s, p, q)):
+                if not _quartet_edge(rs[i], rs[j], rs[k], rs[l]):
                     return CompatibilityVerdict(False, (i, j, k, l))
     return CompatibilityVerdict(True, None)
 
@@ -357,6 +363,7 @@ def compatible_types(A: SupportSet):
     After leaf m goes in, only the quartets {m, x | a, b} need checking.
     Hung from m's neighbour, the tree shows such a quartet at every node
     with a and b below different children and x not below it."""
+    rs = [None, *map(A.rs, A.indices())]
     bad = {}  # m -> (bitmask of {a, b}, bitmask of every x failing with it)
     for m in range(4, A.n + 1):
         bad[m] = []
@@ -364,7 +371,7 @@ def compatible_types(A: SupportSet):
             xs = sum(
                 1 << x
                 for x in range(1, m)
-                if x not in (a, b) and not quartet_ok(A, m, x, a, b)
+                if x not in (a, b) and not _quartet_edge(rs[m], rs[x], rs[a], rs[b])
             )
             if xs:
                 bad[m].append((1 << a | 1 << b, xs))
@@ -372,12 +379,8 @@ def compatible_types(A: SupportSet):
     def fits(adj, m):
         rows, full = bad[m], (1 << m) - 2
         top = adj[m][0]
-        parent, order = {top: m}, [top]
-        for v in order:
-            for w in adj[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    order.append(w)
+        parent, order = _hang(adj, top)
+        parent[top] = m
         below = {}
         for v in reversed(order):
             if len(adj[v]) == 1:

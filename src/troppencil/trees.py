@@ -29,11 +29,12 @@ E * row + D * S on the scale D * E, the one formula that `translate`,
 keeps the least D > 0 and the symmetric int table D * p, which
 `stable.solve_minors` and `tree_to_plucker` fill from their integers
 directly.  `Fraction`s are built only where a caller asks for them
-(`coords_of`, `PlueckerVector.get`).  One walk places every line
+(`coords_of`, `PlueckerVector.get`).  One walk hangs every tree
+(`_hang`, breadth first from a root) and one places every line
 (`_placed`): from an anchor row and integer edge lengths it lays out the
-rows and the branch table, for `embed`, for `plucker_to_tree`, for
-`compat`'s unit offsets and realized types, and for the JSON line
-decoder (`jsonio.line_from_json`).
+rows, breadth first from the anchor, and the branch table, one leaf mask
+per edge, for `embed`, `plucker_to_tree`, `compat`'s unit offsets and
+realized types, and the JSON line decoder (`jsonio.line_from_json`).
 
 `plucker_to_tree` compares only sums of pair coordinates, which are
 linear in p, so it inserts the leaves and checks the pairs on the table
@@ -57,6 +58,18 @@ from .core import InternalError, ProjPoint, TropError, clear_denominators, rat
 
 class PlueckerError(TropError):
     """Raised when a pair vector violates the quartet relation."""
+
+
+def _hang(adj: dict, root: int) -> tuple:
+    """(parent, order): `adj` hung from `root`, walked breadth first, with
+    parent[root] = None; order holds only root's component."""
+    parent, order = {root: None}, [root]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return parent, order
 
 
 class TreeTopology:
@@ -103,15 +116,7 @@ class TreeTopology:
                 raise ValueError(f"internal node {v} has valence {len(nb)} < 3")
         if deg_sum != 2 * (len(nodes) - 1):
             raise ValueError("not a tree (wrong edge count)")
-        # connectivity
-        seen = {1}
-        stack = [1]
-        while stack:
-            for w in self.adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != nodes:
+        if len(_hang(self.adj, 1)[1]) != len(nodes):
             raise ValueError("not connected")
 
     def is_leaf(self, v: int) -> bool:
@@ -143,13 +148,7 @@ class TreeTopology:
         the node next to leaf 1.  Every edge separates the leaves below its
         lower end from the rest, so this one walk answers leaves_beyond."""
         if self._below_masks is None:
-            root = self.node_of_leaf(1)
-            parent, order = {root: None}, [root]
-            for v in order:
-                for w in self.adj[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        order.append(w)
+            parent, order = _hang(self.adj, self.node_of_leaf(1))
             below = {}
             for v in reversed(order):
                 if not self.is_leaf(v):
@@ -175,34 +174,25 @@ class TreeTopology:
         return [self.leaves_beyond(v, w) for w in sorted(self.adj[v])]
 
     def path(self, a: int, b: int) -> list:
-        """Node sequence from a to b."""
-        prev = {a: None}
-        stack = [a]
-        while stack:
-            v = stack.pop()
-            if v == b:
-                break
-            for w in self.adj[v]:
-                if w not in prev:
-                    prev[w] = v
-                    stack.append(w)
-        out = [b]
-        while out[-1] != a:
-            out.append(prev[out[-1]])
-        return out[::-1]
+        """Node sequence from a to b: the parents up from a, with the tree
+        hung from b."""
+        parent, out = _hang(self.adj, b)[0], [a]
+        while out[-1] != b:
+            out.append(parent[out[-1]])
+        return out
 
     def median(self, i: int, j: int, k: int) -> int:
-        """The unique node on all three pairwise paths between i, j, k."""
-        common = set(self.path(i, j)) & set(self.path(i, k)) & set(self.path(j, k))
-        (m,) = common
-        return m
+        """The unique node on all three pairwise paths between i, j, k: the
+        first node of the path from j to k that lies on the one from i."""
+        on_ik = set(self.path(i, k))
+        return next(v for v in self.path(j, k) if v in on_ik)
 
     def _split_masks(self) -> dict:
         """Per internal edge (a, b), the bitmask of its side without leaf n."""
-        out = {}
+        out, full = {}, (1 << (self.n + 1)) - 2
         for a, b in self.internal_edges:
             m = self._mask_beyond(a, b)
-            out[(a, b)] = self._mask_beyond(b, a) if m >> self.n & 1 else m
+            out[(a, b)] = full ^ m if m >> self.n & 1 else m
         return out
 
     def splits(self) -> list:
@@ -410,23 +400,22 @@ def _placed(topology: TreeTopology, D: int, anchor: int, row, int_lengths) -> Em
     `anchor` is `row`, with D times its length int_lengths[a, b] on each
     internal edge (a, b), a < b; all of them ints.
 
-    The walk pops a node and places its children by increasing id, each
-    child's row its parent's plus the length on the leaves beyond it, so
-    rows come in that order.  The branch table holds the edges by key,
-    (a, b, leaves beyond b, length), then the rays by node."""
+    The tree hangs from the anchor (`_hang`); breadth first, each internal
+    node b gets its parent a's row plus the length on the leaves beyond b,
+    so rows come in that order, and that one mask's complement is the
+    leaves beyond a.  The branch table holds the edges by key, (a, b,
+    leaves beyond b, length), then the rays by node."""
     n, adj = topology.n, topology.adj
-    rows, edges, stack = {anchor: tuple(row)}, {}, [anchor]
-    while stack:
-        a = stack.pop()
-        above = rows[a]
-        for b in adj[a]:
-            if b <= n or b in rows:
-                continue
-            key = (a, b) if a < b else (b, a)
-            ell, m = int_lengths[key], topology._mask_beyond(a, b)
-            rows[b] = tuple([x + ell if m >> i & 1 else x for i, x in enumerate(above, 1)])
-            edges[key] = (*key, topology.leaves_beyond(*key), Fraction(ell, D))
-            stack.append(b)
+    parent, order = _hang(adj, anchor)
+    rows, edges, full = {anchor: tuple(row)}, {}, (1 << (n + 1)) - 2
+    for b in order[1:]:
+        if b <= n:
+            continue
+        a = parent[b]
+        key = (a, b) if a < b else (b, a)
+        ell, m = int_lengths[key], topology._mask_beyond(a, b)
+        rows[b] = tuple([x + ell if m >> i & 1 else x for i, x in enumerate(rows[a], 1)])
+        edges[key] = (*key, topology._leaves(m if a < b else full ^ m), Fraction(ell, D))
     branches = dict(sorted(edges.items()))
     for v, i in sorted((adj[i][0], i) for i in range(1, n + 1)):
         branches[(v, i)] = (v, i, frozenset((i,)), None)

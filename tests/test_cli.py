@@ -310,6 +310,15 @@ def test_line_internal_node_ids_are_above_n(ids):
         assert code == 2 and out["error"].startswith("line: bad tree: internal node id")
 
 
+def test_topology_in_two_pieces_is_not_connected():
+    # a triangle 7-8-9 holding leaves 1, 2, 3 and a star 10 on 4, 5, 6
+    conic = {"degree": 2, "points": [[r, s, 2 - r - s] for r in range(3) for s in range(3 - r)]}
+    pairs = [(1, 7), (2, 8), (3, 9), (7, 8), (8, 9), (7, 9), (4, 10), (5, 10), (6, 10)]
+    topology = {"n": 6, "edges": [{"a": a, "b": b} for a, b in pairs]}
+    code, out = run_cli("compat-check", {"support": conic, "topology": topology})
+    assert code == 2 and out["error"] == "topology: bad tree: not connected"
+
+
 @pytest.mark.parametrize("node", [9, 0, 2])
 def test_line_anchor_must_be_internal_node(node):
     # the star on 4 leaves has one internal node, 5
@@ -875,13 +884,16 @@ def test_closed_stdout_ends_quietly():
 
 
 def test_bench_smoke():
-    # the benchmark's tracer spans library functions by name
+    # the benchmark's tracer spans library functions by name, and the smoke
+    # run checks each traced count against a profiler's and the metric names
+    # against BENCHMARK.json; it writes no bytecode next to the benchmark
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--smoke"],
         cwd=root,
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "smoke passed" in proc.stdout

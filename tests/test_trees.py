@@ -488,6 +488,44 @@ def test_topology_validation():
         TreeTopology.from_splits(6, [frozenset({1, 2, 3}), frozenset({3, 4})])
 
 
+# a triangle 7-8-9 with leaves 1, 2, 3 hung from it, and a star 10 on 4, 5, 6:
+# the right edge count and valences, in two pieces
+UNCONNECTED6 = {
+    1: {7}, 2: {8}, 3: {9}, 7: {1, 8, 9}, 8: {2, 7, 9}, 9: {3, 7, 8},
+    4: {10}, 5: {10}, 6: {10}, 10: {4, 5, 6},
+}
+
+
+@pytest.mark.parametrize(
+    "n, adj, message",
+    [
+        (4, {1: {5}, 2: {5}, 3: {5}, 5: {1, 2, 3}}, "missing leaf nodes"),
+        (4, {1: {0}, 2: {0}, 3: {0}, 4: {0}, 0: {1, 2, 3, 4}}, "internal node id 0 is not above n = 4"),
+        (4, {1: {5}, 2: {5}, 3: {5}, 4: {5}, 5: {1, 2, 3}}, "adjacency is not symmetric"),
+        (
+            4,
+            {1: {5, 6}, 2: {5}, 3: {6}, 4: {6}, 5: {1, 2, 6}, 6: {1, 3, 4, 5}},
+            "leaf 1 has valence 2",
+        ),
+        (
+            4,
+            {1: {5}, 2: {5}, 3: {5}, 4: {5}, 5: {1, 2, 3, 4, 6}, 6: {5}},
+            "internal node 6 has valence 1 < 3",
+        ),
+        (
+            4,
+            {1: {5}, 2: {6}, 3: {7}, 4: {7}, 5: {1, 6, 7}, 6: {2, 5, 7}, 7: {3, 4, 5, 6}},
+            "not a tree (wrong edge count)",
+        ),
+        (6, UNCONNECTED6, "not connected"),
+    ],
+)
+def test_topology_validation_messages(n, adj, message):
+    with pytest.raises(ValueError) as e:
+        TreeTopology(n, adj)
+    assert str(e.value) == message
+
+
 def test_leaves_beyond_partitions_every_edge():
     full = frozenset(range(1, 7))
     for T in enumerate_types(6):
