@@ -3,7 +3,8 @@
 These are deliberately naive: assignment problems by full enumeration,
 lower hulls from `Fraction` planes, curve membership by exhaustive
 breakpoint walks, trees from Pluecker vectors by trying every leaf
-bipartition or by a quartet-by-quartet split search, stable pencils as
+bipartition or by a quartet-by-quartet split search, pair coordinates
+read off a line one median (two path walks) at a time, stable pencils as
 honest limits of first-order infinitesimal perturbations, and fixed loci
 by solving every witness system with `plane.solve`, Pi(G, I) and its
 attachment point from `Fraction` coordinates and `SubtreeSet` intervals,
@@ -348,6 +349,29 @@ def brute_pi_attachment(G: EmbeddedLine, I) -> LinePoint | None:
         if all(S.iv.get((topo.node_of_leaf(j), j), (0, 0))[1] is None for j in free):
             return x
     raise TropError(f"Pi(G, {sorted(I)}) has no unique attachment point")
+
+
+def median_tree_to_plucker(L: EmbeddedLine) -> PlueckerVector:
+    """trees.tree_to_plucker one median at a time, on `Fraction`
+    coordinates: the median of i, j, k is the first node of the path from
+    j to k that lies on the path from i to k, and the relations
+    p_jk + m_i = p_ik + m_j = p_ij + m_k give p_{i,n} and p_{i,n-1} from
+    median(i, n - 1, n), then p_ij from median(i, j, n)."""
+    n, topo, x = L.n, L.topology, L.coords
+
+    def median(i, j, k):
+        on_ik = set(topo.path(i, k))
+        return next(v for v in topo.path(j, k) if v in on_ik)
+
+    p = {(n - 1, n): Fraction(0)}
+    for i in range(1, n - 1):
+        m = x[median(i, n - 1, n)]
+        p[i, n] = m[i - 1] - m[n - 2]
+        p[i, n - 1] = m[i - 1] - m[n - 1]
+    for i, j in combinations(range(1, n - 1), 2):
+        m = x[median(i, j, n)]
+        p[i, j] = p[j, n] + m[i - 1] - m[n - 1]
+    return PlueckerVector(n, p)
 
 
 def brute_plucker_to_tree(p: PlueckerVector) -> EmbeddedLine:

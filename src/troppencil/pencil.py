@@ -41,7 +41,8 @@ global minimum; these subsets are closed connected subtrees, represented
 below as vertex sets plus one closed parameter interval per branch, whose
 upper end is None when it runs out to infinity along a ray.
 A nonempty one is a point x plus every branch at x that holds no leaf of
-I, and x is its gate: the first point of it met from any leaf of I.
+I, and x is its gate: the first point of it met from any leaf of I; one
+hang of the tree, from a vertex of the set, serves every gate.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from math import lcm
 
 from . import plane
 from .core import ProjPoint, SupportSet, TropError, rat
-from .trees import EmbeddedLine
+from .trees import EmbeddedLine, _hang
 
 
 def _scaled_shift(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> tuple:
@@ -61,6 +62,8 @@ def _scaled_shift(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> tuple:
     of P = (x, y, 0), and S_i = r_i * E x + s_i * E y is an integer."""
     if A.n != L.n:
         raise ValueError("support size and leaf count differ")
+    if P.dim != 3:
+        raise ValueError(f"P has {P.dim} coordinates, not 3")
     x, y, _ = P.coords
     dx, dy = x.denominator, y.denominator
     E = lcm(dx, dy)
@@ -268,30 +271,24 @@ def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
     )
 
 
-def _gate(G: EmbeddedLine, verts, iv: dict, i: int) -> LinePoint:
+def _gate(G: EmbeddedLine, verts, iv: dict, i: int, parent) -> LinePoint:
     """The first point of the nonempty, connected S = (verts, iv) of
-    `_scaled_pi` met coming in from leaf i in I: the top of S on ray i, or
-    else the first point of S on the path from v_i towards S."""
+    `_scaled_pi` met coming in from leaf i in I: the top of S on ray i; its
+    lo end if S has no vertex, as S is then one point inside a branch or a
+    ray's tail; else the first point of S on the parents up from v_i."""
     v = G.topology.node_of_leaf(i)
     if (v, i) in iv:
         return make_point(G, (v, i), Fraction(iv[(v, i)][1], G.D))
-    if verts:
-        target = min(verts)
-    else:  # S lies inside one branch
+    if not verts:  # I in both groups pins S to t*, or else S is a ray's tail
         key, (lo, _) = next(iter(iv.items()))
-        a, b, side, ell = G.edge(key)
-        if ell is None:  # inside one ray
-            return make_point(G, key, Fraction(lo, G.D))
-        target = a if i in side else b
-    path = G.topology.path(v, target)
-    for u, w in zip(path, path[1:]):
-        if u in verts:
-            return LinePoint("vertex", u)
-        key = (u, w) if u < w else (w, u)
+        return make_point(G, key, Fraction(lo, G.D))
+    while v not in verts:
+        w = parent[v]
+        key = (v, w) if v < w else (w, v)
         if key in iv:
-            # the end of the interval nearer u
-            return make_point(G, key, Fraction(iv[key][u > w], G.D))
-    return LinePoint("vertex", target)
+            return make_point(G, key, Fraction(iv[key][v > w], G.D))  # its end nearer v
+        v = w
+    return LinePoint("vertex", v)
 
 
 def _attachment(G: EmbeddedLine, I: frozenset, mins: dict) -> LinePoint | None:
@@ -300,7 +297,8 @@ def _attachment(G: EmbeddedLine, I: frozenset, mins: dict) -> LinePoint | None:
     if not verts and not iv:
         return None
     topo = G.topology
-    gates = {_gate(G, verts, iv, i) for i in I} or {LinePoint("vertex", v) for v in topo.internal_nodes}
+    parent = _hang(topo.adj, min(verts))[0] if verts else None
+    gates = {_gate(G, verts, iv, i, parent) for i in I} or {LinePoint("vertex", v) for v in topo.internal_nodes}
     if len(gates) == 1:
         (x,) = gates
         free = [j for part in leaf_partition_at(G, x) if not part & I for j in part]

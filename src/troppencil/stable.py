@@ -353,6 +353,9 @@ def _integer_rows(A: SupportSet, config) -> tuple:
     config = list(config)
     if len(config) != A.n - 2:
         raise ValueError(f"need {A.n - 2} points, got {len(config)}")
+    for k, P in enumerate(config):
+        if P.dim != 3:
+            raise ValueError(f"configuration point {k} has {P.dim} coordinates, not 3")
     D, xy = clear_denominators([x for P in config for x in P.coords[:2]])
     return D, [[r * X + s * Y for r, s, _ in A.points] for X, Y in zip(xy[::2], xy[1::2])]
 

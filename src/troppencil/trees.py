@@ -30,7 +30,8 @@ keeps the least D > 0 and the symmetric int table D * p, which
 `stable.solve_minors` and `tree_to_plucker` fill from their integers
 directly.  `Fraction`s are built only where a caller asks for them
 (`coords_of`, `PlueckerVector.get`).  One walk hangs every tree
-(`_hang`, breadth first from a root) and one places every line
+(`_hang`, breadth first from a root; `tree_to_plucker` reads every
+median off one pass over it from leaf n) and one places every line
 (`_placed`): from an anchor row and integer edge lengths it lays out the
 rows, breadth first from the anchor, and the branch table, one leaf mask
 per edge, for `embed`, `plucker_to_tree`, `compat`'s unit offsets and
@@ -175,17 +176,11 @@ class TreeTopology:
 
     def path(self, a: int, b: int) -> list:
         """Node sequence from a to b: the parents up from a, with the tree
-        hung from b."""
+        hung from b.  The naive walk of `oracle`'s twins and the tests."""
         parent, out = _hang(self.adj, b)[0], [a]
         while out[-1] != b:
             out.append(parent[out[-1]])
         return out
-
-    def median(self, i: int, j: int, k: int) -> int:
-        """The unique node on all three pairwise paths between i, j, k: the
-        first node of the path from j to k that lies on the one from i."""
-        on_ik = set(self.path(i, k))
-        return next(v for v in self.path(j, k) if v in on_ik)
 
     def _split_masks(self) -> dict:
         """Per internal edge (a, b), the bitmask of its side without leaf n."""
@@ -458,10 +453,13 @@ class PlueckerVector:
     def __init__(self, n: int, values: dict):
         vals = {}
         for key, v in values.items():
-            i, j = sorted(key)
-            if not (1 <= i < j <= n):
-                raise ValueError(f"bad pair {key}")
-            vals[i, j] = rat(v)
+            ints = isinstance(key, (tuple, frozenset)) and all(isinstance(x, int) for x in key)
+            ij = tuple(sorted(key)) if ints else ()
+            if len(ij) != 2 or not 1 <= ij[0] < ij[1] <= n:
+                raise ValueError(f"bad pair {key!r}")
+            if ij in vals:
+                raise ValueError(f"pair {ij} is given twice")
+            vals[ij] = rat(v)
         if len(vals) != n * (n - 1) // 2:
             raise ValueError("need a value for every pair")
         D, ints = clear_denominators(list(vals.values()))
@@ -520,16 +518,25 @@ class PlueckerVector:
 def tree_to_plucker(L: EmbeddedLine) -> PlueckerVector:
     """Pair coordinates of a line, from the median relations
     p_jk + m_i = p_ik + m_j = p_ij + m_k at m = median(i, j, k), worked
-    out D times too large on the line's rows, in ints on the scale D."""
-    n, topo = L.n, L.topology
-    p = {(n - 1, n): 0}
-    for i in range(1, n - 1):
-        m = L.rows[topo.median(i, n - 1, n)]
-        p[i, n] = m[i - 1] - m[n - 2]
-        p[i, n - 1] = m[i - 1] - m[n - 1]
-    for i, j in combinations(range(1, n - 1), 2):
-        m = L.rows[topo.median(i, j, n)]
-        p[i, j] = p[j, n] + m[i - 1] - m[n - 1]
+    out D times too large on the line's rows, in ints on the scale D.
+    Hung from leaf n (`_hang`), a node x above leaf i has x_i - x_n = r_i -
+    r_n + its depth below r, the node next to n, so p_in = r_i - r_n up to
+    the one constant that `_scaled` normalizes away, and one pass bottom-up
+    reads p_ij at m = the lowest node above i and j."""
+    n, adj, rows = L.n, L.topology.adj, L.rows
+    parent, order = _hang(adj, n)
+    r = rows[order[1]]
+    p = {(i, n): r[i - 1] - r[n - 1] for i in range(1, n)}
+    below = {i: [i] for i in range(1, n)}  # the leaves below each node
+    for v in reversed(order):
+        if v > n:
+            m, below[v] = rows[v], []
+            for c in adj[v]:
+                if c != parent[v]:
+                    for a in below[c]:
+                        for b in below[v]:
+                            p[a, b] = p[b, n] + m[a - 1] - m[n - 1]
+                    below[v] += below[c]
     return PlueckerVector._scaled(n, L.D, p)
 
 

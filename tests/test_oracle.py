@@ -206,8 +206,15 @@ def test_pi_attachment_matches_fraction_walk():
         A = rand_support(rng, n)
         shifts = locus_points(L, A)[:2] + [rand_proj_point(rng)]
         lines += [L, G] + [shifted_line(L, A, P) for P in shifts]
+    # a few deeper lines, drawn apart so the draws above stay as they are
+    deep = random.Random(76)
+    for n in (12, 16, 20, 24):
+        L = [rand_line, coprime_line][n % 8 // 4](deep, n, contract_p=0.3)
+        A = rand_support(deep, n, next(d for d in range(4, 7) if (d + 1) * (d + 2) // 2 >= n))
+        shifts = locus_points(L, A)[:1] + [rand_proj_point(deep)]
+        lines += [L, plant_line(deep, n, 2)[0]] + [shifted_line(L, A, P) for P in shifts]
     seen = {"none": 0, "vertex": 0, "edge": 0, "ray": 0, "error": 0}
-    pairs = 0
+    pairs = vertexless = 0
     for G in lines:
         n = G.n
         crossings = _crossing_argmins(G)
@@ -219,6 +226,7 @@ def test_pi_attachment_matches_fraction_walk():
             pairs += 1
             S = brute_pi_set(G, I)
             assert pi_set(G, I) == S
+            vertexless += bool(S.iv) and not S.vertices  # the gate needs no walk
             # the integer core itself clips as SubtreeSet does
             scaled = {k: (lo * G.D, None if hi is None else hi * G.D) for k, (lo, hi) in S.iv.items()}
             assert _scaled_pi(G, I, mins) == (S.vertices, scaled)
@@ -231,5 +239,5 @@ def test_pi_attachment_matches_fraction_walk():
                 continue
             assert pi_attachment(G, I) == want
             seen["none" if want is None else want.kind] += 1
-    assert pairs >= 2000
+    assert pairs >= 2000 and vertexless > 0
     assert min(seen.values()) >= 30 and seen["edge"] + seen["ray"] >= 300, seen

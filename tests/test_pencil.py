@@ -293,6 +293,16 @@ def test_support_size_must_match_leaf_count(TRI, TRI5):
             fixed_locus(L, A)
 
 
+@pytest.mark.parametrize("coords", [(0, 0, 5, 0), (1, 0)])
+def test_shift_point_must_lie_in_tp2(SQ, coords):
+    # a point of TP^3 or TP^1 used to fail to unpack into (x, y, 0)
+    L, P = make_lsq(), ProjPoint(coords)
+    for query in (is_fixed, shifted_line):
+        with pytest.raises(ValueError) as info:
+            query(L, SQ, P)
+        assert str(info.value) == f"P has {len(coords)} coordinates, not 3"
+
+
 def test_pi_set_examples(SQ):
     L = make_lsq()
     w = L.topology.node_of_leaf(2)

@@ -32,6 +32,17 @@ from troppencil.stable import (
 from troppencil.trees import TreeTopology, embed
 
 
+@pytest.mark.parametrize("coords", [(2, 1, 7, 0), (1, 0)])
+def test_configuration_points_must_lie_in_tp2(SQ, coords):
+    # is_general read the first two coordinates of a point of TP^3 and
+    # called (0, 0, 5, 0), (2, 1, 7, 0) general on SQ
+    config = [ProjPoint((0, 0, 0)), ProjPoint(coords)]
+    for query in (value_matrix, is_general, solve_minors, stable_pencil):
+        with pytest.raises(ValueError) as info:
+            query(SQ, config)
+        assert str(info.value) == f"configuration point 1 has {len(coords)} coordinates, not 3"
+
+
 def test_value_matrix_examples(SQ, TRI, CFG):
     assert value_matrix(SQ, CFG) == [[0, 0, 0, 0], [0, 2, 1, 3]]
     assert value_matrix(SQ, [ProjPoint((0, 0, 0)), ProjPoint((1, 1, 0))]) == [

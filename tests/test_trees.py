@@ -19,7 +19,7 @@ from troppencil import jsonio
 from troppencil.compat import enumerate_types
 from troppencil.core import ProjPoint, dot
 from troppencil.core import InternalError
-from troppencil.oracle import EpsRational, brute_plucker_to_tree, poly_plucker_to_tree
+from troppencil.oracle import EpsRational, brute_plucker_to_tree, median_tree_to_plucker, poly_plucker_to_tree
 from troppencil.pencil import shifted_line
 from troppencil.stable import solve_minors
 from troppencil.trees import (
@@ -34,6 +34,26 @@ from troppencil.trees import (
 )
 
 LSQ_PAIRS = {(1, 2): 1, (1, 3): 2, (1, 4): 1, (2, 3): 0, (2, 4): 0, (3, 4): 0}
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({(1, 2): 0, (2, 1): 1, (1, 3): 0, (2, 3): 0}, "pair (1, 2) is given twice"),
+        ({(1, 2): 0, (1,): 0, (1, 3): 0, (2, 3): 0}, "bad pair (1,)"),
+        ({(1, 2): 0, (1, 2, 3): 0, (1, 3): 0, (2, 3): 0}, "bad pair (1, 2, 3)"),
+        ({(1, 2): 0, (2, 2): 0, (1, 3): 0, (2, 3): 0}, "bad pair (2, 2)"),
+        ({(1, 2): 0, (1, 4): 0, (1, 3): 0, (2, 3): 0}, "bad pair (1, 4)"),
+        ({(1, 2): 0, 12: 0, (1, 3): 0, (2, 3): 0}, "bad pair 12"),
+        ({(1, 2): 0, ("1", "3"): 0, (2, 3): 0}, "bad pair ('1', '3')"),
+    ],
+)
+def test_plucker_vector_pair_messages(values, message):
+    # a pair given in both orders kept its last value, and a key that is
+    # not two indices failed to unpack
+    with pytest.raises(ValueError) as info:
+        PlueckerVector(3, values)
+    assert str(info.value) == message
 
 
 def test_embed_fixture():
@@ -310,6 +330,28 @@ def test_plucker_to_tree_matches_brute_twin():
         verdict, p = solve_minors(A, C)
         tied += not verdict.general
         _assert_same_line(plucker_to_tree(p), brute_plucker_to_tree(p))
+    assert tied >= 5
+
+
+def test_tree_to_plucker_matches_median_twin():
+    """The one bottom-up pass against the twin that walks two paths per
+    median: lines of each kind at n = 3..40, and the lines of tied pair
+    vectors from integer configurations, which contract edges."""
+    rng = random.Random(34)
+    for n in range(3, 41):
+        for make in (rand_line, coprime_line, mixed_line):
+            for contract_p in (0.0, 0.3, 0.7):
+                L = make(rng, n, contract_p=contract_p)
+                assert tree_to_plucker(L) == median_tree_to_plucker(L)
+    tied = 0
+    for trial in range(30):
+        n = 4 + trial % 7
+        A = rand_support(rng, n)
+        C = [ProjPoint((rng.randint(-3, 3), rng.randint(-3, 3), 0)) for _ in range(n - 2)]
+        verdict, p = solve_minors(A, C)
+        tied += not verdict.general
+        L = plucker_to_tree(p)
+        assert tree_to_plucker(L) == median_tree_to_plucker(L) == p
     assert tied >= 5
 
 
