@@ -41,7 +41,16 @@ in the heights, so the eps that keep every vertex inside form an open
 interval (0, eps*), with eps* the least ratio of a determinant at c to
 minus the one at some w_v.  The realized length is the largest 2^-k
 below eps*, computed from eps* in integers, with no trial embeddings, and
-the line is laid out on the integer scale lcm(D_c, 2^k) directly.
+the line is laid out on the integer scale lcm(D_c, 2^k) directly.  S and
+c come from one integer height vector per draw (`_strict_heights`): the
+squared distances, then jittered redraws on the scales 2^22, 2^23, ...,
+each hull built on those integers; the winner is kept as D_c*c on its
+least scale D_c, so no draw builds a `Fraction`.
+
+`construct_configuration` checks the converse on the pair vector: the
+stable pencil of the configuration it builds is the input line iff the
+line's own pair vector (`tree_to_plucker`, O(n^2)) is the configuration's,
+since a tree metric determines its tree; no line is rebuilt.
 """
 
 from __future__ import annotations
@@ -50,14 +59,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .core import (
     ProjPoint,
     SupportSet,
     TropError,
     between,
-    clear_denominators,
     component_count,
     dot,
     min_profile,
@@ -72,9 +80,8 @@ from .subdivision import (
     _dual_point,
     _lower_faces,
     is_maximal,
-    regular_subdivision,
 )
-from .trees import EmbeddedLine, TreeTopology, _hang, _placed, plucker_to_tree
+from .trees import EmbeddedLine, TreeTopology, _hang, _placed, tree_to_plucker
 
 
 @dataclass(frozen=True)
@@ -213,12 +220,22 @@ def vertex_fixed_points(L: EmbeddedLine, A: SupportSet) -> dict:
 
 def construct_configuration(L: EmbeddedLine, A: SupportSet) -> list:
     """The general configuration whose stable pencil is L (one point per
-    trivalent vertex).  Self-verifies generality and the round trip."""
+    trivalent vertex).  Self-verifies generality, then the round trip.
+
+    The round trip is checked on pair vectors: with p the configuration's
+    (from `solve_minors`), the test tree_to_plucker(L) == p is the test
+    plucker_to_tree(p) == L.  Equal lines give equal pair vectors, and
+    for a valid line and a valid Pluecker vector the two maps invert
+    each other: plucker_to_tree(tree_to_plucker(L)) == L and
+    tree_to_plucker(plucker_to_tree(p)) == p (a tree metric determines
+    its tree; Semple-Steel, Phylogenetics, 2003, sec. 7).  `solve_minors`
+    gives a valid p; were it not one, the refusal would read "stable pencil
+    differs from input" rather than a `PlueckerError`."""
     points = list(vertex_fixed_points(L, A).values())
     verdict, p = solve_minors(A, points)
     if not verdict:
         raise TropError("verification failed: configuration is not general")
-    if plucker_to_tree(p) != L:
+    if tree_to_plucker(L) != p:
         raise TropError("verification failed: stable pencil differs from input")
     return points
 
@@ -417,22 +434,39 @@ def find_strict_maximal_subdivision(A: SupportSet, seed: int = 0) -> tuple:
     except across cocircular flats, where it fails to triangulate; redraws
     add random rational jitter to it, shrinking the jitter geometrically so
     it drops below the lift's strict convexity gaps after a few draws.
+    This is the `ProjPoint` view of `_strict_heights`, built once.
     """
-    base = squared_distance_heights(A)
-    S = regular_subdivision(A, base)
-    if is_maximal(S, "strict"):
-        return S, base
-    rng = random.Random(seed)
-    scale = Fraction(1, 4)
-    for _ in range(MAX_DRAWS):
-        c = ProjPoint(
-            [h + Fraction(rng.randint(0, 2**20), 2**20) * scale for h in base.coords]
-        )
-        S = regular_subdivision(A, c)
+    S, D, hs = _strict_heights(A, seed)
+    return S, ProjPoint([Fraction(h, D) for h in hs])
+
+
+def _strict_heights(A: SupportSet, seed: int) -> tuple:
+    """(S, D, hs): the triangulation of `find_strict_maximal_subdivision`
+    and its heights c as integers hs = D*c on the least scale D, with
+    hs[-1] = 0.
+
+    Redraw k adds r_i * 2^-20 * 2^-(2+k) to each squared distance h_i,
+    r_i = rng.randint(0, 2**20): on the scale E = 2^(22+k) that is the
+    integer height E*h_i + r_i, and every hull is built on such integers.
+    The winner, shifted to end in 0 and divided by g = gcd(E, entries),
+    is c on the scale E/g, the lcm of c's denominators."""
+    for E, hs in _draws([r * r + s * s for r, s, _ in A.points], seed):
+        S = RegularSubdivision(A, tuple(sorted(_lower_faces(A, hs))))
         if is_maximal(S, "strict"):
-            return S, c
-        scale /= 2
+            last = hs[-1]
+            g = gcd(E, *(h - last for h in hs))
+            return S, E // g, [(h - last) // g for h in hs]
     raise TropError(f"no strict-maximal subdivision found after {MAX_DRAWS} draws")
+
+
+def _draws(base, seed):
+    """(E, E*c) for the heights c of each draw: the squared distances
+    base, then MAX_DRAWS jittered redraws from random.Random(seed)."""
+    yield 1, base
+    rng = random.Random(seed)
+    for k in range(MAX_DRAWS):
+        E = 1 << (22 + k)
+        yield E, [E * h + rng.randint(0, 2**20) for h in base]
 
 
 def realize_type(A: SupportSet, T: TreeTopology, seed: int = 0) -> EmbeddedLine:
@@ -449,21 +483,21 @@ def realize_type(A: SupportSet, T: TreeTopology, seed: int = 0) -> EmbeddedLine:
     So 2^-k < eps* picks k = floor(1/eps*).bit_length(), exactly: the
     first length that halving from 1 would accept.
 
-    The line is placed on integers, as `embed` would place it: on the
-    scale D = lcm(D_c, 2^k), D_c the lcm of c's denominators, the anchor's
-    row is D*c and every internal edge has length D / 2^k."""
+    The line is placed on integers, as `embed` would place it: c comes as
+    the integers hs = D_c*c on its least scale D_c (`_strict_heights`), so
+    on the scale D = lcm(D_c, 2^k) the anchor's row is D/D_c * hs and
+    every internal edge has length D / 2^k."""
     verdict = is_compatible(T, A)
     if not verdict:
         raise TropError(f"not compatible: quartet {verdict.witness}")
-    S, c = find_strict_maximal_subdivision(A, seed=seed)
+    S, Dc, hs = _strict_heights(A, seed)
     anchor = T.internal_nodes[0]
-    bound = _cone_bound(S, c, _unit_offsets(T, anchor).values())
+    bound = _cone_bound(S, Dc, hs, _unit_offsets(T, anchor).values())
     k = 0 if bound is None else (bound.denominator // bound.numerator).bit_length()
     if k >= MAX_HALVINGS:
         raise TropError("edge lengths did not stabilize inside the secondary cone")
-    Dc, cs = clear_denominators(c.coords)
     D = lcm(Dc, 1 << k)
-    row = [D // Dc * x for x in cs]
+    row = [D // Dc * x for x in hs]
     return _placed(T, D, anchor, row, dict.fromkeys(T.internal_edges, D >> k))
 
 

@@ -240,15 +240,34 @@ def rational_to_json(x: Fraction):
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def rational_from_json(obj) -> Fraction:
-    """A JSON integer, or a string "p" or "p/q" of decimal digits with an
-    optional sign on p and q > 0.  Nothing else: a decimal point or an
-    exponent would let a few bytes of input stand for a huge number."""
+def _rational_parts(obj) -> tuple:
+    """(p, q), q > 0, as written: a JSON integer, or a string "p" or "p/q"
+    of decimal digits with an optional sign on p and q > 0.  Nothing else:
+    a decimal point or an exponent would let a few bytes of input stand
+    for a huge number."""
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return Fraction(obj)
+        return obj, 1
     if isinstance(obj, str) and (m := _RATIONAL.fullmatch(obj)):
         try:
-            return Fraction(int(m[1]), int(m[2] or 1))
-        except (ValueError, ZeroDivisionError):
-            pass  # q = 0, or more digits than int() converts
+            p, q = int(m[1]), int(m[2] or 1)
+        except ValueError:
+            pass  # more digits than int() converts
+        else:
+            if q:
+                return p, q
     raise ValueError(f"malformed rational: {reprlib.repr(obj)}")
+
+
+def rational_from_json(obj) -> Fraction:
+    """The rational a JSON integer or a string "p" or "p/q" stands for
+    (`_rational_parts` states what is read)."""
+    return Fraction(*_rational_parts(obj))
+
+
+def rational_terms(obj) -> tuple:
+    """(p, q) in lowest terms with q > 0 for the rational that
+    `rational_from_json` reads, for a decoder that puts it on an integer
+    scale itself."""
+    p, q = _rational_parts(obj)
+    g = gcd(p, q)
+    return p // g, q // g

@@ -12,10 +12,10 @@ size of the support.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from . import plane
-from .core import ProjPoint, SupportSet, clear_denominators, rational_from_json, rational_to_json
+from .core import ProjPoint, SupportSet, rational_from_json, rational_terms, rational_to_json
 from .pencil import FixedLocusCell
 from .subdivision import CurveGraph, RegularSubdivision
 from .trees import EmbeddedLine, TreeTopology, _placed
@@ -39,9 +39,9 @@ def expect(obj, path: str, kind=None):
     return val
 
 
-def _rational(obj, field: str):
+def _rational(obj, field: str, parse=rational_from_json):
     try:
-        return rational_from_json(obj)
+        return parse(obj)
     except ValueError as e:
         raise MalformedInput(f"{field}: {e}") from e
 
@@ -178,8 +178,10 @@ def line_to_json(L: EmbeddedLine) -> dict:
 
 def line_from_json(obj, n: int) -> EmbeddedLine:
     """The embedded line with n leaves in the field "line".  Its anchor
-    row and internal lengths are cleared to one integer scale, the least,
-    and `trees._placed` lays the line out from them, as `embed` would."""
+    row and internal lengths are read as numerators and denominators in
+    lowest terms (`rational_terms`) straight onto one integer scale, the
+    least, and `trees._placed` lays the line out from them, as `embed`
+    would."""
     topo = topology_from_json(obj, n, "line")
     lengths = {}
     for k, e in enumerate(obj["edges"]):  # checked by topology_from_json
@@ -191,10 +193,10 @@ def line_from_json(obj, n: int) -> EmbeddedLine:
             continue
         if e.get("length") is None:
             raise MalformedInput(f"{field} is missing on the internal edge ({a},{b})")
-        ell = _rational(e["length"], field)
-        if ell <= 0:
+        p, q = _rational(e["length"], field, rational_terms)
+        if p <= 0:
             raise MalformedInput(f"{field} must be positive")
-        lengths[(a, b) if a < b else (b, a)] = ell
+        lengths[(a, b) if a < b else (b, a)] = p, q
     anchor = expect(obj, "line.anchor", dict)
     node = expect(anchor, "line.anchor.node", int)
     if node not in topo.adj or topo.is_leaf(node):
@@ -202,8 +204,10 @@ def line_from_json(obj, n: int) -> EmbeddedLine:
     coords = expect(anchor, "line.anchor.coords", list)
     if len(coords) != n:
         raise MalformedInput(f"line.anchor.coords must list {n} coordinates, one per leaf")
-    row = [_rational(c, "line.anchor.coords") for c in coords]
-    D, ints = clear_denominators(row + list(lengths.values()))
+    terms = [_rational(c, "line.anchor.coords", rational_terms) for c in coords]
+    terms += lengths.values()
+    D = lcm(*(q for _, q in terms))
+    ints = [p * (D // q) for p, q in terms]
     return _placed(topo, D, node, ints[:n], dict(zip(lengths, ints[n:])))
 
 

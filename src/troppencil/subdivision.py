@@ -156,19 +156,19 @@ def _sides(lifts, cell) -> tuple:
     ]
 
 
-def _cone_bound(S: RegularSubdivision, c: ProjPoint, ws) -> Fraction | None:
+def _cone_bound(S: RegularSubdivision, D: int, hs, ws) -> Fraction | None:
     """The supremum eps* of the eps > 0 for which every c + eps*w, w in the
     integer vectors ws, induces S, or None when every eps > 0 does.  The
-    heights c must induce S, a strict-maximal triangulation.
+    heights c = hs / D, hs integers and D > 0, must induce S, a strict-
+    maximal triangulation.
 
     Heights induce such an S iff every other lift lies strictly above the
     plane of each cell.  That side value is linear in the heights (O
-    depends on the points only), so on the D*c scale it is side(D*c) +
-    D*eps*side(w) with side(D*c) > 0, and eps* is the least
-    side(D*c) / (D * -side(w)) over the negative side(w)."""
-    D, hs = _heights(S.support, c)
+    depends on the points only), so on the D*c scale it is side(hs) +
+    D*eps*side(w) with side(hs) > 0, and eps* is the least
+    side(hs) / (D * -side(w)) over the negative side(w)."""
     lifted = [_lifts(S.support, h) for h in (hs, *ws)]
-    best = None  # (side(D*c), -side(w)) of the least ratio so far
+    best = None  # (side(hs), -side(w)) of the least ratio so far
     for cell in S.cells:
         base, *rest = (_sides(ls, cell)[1] for ls in lifted)
         for w_sides in rest:

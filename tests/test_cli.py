@@ -859,6 +859,25 @@ def test_oversized_numbers_are_exit_2():
     assert time.perf_counter() - start < 1
 
 
+LSQ_LINE = jsonio.line_to_json(make_lsq())  # edges[4] is the internal edge
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [("1/0", "'1/0'"), ("1.5", "'1.5'"), (True, "True"), ("7" * 5000, "'777777777777...7777777777777'")],
+)
+@pytest.mark.parametrize("field", ["line.edges[4].length", "line.anchor.coords"])
+def test_line_rationals_are_refused_with_their_field(bad, shown, field):
+    # the texts the line decoder gave when it parsed each entry into a Fraction
+    line = json.loads(json.dumps(LSQ_LINE))
+    if field == "line.anchor.coords":
+        line["anchor"]["coords"][2] = bad
+    else:
+        line["edges"][4]["length"] = bad
+    code, out, _ = run_in_process(["construct-config"], json.dumps({"support": SQ_JSON, "line": line}))
+    assert code == 2 and json.loads(out) == {"error": f"{field}: malformed rational: {shown}"}
+
+
 def test_closed_stdout_ends_quietly():
     # 945 trivalent types on 7 points: far more output than a pipe buffers
     support = {

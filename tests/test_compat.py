@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -5,7 +6,7 @@ from itertools import combinations, islice, permutations
 
 import pytest
 
-from conftest import make_lsq, neighborhood, rand_config, rand_line, rand_support, rand_topology
+from conftest import make_lsq, neighborhood, rand_config, rand_line, rand_support, rand_topology, run_in_process
 from troppencil import compat
 from troppencil.compat import (
     _unit_offsets,
@@ -19,6 +20,7 @@ from troppencil.compat import (
     quartet_ok,
     rainbow_triangle,
     realize_type,
+    squared_distance_heights,
     support_graph,
     type_by_id,
     type_count,
@@ -26,18 +28,19 @@ from troppencil.compat import (
     vertex_fixed_point,
     vertex_fixed_points,
 )
-from troppencil.core import ProjPoint, SupportSet, TropError, orient2d
+from troppencil.core import ProjPoint, SupportSet, TropError, clear_denominators, orient2d
 from troppencil.pencil import LinePoint
-from troppencil.stable import is_general, minor_tropdet, stable_pencil, value_matrix
-from troppencil.jsonio import line_to_json
+from troppencil.stable import is_general, minor_tropdet, solve_minors, stable_pencil, value_matrix
+from troppencil.jsonio import line_from_json, line_to_json
 from troppencil.oracle import brute_vertex_fixed_points
 from troppencil.subdivision import (
     _cone_bound,
     cell_dual_point,
+    is_maximal,
     regular_subdivision,
     secondary_cone_contains,
 )
-from troppencil.trees import TreeTopology, embed
+from troppencil.trees import TreeTopology, embed, plucker_to_tree, tree_to_plucker
 
 
 def test_quartet_examples(SQ):
@@ -242,6 +245,116 @@ def test_construct_configuration_rejects_nontrivalent(SQ):
         construct_configuration(star, SQ)
 
 
+def _realized_pair(A):
+    """Two lines of different compatible types of A, realized."""
+    (_, T1), (_, T2), *_ = compatible_types(A)
+    return realize_type(A, T1), realize_type(A, T2)
+
+
+def _refusal(monkeypatch, A, L, points):
+    """construct_configuration's error through the library and through the
+    CLI, with vertex_fixed_points returning `points`."""
+    monkeypatch.setattr(compat, "vertex_fixed_points", lambda L, A: points)
+    with pytest.raises(TropError) as library:
+        construct_configuration(L, A)
+    request = {"support": {"degree": A.degree, "points": [list(a) for a in A.points]}, "line": line_to_json(L)}
+    code, out, _ = run_in_process(["construct-config"], json.dumps(request))
+    assert code == 1 and json.loads(out) == {"error": str(library.value)}
+    return str(library.value)
+
+
+def test_construct_configuration_refuses_a_configuration_that_is_not_general(monkeypatch, SQ, HEX6):
+    for A in (SQ, HEX6):
+        L, _ = _realized_pair(A)
+        tied = dict.fromkeys(vertex_fixed_points(L, A), ProjPoint((1, 2, 0)))  # equal rows tie every minor
+        assert _refusal(monkeypatch, A, L, tied) == "verification failed: configuration is not general"
+
+
+def test_construct_configuration_refuses_a_pencil_that_differs(monkeypatch, SQ, TRI5, HEX6):
+    # the general configuration of another line on the same support
+    for A in (SQ, TRI5, HEX6):
+        L, other = _realized_pair(A)
+        points = vertex_fixed_points(other, A)
+        assert is_general(A, list(points.values()))
+        assert _refusal(monkeypatch, A, L, points) == "verification failed: stable pencil differs from input"
+
+
+def _edited_lines(rng, L):
+    """L with one internal edge length changed (when it has one), with one
+    anchor coordinate shifted, and with its internal node ids permuted
+    through its JSON."""
+    T = L.topology
+    out = []
+    lengths = {frozenset((a, b)): ell for a, b, _, ell in L.edges}
+    if lengths:
+        key = rng.choice(sorted(lengths, key=sorted))
+        lengths[key] += Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(2, 4))
+        if lengths[key] <= 0:
+            lengths[key] += 2
+        anchor = T.internal_nodes[0]
+        out.append(embed(T, lengths, anchor, L.coords_of(anchor)))
+    shift = [0] * L.n
+    shift[rng.randrange(L.n)] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    out.append(L.translate(shift))
+    obj = line_to_json(L)
+    old = sorted(T.internal_nodes)
+    new = dict(zip(old, rng.sample(range(L.n + 1, L.n + 3 * len(old) + 1), len(old))))
+    node = lambda v: new.get(v, v)
+    obj["edges"] = [{**e, "a": node(e["a"]), "b": node(e["b"])} for e in obj["edges"]]
+    obj["leaf_map"] = {i: node(v) for i, v in obj["leaf_map"].items()}
+    obj["anchor"]["node"] = node(obj["anchor"]["node"])
+    out.append(line_from_json(json.loads(json.dumps(obj)), L.n))
+    return out
+
+
+def test_round_trip_on_the_pair_vector_matches_the_rebuilt_tree():
+    # a tree metric determines its tree: p rebuilds L iff L reads back p
+    rng = random.Random(75)
+    pairs = []
+    while len(pairs) < 2000:
+        n = 4 + len(pairs) % 9
+        A = rand_support(rng, n, degree=4 if n > 9 else None)
+        _, p = solve_minors(A, rand_config(rng, n))
+        _, p2 = solve_minors(A, rand_config(rng, n))  # a second configuration
+        L = plucker_to_tree(p)
+        M = rand_line(rng, n, contract_p=0.3)
+        q = tree_to_plucker(M)
+        pairs += [(L, p), (L, p2), (M, q), (M, p)]
+        pairs += [(E, p) for E in _edited_lines(rng, L)] + [(E, q) for E in _edited_lines(rng, M)]
+    outcomes = {True: 0, False: 0}
+    for L, p in pairs:
+        same = plucker_to_tree(p) == L
+        assert same == (tree_to_plucker(L) == p)
+        outcomes[same] += 1
+    assert min(outcomes.values()) > 500
+
+
+def test_the_round_trip_rebuilds_no_tree_and_no_hull_twice(monkeypatch, SQ, TRI5, HEX6):
+    # realize_type reads its heights off integer hulls, and
+    # construct_configuration compares pair vectors, not rebuilt lines
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(compat, "tree_to_plucker", counted("tree_to_plucker", tree_to_plucker))
+    for f, homes in ((plucker_to_tree, ("trees", "stable")), (regular_subdivision, ("subdivision",))):
+        for home in homes:
+            monkeypatch.setattr(f"troppencil.{home}.{f.__name__}", counted(f.__name__, f))
+        monkeypatch.setattr(compat, f.__name__, counted(f.__name__, f), raising=False)  # not imported there
+    fixtures = [(A, T, seed) for A in (SQ, TRI5, HEX6) for _, T in compatible_types(A) for seed in range(2)]
+    for A, T, seed in fixtures + _realize_cases(random.Random(76), 60):
+        calls.clear()
+        L = realize_type(A, T, seed=seed)
+        assert calls == []
+        construct_configuration(L, A)
+        assert calls == ["tree_to_plucker"]
+
+
 def test_support_graph_fixture(SQ):
     L = make_lsq()
     u, w = L.topology.node_of_leaf(1), L.topology.node_of_leaf(2)
@@ -429,6 +542,56 @@ def _embed_all(T, eps, c):
     return embed(T, {frozenset(e): eps for e in T.internal_edges}, T.internal_nodes[0], c)
 
 
+def _fraction_draws(A, seed):
+    """The draw loop that `_strict_heights` replaced, kept as its twin: a
+    `Fraction` height vector, a `ProjPoint` and `regular_subdivision` per
+    draw.  (S, c, the number of jittered draws it took)."""
+    base = squared_distance_heights(A)
+    S = regular_subdivision(A, base)
+    if is_maximal(S, "strict"):
+        return S, base, 0
+    rng = random.Random(seed)
+    scale = Fraction(1, 4)
+    for k in range(1, compat.MAX_DRAWS + 1):
+        c = ProjPoint([h + Fraction(rng.randint(0, 2**20), 2**20) * scale for h in base.coords])
+        S = regular_subdivision(A, c)
+        if is_maximal(S, "strict"):
+            return S, c, k
+        scale /= 2
+    raise TropError(f"no strict-maximal subdivision found after {compat.MAX_DRAWS} draws")
+
+
+class _EvenJitter(random.Random):
+    """Even jitter only, so a drawn scale always reduces."""
+
+    def randint(self, a, b):
+        return 2 * super().randint(a, b // 2)
+
+
+def test_integer_draws_match_the_fraction_twin(monkeypatch, SQ, TRI5, HEX6):
+    # the same triangulation and heights, and the heights on their least
+    # scale, also when every jitter is even and that scale is below 2^(22+k)
+    rng = random.Random(77)
+    supports = [SQ, TRI5, HEX6] + [rand_support(rng, rng.randint(4, 10)) for _ in range(300)]
+    for jitter, count in ((random.Random, 303), (_EvenJitter, 60)):
+        monkeypatch.setattr(random, "Random", jitter)
+        drawn, reduced = 0, 0
+        for A in supports[:count]:
+            for seed in range(4):
+                S, c, draws = _fraction_draws(A, seed)
+                assert find_strict_maximal_subdivision(A, seed=seed) == (S, c)
+                D, hs = clear_denominators(c.coords)
+                assert compat._strict_heights(A, seed) == (S, D, hs)
+                drawn += draws > 0
+                reduced += draws > 0 and D < 1 << (21 + draws)
+        assert drawn > 20
+    assert reduced == drawn  # every even draw
+    monkeypatch.setattr(compat, "MAX_DRAWS", 0)  # HEX6's squared distances leave a square
+    for draw in (_fraction_draws, find_strict_maximal_subdivision):
+        with pytest.raises(TropError, match="no strict-maximal subdivision found after 0 draws"):
+            draw(HEX6, 0)
+
+
 def test_realize_type_length_is_the_least_halving(SQ, TRI5, HEX6):
     # every vertex induces S, and where the length is below 1 twice that
     # length takes some vertex out of S's cone
@@ -485,7 +648,8 @@ def test_realize_type_bound_at_a_power_of_two(rs, type_id, bound):
     A = SupportSet.from_rs(3, rs)
     T = type_by_id(A.n, type_id)
     S, c = find_strict_maximal_subdivision(A)
-    assert _cone_bound(S, c, _unit_offsets(T, T.internal_nodes[0]).values()) == bound
+    D, hs = clear_denominators(c.coords)
+    assert _cone_bound(S, D, hs, _unit_offsets(T, T.internal_nodes[0]).values()) == bound
     L = realize_type(A, T)
     assert {ell for *_, ell in L.edges} == {bound / 2}
     at_bound = _embed_all(T, bound, c)

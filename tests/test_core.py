@@ -13,6 +13,7 @@ from troppencil.core import (
     orient2d,
     rat,
     rational_from_json,
+    rational_terms,
     rational_to_json,
 )
 from troppencil.trees import TreeTopology, embed
@@ -146,9 +147,12 @@ def test_rational_json_round_trip():
     assert rational_to_json(Fraction(4, 2)) == 2
     assert rational_to_json(Fraction(-7, 2)) == "-7/2"
     assert rational_from_json("+3") == 3 and rational_from_json("-6/4") == Fraction(-3, 2)
+    for text, terms in (("-6/4", (-3, 2)), ("0/5", (0, 1)), ("+12", (12, 1)), (-7, (-7, 1))):
+        assert rational_terms(text) == terms
     # only integers and "[+-]p" or "[+-]p/q": a decimal or an exponent would
     # let a short input stand for a huge number
     for bad in (0.5, True, "x/y", "1/0", None, "0.5", "1e400", "1e10000000", " 3", "3\n",
                 "1_000", "1/-2", "1/+2", "--1", "", "/2", "1/", "1" * 5000):
-        with pytest.raises(ValueError):
-            rational_from_json(bad)
+        for read in (rational_from_json, rational_terms):
+            with pytest.raises(ValueError, match="malformed rational"):
+                read(bad)
