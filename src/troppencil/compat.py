@@ -81,7 +81,7 @@ from .subdivision import (
     _lower_faces,
     is_maximal,
 )
-from .trees import EmbeddedLine, TreeTopology, _hang, _placed, tree_to_plucker
+from .trees import EmbeddedLine, TreeTopology, _bits, _hang, _placed, tree_to_plucker
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,12 @@ def is_compatible(T, A: SupportSet) -> CompatibilityVerdict:
     if topo.n != A.n:
         raise ValueError("support size and leaf count differ")
     rs = [None, *map(A.rs, A.indices())]
-    for _, side in topo.splits():
-        comp = sorted(set(range(1, topo.n + 1)) - side)
-        for i, j in combinations(sorted(side), 2):
+    full = (1 << (topo.n + 1)) - 2
+    # the splits in the order of `splits`, on their leaf masks
+    masks = sorted(topo._split_masks().values(), key=lambda m: (m.bit_count(), _bits(m)))
+    for m in masks:
+        comp = _bits(full ^ m)
+        for i, j in combinations(_bits(m), 2):
             for k, l in combinations(comp, 2):
                 if not _quartet_edge(rs[i], rs[j], rs[k], rs[l]):
                     return CompatibilityVerdict(False, (i, j, k, l))
@@ -416,11 +419,6 @@ def compatible_types(A: SupportSet):
 
 def count_compatible(A: SupportSet) -> int:
     return sum(1 for _ in compatible_types(A))
-
-
-def squared_distance_heights(A: SupportSet) -> ProjPoint:
-    heights = [A.rs(i)[0] ** 2 + A.rs(i)[1] ** 2 for i in A.indices()]
-    return ProjPoint([Fraction(h) for h in heights])
 
 
 MAX_DRAWS = 64  # jittered height vectors tried for a strict-maximal subdivision

@@ -18,7 +18,7 @@ from . import plane
 from .core import ProjPoint, SupportSet, rational_from_json, rational_terms, rational_to_json
 from .pencil import FixedLocusCell
 from .subdivision import CurveGraph, RegularSubdivision
-from .trees import EmbeddedLine, TreeTopology, _placed
+from .trees import EmbeddedLine, TreeTopology, _bits, _placed
 
 
 class MalformedInput(Exception):
@@ -153,16 +153,17 @@ def line_to_json(L: EmbeddedLine) -> dict:
     """
     topo = L.topology
 
-    def partition(v):  # the sorted leaf tuples of the sides of v, sorted
-        masks = (topo._mask_beyond(v, w) for w in topo.adj[v])
-        return sorted(tuple(i for i, bit in enumerate(bin(m)[:1:-1]) if bit == "1") for m in masks)
+    def partition(v):  # the sorted leaf lists of the sides of v, sorted
+        return sorted(_bits(topo._mask_beyond(v, w)) for w in topo.adj[v])
 
     order = sorted(topo.internal_nodes, key=partition)
     relabel = {v: topo.n + 1 + i for i, v in enumerate(order)}
     node = lambda v: v if topo.is_leaf(v) else relabel[v]
 
     pairs = sorted(tuple(sorted((node(v), node(w)))) for v in topo.adj for w in topo.adj[v] if v < w)
-    lengths = {tuple(sorted((node(a), node(b)))): rational_to_json(ell) for a, b, _, ell in L.edges}
+    edges = list(L._edge_table())
+    ells = _scaled_form_to_json([ell for _, _, _, ell in edges], L._table_D)
+    lengths = {tuple(sorted((node(a), node(b)))): ell for (a, b, _, _), ell in zip(edges, ells)}
     anchor = topo.node_of_leaf(1)
     row = L.rows[anchor]
     return {

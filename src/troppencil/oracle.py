@@ -8,7 +8,9 @@ read off a line one median (two path walks) at a time, stable pencils as
 honest limits of first-order infinitesimal perturbations, and fixed loci
 by solving every witness system with `plane.solve`, Pi(G, I) and its
 attachment point from `Fraction` coordinates and `SubtreeSet` intervals,
-and the vertex fixed points of a line from one lower hull per vertex.
+the vertex fixed points of a line from one lower hull per vertex, and the
+squared-distance heights that `compat`'s strict-maximal draws start
+from, as a `ProjPoint`.
 They ship with the library (not only the tests) so verdicts can be
 re-derived on demand.
 
@@ -165,6 +167,12 @@ def brute_regular_subdivision(A: SupportSet, c: ProjPoint) -> RegularSubdivision
         if all(d >= 0 for d in diffs):
             cells.add(tuple(m for m, d in zip(idx, diffs) if d == 0))
     return RegularSubdivision(A, tuple(sorted(cells)))
+
+
+def squared_distance_heights(A: SupportSet) -> ProjPoint:
+    """The heights r^2 + s^2 of the support points as a `ProjPoint`: the
+    first draw of `compat._strict_heights`, in `Fraction`s."""
+    return ProjPoint([Fraction(r * r + s * s) for r, s, _ in A.points])
 
 
 def brute_vertex_fixed_points(L: EmbeddedLine, A: SupportSet) -> dict:

@@ -16,15 +16,21 @@ at a time without building it, counting each row's minima with `min` and
 interval ends D times the branch parameter (`_scaled_pi`); only the t of
 a returned `LinePoint` and the intervals of the public `pi_set` are
 `Fraction`s.  A fixed-locus cell keeps its integer forms and D, and
-`jsonio.cell_to_json` writes c / D straight from them.
+`jsonio.cell_to_json` writes c / D straight from them.  Leaf sets are
+int bitmasks, bit i for leaf i, read off the branch table and the
+topology's side masks (`TreeTopology._mask_beyond`); no computation here
+builds a `frozenset`.
 
 A branch is a bounded edge or a ray, which is an edge whose far end lies
-at infinity; the line keeps both in one table (`EmbeddedLine.branches`).
-Along a branch in direction e_J the coordinates split into a growing group
-J and a constant group, so the J group holds the minimum up to the
-breakpoint t* where the two group minima cross, and the other group from
-t* on.  `_scaled_pi` walks the branches with that rule; `skeleton_level`
-reads only its consequences at the vertices.
+at infinity; the line keeps both in one table (`EmbeddedLine._branches`,
+the leaves beyond each branch as a mask).  Along a branch in direction
+e_J the coordinates split into a growing group J and a constant group,
+so the J group holds the minimum up to the breakpoint t* where the two
+group minima cross, and the other group from t* on.  `_scaled_pi` walks
+the branches with that rule, each in O(1) from the argmin masks of the
+vertices (`_argmins`, one pass over the rows); `skeleton_level` reads
+only its consequences at the vertices, and `pi_gamma` reads them off the
+same masks.
 
 The locus itself is enumerated per witness point c of L: a vertex with
 three leaves in pairwise distinct components of L - {c}, or an edge point
@@ -42,7 +48,8 @@ below as vertex sets plus one closed parameter interval per branch, whose
 upper end is None when it runs out to infinity along a ray.
 A nonempty one is a point x plus every branch at x that holds no leaf of
 I, and x is its gate: the first point of it met from any leaf of I; one
-hang of the tree, from a vertex of the set, serves every gate.
+hang of the tree, from a vertex of the set, serves every gate, and the
+walk stops at the second distinct gate.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from math import lcm
 
 from . import plane
 from .core import ProjPoint, SupportSet, TropError, rat
-from .trees import EmbeddedLine, _hang
+from .trees import EmbeddedLine, _bits, _hang
 
 
 def _scaled_shift(L: EmbeddedLine, A: SupportSet, P: ProjPoint) -> tuple:
@@ -142,8 +149,8 @@ class LinePoint:
 def make_point(G: EmbeddedLine, key, t) -> LinePoint:
     """The point at parameter t along the branch key of G; its ends come
     back as vertices.  Raises KeyError when key is no branch of G."""
-    a, b, _, ell = G.edge(key)
-    t = rat(t)
+    a, b, _, ell = G._branches[key]
+    t, ell = rat(t), G._length(ell)
     if t == 0:
         return LinePoint("vertex", a)
     if t == ell:
@@ -159,11 +166,11 @@ def coords_at(G: EmbeddedLine, p: LinePoint) -> tuple:
     integer row of the branch's first node, so each entry is one
     `Fraction` of ints."""
     if p.kind == "vertex":
-        row, side, a, b = G.rows[p.loc], (), 0, 1
+        row, side, a, b = G.rows[p.loc], 0, 0, 1
     else:
-        node, _, side, _ = G.edge(p.loc)
+        node, _, side, _ = G._branches[p.loc]
         row, a, b = G.rows[node], p.t.numerator, p.t.denominator
-    xs = [b * x + (G.D * a if i in side else 0) for i, x in enumerate(row, 1)]
+    xs = [b * x + (G.D * a if side >> i & 1 else 0) for i, x in enumerate(row, 1)]
     last, den = xs[-1], G.D * b
     return tuple(Fraction(x - last, den) for x in xs)
 
@@ -188,8 +195,8 @@ class SubtreeSet:
         verts = set(vertices)
         self.iv = {}
         for key, (lo, hi) in (iv or {}).items():
-            a, b, _, ell = line.edge(key)
-            lo = max(lo, Fraction(0))
+            a, b, _, ell = line._branches[key]
+            ell, lo = line._length(ell), max(lo, Fraction(0))
             if ell is not None:
                 hi = ell if hi is None else min(hi, ell)
             if hi is not None and lo > hi:
@@ -215,38 +222,87 @@ class SubtreeSet:
         return hash(self.key())
 
 
-def _scaled_pi(G: EmbeddedLine, I: frozenset, mins: dict) -> tuple:
-    """Pi(G, I) on the line's scale: (vertices, {branch key: (lo, hi)})
-    with lo and hi D times the interval ends, ints, hi None when the
-    interval runs out along a ray; clipped as `SubtreeSet` clips.  mins
-    maps each vertex to the minimum of its row.
+def _argmins(G: EmbeddedLine) -> dict:
+    """{v: (m_v, M_v)} per vertex: the minimum of v's row and its argmin
+    as a leaf bitmask, bit i for leaf i."""
+    out = {}
+    for v, row in G.rows.items():
+        m = min(row)
+        i = row.index(m)
+        M = 2 << i
+        for _ in range(row.count(m) - 1):
+            i = row.index(m, i + 1)
+            M |= 2 << i
+        out[v] = m, M
+    return out
 
-    Along branch (a, b) in direction e_J the group minima of a's row, the
-    breakpoint t* and the length all come out D times too large, so the
-    walk needs no division; the top of an edge, D * length, comes from the
-    length's numerator and denominator.  Raises ValueError for an index
-    of I outside 1..n."""
-    n = G.n
-    for i in I:
+
+def _leaf_mask(I, n: int) -> int:
+    """The bitmask of the leaves in I; ValueError for one outside 1..n."""
+    mask = 0
+    for i in frozenset(I):
         if not 1 <= i <= n:
             raise ValueError(f"leaf index {i} is outside 1..{n}")
-    D, rows = G.D, G.rows
-    verts = {v for v, row in rows.items() if all(row[i - 1] == mins[v] for i in I)}
+        mask |= 1 << i
+    return mask
+
+
+def _scaled_pi(G: EmbeddedLine, I: int, argmins: dict) -> tuple:
+    """Pi(G, I) on the line's scale, for the leaf mask I: (vertices,
+    {branch key: (lo, hi)}) with lo and hi D times the interval ends,
+    ints, hi None when the interval runs out along a ray; clipped as
+    `SubtreeSet` clips.  argmins is `_argmins(G)`.
+
+    The vertices are those v with I inside M_v.  Along branch (a, b) in
+    direction e_J the group minima of a's row, the breakpoint t* and the
+    length all come out D times too large, so the walk needs no division,
+    and each branch costs O(1) from the argmin masks:
+    - M_a and J disjoint: the J group is above the minimum at a and only
+      grows, so the branch is all in Pi(G, I) iff I misses J and I lies
+      in M_a, and else misses it.
+    - Else J's minimum is m_a, attained on A_J = M_a & J.
+      If M_a - J is not empty, the other group attains m_a there too:
+      t* = 0 with A_0 = M_a - J.  On an edge, A_0 is the part of M_b off
+      J, as the constant group keeps its argmin and holds the minimum at
+      b iff t* <= D * length; then t* = q_i - m_a for any i in A_0 and
+      q = rows[a].  When that part is empty, t* lies beyond the edge.
+      rows[b] is a's row moved along the edge only up to a multiple of
+      (1, ..., 1) (see `EmbeddedLine`), so m_b is never read.  Only a ray
+      whose leaf is the sole minimum at a scans q for the other group.
+    I needs I & J inside A_J and I - J inside A_0 to meet the branch at
+    all; then the J group holds the minimum up to t* and the other group
+    from t* on."""
+    rows, unit = G.rows, G.D // G._table_D
+    verts = {v for v, (_, M) in argmins.items() if not I & ~M}
     iv = {}
     for a, b, J, ell in G._branches.values():
-        q, m = rows[a], mins[a]
-        muJ = min([q[i - 1] for i in J])
-        # the row's minimum lies in one group at least
-        mu0 = m if muJ > m else min([x for i, x in enumerate(q, 1) if i not in J])
-        if any(q[i - 1] != (muJ if i in J else mu0) for i in I):
+        m, M = argmins[a]
+        top = None if ell is None else unit * ell  # hi None: unbounded (rays)
+        AJ = M & J
+        if not AJ:
+            if not I & J and not I & ~M:
+                iv[(a, b)] = (0, top)
             continue
-        tstar = mu0 - muJ
-        top = None if ell is None else D // ell.denominator * ell.numerator
-        lo, hi = 0, top  # hi None: unbounded (rays)
-        if I & J:  # the J group holds the minimum up to t*
+        A0 = M ^ AJ
+        if A0:
+            tstar = 0
+        elif ell is not None:
+            A0 = argmins[b][1] & ~J
+            # q_i for the least i in A_0, at index i - 1; None: t* lies
+            # beyond the edge
+            tstar = rows[a][(A0 & -A0).bit_length() - 2] - m if A0 else None
+        else:  # leaf b alone is minimal at a
+            q = rows[a]
+            mu0 = min([x for i, x in enumerate(q, 1) if i != b])
+            A0 = sum([1 << i for i, x in enumerate(q, 1) if x == mu0])
+            tstar = mu0 - m
+        if I & ~(AJ | A0):
+            continue
+        lo, hi = 0, top
+        if I & J and tstar is not None:  # the J group holds the minimum up to t*
             hi = tstar if hi is None else min(hi, tstar)
-        if I - J:  # the rest holds it from t* on
-            lo = max(lo, tstar)
+        if I & ~J:  # the rest holds it from t* on
+            lo = tstar
         # an interval that reaches an end of the branch has I in the
         # argmin there, so that end is in verts already; a lone end point
         # is just its vertex
@@ -255,56 +311,99 @@ def _scaled_pi(G: EmbeddedLine, I: frozenset, mins: dict) -> tuple:
     return verts, iv
 
 
-def _row_minima(G: EmbeddedLine) -> dict:
-    """The minimum of each vertex's row."""
-    return {v: min(row) for v, row in G.rows.items()}
-
-
 def pi_set(G: EmbeddedLine, I) -> SubtreeSet:
     """Pi(G, I): points of G where every coordinate in I is a global min.
 
     The set of `_scaled_pi`, with each interval end divided by D."""
     D = G.D
-    verts, iv = _scaled_pi(G, frozenset(I), _row_minima(G))
+    verts, iv = _scaled_pi(G, _leaf_mask(I, G.n), _argmins(G))
     return SubtreeSet(
         G, verts, {k: (Fraction(lo, D), hi if hi is None else Fraction(hi, D)) for k, (lo, hi) in iv.items()}
     )
 
 
-def _gate(G: EmbeddedLine, verts, iv: dict, i: int, parent) -> LinePoint:
-    """The first point of the nonempty, connected S = (verts, iv) of
-    `_scaled_pi` met coming in from leaf i in I: the top of S on ray i; its
-    lo end if S has no vertex, as S is then one point inside a branch or a
-    ray's tail; else the first point of S on the parents up from v_i."""
-    v = G.topology.node_of_leaf(i)
-    if (v, i) in iv:
-        return make_point(G, (v, i), Fraction(iv[(v, i)][1], G.D))
-    if not verts:  # I in both groups pins S to t*, or else S is a ray's tail
-        key, (lo, _) = next(iter(iv.items()))
-        return make_point(G, key, Fraction(lo, G.D))
-    while v not in verts:
-        w = parent[v]
-        key = (v, w) if v < w else (w, v)
-        if key in iv:
-            return make_point(G, key, Fraction(iv[key][v > w], G.D))  # its end nearer v
-        v = w
-    return LinePoint("vertex", v)
+def _spot(G: EmbeddedLine, key, T) -> tuple:
+    """The point D * t = T of branch key as a gate: (node, None) at an
+    end, else (key, T)."""
+    a, b, _, ell = G._branches[key]
+    if T == 0:
+        return a, None
+    if ell is not None and T == G.D // G._table_D * ell:
+        return b, None
+    return key, T
 
 
-def _attachment(G: EmbeddedLine, I: frozenset, mins: dict) -> LinePoint | None:
-    """`pi_attachment` with the row minima of G given."""
-    verts, iv = _scaled_pi(G, I, mins)
+def _gate(G: EmbeddedLine, verts, iv: dict, I: int):
+    """The one first point of the nonempty, connected S = (verts, iv) of
+    `_scaled_pi` met coming in from every leaf i of I, as a `_spot`; None
+    when two leaves meet S first at two points.  From leaf i that point is
+    the top of S on ray i; else the lo end of S if S has no vertex, as S
+    is then one point inside a branch or a ray's tail; else the first
+    point of S on the parents up from v_i, the same for every leaf at
+    v_i, with the tree hung from a vertex of S."""
+    adj, parent, walked, gate = G.topology.adj, None, set(), None
+    for i in _bits(I):
+        v = adj[i][0]
+        if (v, i) in iv:
+            x = _spot(G, (v, i), iv[(v, i)][1])
+        elif v in walked:
+            continue
+        elif not verts:  # I in both groups pins S to t*, or else S is a ray's tail
+            key, (lo, _) = next(iter(iv.items()))
+            x = _spot(G, key, lo)
+        else:
+            walked.add(v)
+            if parent is None:
+                parent = _hang(adj, min(verts))[0]
+            while v not in verts:
+                w = parent[v]
+                key = (v, w) if v < w else (w, v)
+                if key in iv:
+                    x = _spot(G, key, iv[key][v > w])  # its end nearer v
+                    break
+                v = w
+            else:
+                x = v, None
+        if gate is None:
+            gate = x
+        elif x != gate:
+            return None
+    return gate
+
+
+def _attachment(G: EmbeddedLine, I: int, argmins: dict) -> LinePoint | None:
+    """`pi_attachment` for the leaf mask I, with `_argmins(G)` given.
+
+    The gate is a `_spot`, an integer pair; its sides are leaf masks,
+    read off the topology at a vertex and off the branch table inside a
+    branch, and their union free of I is the free leaves.  Only the
+    answer becomes a `LinePoint`, with one `Fraction`."""
+    verts, iv = _scaled_pi(G, I, argmins)
     if not verts and not iv:
         return None
     topo = G.topology
-    parent = _hang(topo.adj, min(verts))[0] if verts else None
-    gates = {_gate(G, verts, iv, i, parent) for i in I} or {LinePoint("vertex", v) for v in topo.internal_nodes}
-    if len(gates) == 1:
-        (x,) = gates
-        free = [j for part in leaf_partition_at(G, x) if not part & I for j in part]
-        if all(iv.get((topo.node_of_leaf(j), j), (0, 0))[1] is None for j in free):
-            return x
-    raise TropError(f"Pi(G, {sorted(I)}) has no unique attachment point")
+    if I:
+        gate = _gate(G, verts, iv, I)
+    else:  # every vertex is a gate
+        gate = (next(iter(G.rows)), None) if len(G.rows) == 1 else None
+    if gate is not None:
+        loc, T = gate
+        if T is None:
+            sides = [topo._mask_beyond(loc, w) for w in topo.adj[loc]]
+        else:
+            J = G._branches[loc][2]
+            sides = [J, ((1 << (G.n + 1)) - 2) ^ J]
+        free = 0
+        for side in sides:
+            if not side & I:
+                free |= side
+        adj = topo.adj
+        if all(iv.get((adj[j][0], j), (0, 0))[1] is None for j in _bits(free)):
+            if T is None:
+                return LinePoint("vertex", loc)
+            kind = "ray" if G._branches[loc][3] is None else "edge"
+            return LinePoint(kind, loc, Fraction(T, G.D))
+    raise TropError(f"Pi(G, {_bits(I)}) has no unique attachment point")
 
 
 def pi_attachment(G: EmbeddedLine, I) -> LinePoint | None:
@@ -315,9 +414,9 @@ def pi_attachment(G: EmbeddedLine, I) -> LinePoint | None:
     A branch holding a leaf i of I then meets S = Pi(G, I), which is
     connected, only at x; an I-free branch lies in S iff its leaf rays run
     out to infinity inside S.  These two checks prove the shape.  The walk
-    runs on `_scaled_pi`'s integer interval ends; only the t of the point
-    returned is a `Fraction`."""
-    return _attachment(G, frozenset(I), _row_minima(G))
+    runs on `_scaled_pi`'s integer interval ends and leaf masks; only the
+    t of the point returned is a `Fraction`."""
+    return _attachment(G, _leaf_mask(I, G.n), _argmins(G))
 
 
 def pi_gamma(G: EmbeddedLine) -> ProjPoint:
@@ -327,14 +426,20 @@ def pi_gamma(G: EmbeddedLine) -> ProjPoint:
 
 
 def pi_gamma_location(G: EmbeddedLine) -> LinePoint:
-    if skeleton_level(G) < 2:
-        raise TropError("line not in Pi_2")
+    """Where `pi_gamma` lies, from one pass over the rows: the argmin masks
+    M_v decide G inside Pi_2 by `skeleton_level`'s rule (|M_v| less a leaf
+    of M_v next to v is at least 2 at every v), and their union is imax."""
+    argmins, adj, n = _argmins(G), G.topology.adj, G.n
+    imax = 0
+    for v, (_, M) in argmins.items():
+        size = M.bit_count()
+        if size < 3 and (size < 2 or any(w <= n and M >> w & 1 for w in adj[v])):
+            raise TropError("line not in Pi_2")
+        imax |= M
     # Inside Pi_2 every coordinate that attains the minimum somewhere on G
     # attains it at a vertex (see skeleton_level): on a ray the other
     # coordinates take over at t* <= 0.
-    mins = _row_minima(G)
-    imax = frozenset(i for v, row in G.rows.items() for i, x in enumerate(row, 1) if x == mins[v])
-    p = _attachment(G, imax, mins)
+    p = _attachment(G, imax, argmins)
     if p is None:
         raise TropError("no coordinate ever attains the minimum")
     return p
@@ -423,9 +528,13 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
     two terms of distinct support points, so both gradients are nonzero,
     as `plane.solve` requires.
 
-    The systems are solved on the integer forms D * T_m (see
-    `L.rows`): every form is D times the true one, which moves
-    no solution and flips no inequality.  A kept cell stores these
+    Each vertex's parts and each edge's two sides are read as leaf masks,
+    off the topology (`_mask_beyond`) and the branch table, and listed
+    leaf by leaf (`trees._bits`); the parts are disjoint, so ranking them
+    by their lowest bits is ranking them by their least leaves, the
+    order of the oracle's sorted sets.  The systems are solved on the
+    integer forms D * T_m (see `L.rows`): every form is D times the true
+    one, which moves no solution and flips no inequality.  A kept cell stores these
     integer forms and D (see `FixedLocusCell`); no `Fraction` is made
     until a caller reads its forms.
 
@@ -466,7 +575,9 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
     for v in topo.internal_nodes:
         T = _term_forms(A, D, rows[v])
         terms = T[1:]
-        parts = [sorted(part) for part in sorted(topo.leaf_partition(v), key=sorted)]
+        # disjoint parts: in the order of their least leaves, their lowest bits
+        sides = sorted((topo._mask_beyond(v, w) for w in topo.adj[v]), key=lambda m: m & -m)
+        parts = [_bits(m) for m in sides]
         # three leaves in three distinct components
         for pa, pb, pc in combinations(parts, 3):
             for i in pa:
@@ -484,12 +595,12 @@ def fixed_locus(L: EmbeddedLine, A: SupportSet) -> list:
                             continue
                         below = tuple(_sub(Tm, Ti) for Tm in terms)
                         keep(("vertex", v), (i, j, k), (f, g), below)
-    for a, b, side, ell in L.edges:
+    full, unit = (1 << (L.n + 1)) - 2, D // L._table_D
+    for a, b, side, ell in L._edge_table():
         T = _term_forms(A, D, rows[a])
-        inside = sorted(side)
-        outside = sorted(set(range(1, L.n + 1)) - side)
+        inside, outside = _bits(side), _bits(full ^ side)
         T_in, T_out = [T[m] for m in inside], [T[m] for m in outside]
-        top = D // ell.denominator * ell.numerator
+        top = unit * ell
         pairs_out = [(k, l, T[k], _sub(T[k], T[l])) for k, l in combinations(outside, 2)]
         for i, j in combinations(inside, 2):
             ai, bi, ci = Ti = T[i]

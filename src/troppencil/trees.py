@@ -3,8 +3,11 @@
 A line is an n-leaf tree: leaf i sits at infinity on a ray with direction
 e_i, and an internal edge whose far side carries the leaf set I points in
 direction e_I = sum_{i in I} e_i.  Crossing such an edge adds (lattice
-length) * e_I to the vertex coordinates, which we keep as one consistent
-raw lift in R^n per line.
+length) * e_I to the vertex coordinates in TP^(n-1), that is, modulo the
+all-ones vector: each vertex keeps a raw lift in R^n, and the lifts at
+b and at a of an edge (a, b), a < b, I beyond b, differ by length * e_I
+plus a multiple of (1, ..., 1), which is nonzero exactly where the
+placing walk (`_placed`) crosses the edge from b to a.
 
 The translation to and from tropical Pluecker vectors (the coordinates on
 the space of lines) is derived from the circuit conditions: at the median
@@ -29,13 +32,17 @@ E * row + D * S on the scale D * E, the one formula that `translate`,
 keeps the least D > 0 and the symmetric int table D * p, which
 `stable.solve_minors` and `tree_to_plucker` fill from their integers
 directly.  `Fraction`s are built only where a caller asks for them
-(`coords_of`, `PlueckerVector.get`).  One walk hangs every tree
-(`_hang`, breadth first from a root; `tree_to_plucker` reads every
-median off one pass over it from leaf n) and one places every line
+(`coords_of`, `PlueckerVector.get`, the branch views).  One walk hangs
+every tree (`_hang`, breadth first from a root; `tree_to_plucker` reads
+every median off one pass over it from leaf n) and one places every line
 (`_placed`): from an anchor row and integer edge lengths it lays out the
-rows, breadth first from the anchor, and the branch table, one leaf mask
-per edge, for `embed`, `plucker_to_tree`, `compat`'s unit offsets and
-realized types, and the JSON line decoder (`jsonio.line_from_json`).
+rows, breadth first from the anchor, and the branch table, one leaf
+bitmask and one integer length per branch, for `embed`,
+`plucker_to_tree`, `compat`'s unit offsets and realized types, and the
+JSON line decoder (`jsonio.line_from_json`).  Leaf sets stay bitmasks
+(bit i for leaf i) on every computing path; `frozenset`s are built only
+by the public views that return them (`leaves_beyond`, `leaf_partition`,
+`splits`, `EmbeddedLine.branches`, `.edges`, `.edge`).
 
 `plucker_to_tree` compares only sums of pair coordinates, which are
 linear in p, so it inserts the leaves and checks the pairs on the table
@@ -51,7 +58,7 @@ inputs with `core.rat` and refuse anything else.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 
 from .core import InternalError, ProjPoint, TropError, clear_denominators, rat
@@ -71,6 +78,17 @@ def _hang(adj: dict, root: int) -> tuple:
                 parent[w] = v
                 order.append(w)
     return parent, order
+
+
+def _bits(mask: int) -> list:
+    """The indices of the set bits of mask, ascending: the leaves of a
+    leaf bitmask in order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class TreeTopology:
@@ -256,14 +274,19 @@ class TreeTopology:
 
 
 class EmbeddedLine:
-    """A tropical line: topology plus one consistent raw coordinate lift.
+    """A tropical line: topology plus a raw coordinate lift per vertex.
 
     For every internal edge (a, b), coords(b) - coords(a) equals
-    length * e_I where I = leaves beyond b; lengths are positive.  A ray is
-    an edge whose far end, the leaf, lies at infinity.  `_placed` builds
-    a line and its one table of branches, keyed (a, b): the internal edges
-    (a, b, I, length) with a < b, then the rays (node, leaf, {leaf}, None)
-    in sorted order.  Translates share the table.
+    length * e_I modulo the all-ones vector, where I = leaves beyond b;
+    lengths are positive.  A ray is an edge whose far end, the leaf, lies
+    at infinity.  `_placed` builds a line and its one table of branches,
+    keyed (a, b): the internal edges (a, b, I, length) with a < b, then
+    the rays (node, leaf, {leaf}, None) in sorted order.  The table holds
+    I as a leaf bitmask and the length as an int, `_table_D` times the
+    length, `_table_D` being the scale of the line `_placed` built; a
+    translate shares the table and its `_table_D`, and its own D is a
+    multiple of it.  `branches`, `edges` and `edge` build the public
+    (a, b, frozenset, `Fraction` or None) tuples when read.
 
     `rows` maps each internal vertex to D times its coordinates, a tuple of
     ints, for some D > 0, the least for lines from `embed` and from
@@ -271,24 +294,37 @@ class EmbeddedLine:
     coordinate difference.
     """
 
-    __slots__ = ("topology", "D", "rows", "_branches")
+    __slots__ = ("topology", "D", "rows", "_branches", "_table_D")
 
-    def __init__(self, topology: TreeTopology, D: int, rows: dict, branches: dict):
-        self.topology, self.D, self.rows, self._branches = topology, D, rows, branches
+    def __init__(self, topology: TreeTopology, D: int, rows: dict, branches: dict, table_D: int):
+        self.topology, self.D, self.rows = topology, D, rows
+        self._branches, self._table_D = branches, table_D
 
     @property
     def n(self) -> int:
         return self.topology.n
 
+    def _length(self, ell):
+        """A stored branch length as a `Fraction`, None on a ray."""
+        return None if ell is None else Fraction(ell, self._table_D)
+
+    def _view(self, a: int, b: int, mask: int, ell) -> tuple:
+        return (a, b, self.topology._leaves(mask), self._length(ell))
+
+    def _edge_table(self):
+        """The table's (a, b, leaf mask, int length) per internal edge,
+        first in it: a tree has one edge less than nodes."""
+        return islice(self._branches.values(), len(self.rows) - 1)
+
     @property
     def branches(self) -> list:
         """(a, b, leaves-beyond-b, length or None) per edge, then per ray."""
-        return list(self._branches.values())
+        return [self._view(*br) for br in self._branches.values()]
 
     @property
     def edges(self) -> list:
         """(a, b, leaves-beyond-b, length) per internal edge, a < b."""
-        return self.branches[: len(self.rows) - 1]  # a tree has one edge less than nodes
+        return [self._view(*br) for br in self._edge_table()]
 
     @property
     def rays(self) -> list:
@@ -298,7 +334,7 @@ class EmbeddedLine:
     def edge(self, key) -> tuple:
         """The branch key = (a, b): an internal edge (a < b) or a ray
         (node, leaf)."""
-        return self._branches[key]
+        return self._view(*self._branches[key])
 
     def coords_of(self, v: int) -> tuple:
         """The raw coordinates of the internal vertex v, as `Fraction`s."""
@@ -317,7 +353,7 @@ class EmbeddedLine:
     def _shifted(self, E: int, DS) -> "EmbeddedLine":
         """The translate by S / E, sharing the topology and branch table."""
         rows = dict(self._shifted_rows(E, DS))
-        return EmbeddedLine(self.topology, self.D * E, rows, self._branches)
+        return EmbeddedLine(self.topology, self.D * E, rows, self._branches, self._table_D)
 
     def translate(self, shift) -> "EmbeddedLine":
         """The line translated by a vector of TP^(n-1)."""
@@ -397,9 +433,13 @@ def _placed(topology: TreeTopology, D: int, anchor: int, row, int_lengths) -> Em
 
     The tree hangs from the anchor (`_hang`); breadth first, each internal
     node b gets its parent a's row plus the length on the leaves beyond b,
-    so rows come in that order, and that one mask's complement is the
-    leaves beyond a.  The branch table holds the edges by key, (a, b,
-    leaves beyond b, length), then the rays by node."""
+    so rows come in that order.  When the parent has the larger id, the
+    key is (b, a), its side the leaves beyond a, that mask's complement,
+    and a's row minus b's is D * length on that side minus D * length *
+    (1, ..., 1): the same point of TP^(n-1), another lift.  The branch
+    table holds the edges by key, (a, b, mask of the leaves beyond b,
+    D * length), then the rays by node, (node, leaf, mask of the leaf,
+    None), on the scale D."""
     n, adj = topology.n, topology.adj
     parent, order = _hang(adj, anchor)
     rows, edges, full = {anchor: tuple(row)}, {}, (1 << (n + 1)) - 2
@@ -410,11 +450,11 @@ def _placed(topology: TreeTopology, D: int, anchor: int, row, int_lengths) -> Em
         key = (a, b) if a < b else (b, a)
         ell, m = int_lengths[key], topology._mask_beyond(a, b)
         rows[b] = tuple([x + ell if m >> i & 1 else x for i, x in enumerate(rows[a], 1)])
-        edges[key] = (*key, topology._leaves(m if a < b else full ^ m), Fraction(ell, D))
+        edges[key] = (*key, m if a < b else full ^ m, ell)
     branches = dict(sorted(edges.items()))
     for v, i in sorted((adj[i][0], i) for i in range(1, n + 1)):
-        branches[(v, i)] = (v, i, frozenset((i,)), None)
-    return EmbeddedLine(topology, D, rows, branches)
+        branches[(v, i)] = (v, i, 1 << i, None)
+    return EmbeddedLine(topology, D, rows, branches, D)
 
 
 def line_contains(L: EmbeddedLine, c: ProjPoint) -> bool:

@@ -20,7 +20,6 @@ from troppencil.compat import (
     quartet_ok,
     rainbow_triangle,
     realize_type,
-    squared_distance_heights,
     support_graph,
     type_by_id,
     type_count,
@@ -32,7 +31,7 @@ from troppencil.core import ProjPoint, SupportSet, TropError, clear_denominators
 from troppencil.pencil import LinePoint
 from troppencil.stable import is_general, minor_tropdet, solve_minors, stable_pencil, value_matrix
 from troppencil.jsonio import line_from_json, line_to_json
-from troppencil.oracle import brute_vertex_fixed_points
+from troppencil.oracle import brute_vertex_fixed_points, squared_distance_heights
 from troppencil.subdivision import (
     _cone_bound,
     cell_dual_point,

@@ -13,6 +13,7 @@ from conftest import (
     rand_config,
     rand_line,
     rand_proj_point,
+    rand_rational,
     rand_support,
 )
 from troppencil import plane
@@ -26,7 +27,20 @@ from troppencil.oracle import (
     perturbed_pencil,
     sampled_fixed,
 )
-from troppencil.pencil import _scaled_pi, fixed_locus, is_fixed, pi_attachment, pi_set, shifted_line
+from troppencil.pencil import (
+    LinePoint,
+    _argmins,
+    _leaf_mask,
+    _scaled_pi,
+    fixed_locus,
+    is_fixed,
+    pi_attachment,
+    pi_gamma,
+    pi_gamma_location,
+    pi_set,
+    shifted_line,
+    skeleton_level,
+)
 from troppencil.stable import is_general, stable_pencil, tropdet
 from troppencil.trees import TreeTopology, embed
 
@@ -193,9 +207,53 @@ def _crossing_argmins(G) -> list:
     return out
 
 
+def _argmin(row) -> frozenset:
+    m = min(row)
+    return frozenset(i for i, x in enumerate(row, 1) if x == m)
+
+
+def _walk_cases(G, I, cases):
+    """Tally the branches on which the mask walk for Pi(G, I) takes a short
+    cut: M_a misses J; t* is read off the far end's argmin, of an edge
+    whose rows differ by more than D * length * e_J; or a ray's start row
+    has its own leaf as the sole minimum and is scanned."""
+    for a, b, J, ell in G.branches:
+        Ma = _argmin(G.rows[a])
+        if not Ma & J:
+            cases["J never minimal"] += 1
+        elif Ma <= J and ell is None:
+            cases["ray scan"] += 1
+        elif Ma <= J and I - J and I & J <= Ma and I - J <= _argmin(G.rows[b]):
+            lift = G.rows[b][0] - G.rows[a][0] - (G.D * ell if 1 in J else 0)
+            cases["far end, nonzero constant"] += lift != 0
+
+
+def _brute_gamma(G, imax):
+    """pi_gamma_location's answer or error message, from skeleton_level and
+    the gate walk on `Fraction` intervals."""
+    if skeleton_level(G) < 2:
+        return "line not in Pi_2"
+    try:
+        want = brute_pi_attachment(G, imax)
+    except TropError as e:
+        return str(e)
+    return "no coordinate ever attains the minimum" if want is None else want
+
+
+def _fraction_point(G, p) -> ProjPoint:
+    """The line point p from G's `Fraction` coordinates: coords(a) + t * e_I
+    on the branch (a, b) with I beyond b."""
+    if p.kind == "vertex":
+        return ProjPoint(G.coords[p.loc])
+    a, _, side, _ = G.edge(p.loc)
+    return ProjPoint([x + p.t * (i in side) for i, x in enumerate(G.coords[a], 1)])
+
+
 def test_pi_attachment_matches_fraction_walk():
-    # the integer walk against the SubtreeSet gate walk on Fraction
-    # intervals: Pi(G, I) and its attachment point, or the same error
+    # the mask walk against the SubtreeSet gate walk on Fraction
+    # intervals: Pi(G, I), its attachment point and pi_gamma, or the same
+    # error, on random, contracted and planted lines and their random and
+    # fixed translates; I random, each crossing's argmin, imax, empty, full
     rng = random.Random(75)
     lines = []
     for m in range(70):
@@ -213,23 +271,43 @@ def test_pi_attachment_matches_fraction_walk():
         A = rand_support(deep, n, next(d for d in range(4, 7) if (d + 1) * (d + 2) // 2 >= n))
         shifts = locus_points(L, A)[:1] + [rand_proj_point(deep)]
         lines += [L, plant_line(deep, n, 2)[0]] + [shifted_line(L, A, P) for P in shifts]
+    # and the other n from 3 to 24
+    wide = random.Random(83)
+    for n in [3] + [n for n in range(11, 25) if n % 4]:
+        L = rand_line(wide, n, contract_p=0.4 * (n % 2))
+        lines += [L.translate([rand_rational(wide, 6) for _ in range(n)]), plant_line(wide, n, 2)[0]]
+        L = rand_line(wide, n, contract_p=0.3)
+        A = rand_support(wide, n, next(d for d in range(2, 7) if (d + 1) * (d + 2) // 2 >= n + 2))
+        lines += [shifted_line(L, A, P) for P in locus_points(L, A)[:2]]
     seen = {"none": 0, "vertex": 0, "edge": 0, "ray": 0, "error": 0}
-    pairs = vertexless = 0
+    cases = dict.fromkeys(("J never minimal", "far end, nonzero constant", "ray scan"), 0)
+    pairs = vertexless = gammas = 0
     for G in lines:
         n = G.n
         crossings = _crossing_argmins(G)
         subsets = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))) for _ in range(2)]
         subsets += rng.sample(crossings, min(3, len(crossings)))
-        subsets.append(frozenset().union(*crossings[: len(G.rows)]))
-        mins = {v: min(row) for v, row in G.rows.items()}
+        imax = frozenset().union(*crossings[: len(G.rows)])
+        subsets += [imax, frozenset(), frozenset(range(1, n + 1))]
+        argmins = _argmins(G)
+        want = _brute_gamma(G, imax)
+        try:
+            got = pi_gamma_location(G)
+        except TropError as e:
+            got = str(e)
+        assert got == want
+        if isinstance(want, LinePoint):
+            gammas += 1
+            assert pi_gamma(G) == _fraction_point(G, want)
         for I in subsets:
+            _walk_cases(G, I, cases)
             pairs += 1
             S = brute_pi_set(G, I)
             assert pi_set(G, I) == S
             vertexless += bool(S.iv) and not S.vertices  # the gate needs no walk
             # the integer core itself clips as SubtreeSet does
             scaled = {k: (lo * G.D, None if hi is None else hi * G.D) for k, (lo, hi) in S.iv.items()}
-            assert _scaled_pi(G, I, mins) == (S.vertices, scaled)
+            assert _scaled_pi(G, _leaf_mask(I, n), argmins) == (S.vertices, scaled)
             try:
                 want = brute_pi_attachment(G, I)
             except TropError as e:
@@ -239,5 +317,6 @@ def test_pi_attachment_matches_fraction_walk():
                 continue
             assert pi_attachment(G, I) == want
             seen["none" if want is None else want.kind] += 1
-    assert pairs >= 2000 and vertexless > 0
+    assert pairs >= 3000 and vertexless > 0 and gammas >= 200
+    assert min(cases.values()) >= 300, cases
     assert min(seen.values()) >= 30 and seen["edge"] + seen["ray"] >= 300, seen

@@ -17,6 +17,7 @@ from conftest import (
     point_valence,
     rand_config,
     rand_line,
+    rand_proj_point,
     rand_support,
     rand_topology,
     skeleton_bound,
@@ -24,7 +25,9 @@ from conftest import (
     subtree_spanning,
 )
 from troppencil import plane
+from troppencil.compat import compatible_types, realize_type
 from troppencil.core import ProjPoint, SupportSet, TropError, min_profile
+from troppencil.jsonio import line_from_json, line_to_json
 from troppencil.oracle import brute_fixed_locus, sampled_fixed
 from troppencil.pencil import (
     LinePoint,
@@ -42,7 +45,7 @@ from troppencil.pencil import (
     skeleton_level,
 )
 from troppencil.stable import curves_through, stable_pencil
-from troppencil.trees import TreeTopology, embed
+from troppencil.trees import EmbeddedLine, TreeTopology, embed, plucker_to_tree, tree_to_plucker
 
 
 def test_shifted_line(SQ):
@@ -613,3 +616,56 @@ def test_canonical_pieces_rational_spans():
         plane.SegmentGeom((Fraction(3, 4), Fraction(1, 4)), (Fraction(3, 2), Fraction(1, 2))),
     ]
     assert plane.canonical_pieces(halves) == [slanted]
+
+
+def test_fast_path_builds_no_leaf_sets(monkeypatch, SQ):
+    # leaf sets stay bitmasks from the JSON line to the fixed locus, the
+    # translates, Pi(G, I), pi_gamma, the pair vector's tree and realized
+    # types: no frozenset view of a topology or a branch table is read
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+
+        return wrapper
+
+    for name in ("_leaves", "leaf_partition", "leaves_beyond"):
+        monkeypatch.setattr(TreeTopology, name, counted(name, getattr(TreeTopology, name)))
+    monkeypatch.setattr(EmbeddedLine, "edge", counted("edge", EmbeddedLine.edge))
+    for name in ("branches", "edges"):
+        monkeypatch.setattr(EmbeddedLine, name, property(counted(name, getattr(EmbeddedLine, name).fget)))
+
+    rng = random.Random(61)
+    cases = [(SQ, make_lsq(), None)]
+    for n in (5, 6, 7, 8):
+        A = rand_support(rng, n)
+        T = next((T for _, T in compatible_types(A)), None)
+        cases += [(A, rand_line(rng, n, contract_p=p), T) for p in (0, 0.4)]
+    runs = []
+    for A, L, T in cases:
+        points = locus_points(L, A)[:4] + [rand_proj_point(rng) for _ in range(4)]
+        runs.append((A, line_to_json(L), tree_to_plucker(L), points, T))
+    calls.clear()
+    gammas = realized = 0
+    for A, obj, p, points, T in runs:
+        L = line_from_json(obj, A.n)
+        fixed_locus(L, A)
+        for P in points:
+            G = shifted_line(L, A, P)
+            if is_fixed(L, A, P):
+                pi_gamma(G)
+                gammas += 1
+            for I in ((), (1,), range(1, A.n + 1)):
+                try:
+                    pi_attachment(G, I)
+                except TropError:
+                    pass
+        line_to_json(plucker_to_tree(p))
+        if T is not None:
+            line_to_json(realize_type(A, T))
+            realized += 1
+    assert calls == [] and gammas > 10 and realized > 2
+    L.edge(L.rays[0])  # the counters do count the views
+    assert calls == ["edge", "_leaves"]

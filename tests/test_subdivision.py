@@ -13,7 +13,7 @@ from troppencil.core import (
     orient2d,
     support_values,
 )
-from troppencil.oracle import brute_regular_subdivision
+from troppencil.oracle import brute_regular_subdivision, squared_distance_heights
 from troppencil.subdivision import (
     cell_dual_point,
     curve_contains,
@@ -100,8 +100,7 @@ def test_is_maximal_modes(SQ, TRI5):
 def test_squared_distance_heights_on_cocircular_points(HEX6):
     # the four points (0,0),(1,0),(0,1),(1,1) are cocircular, so the
     # squared-distance lift leaves a square cell: not maximal
-    c = ProjPoint([Fraction(r * r + s * s) for r, s, _ in HEX6.points])
-    S = regular_subdivision(HEX6, c)
+    S = regular_subdivision(HEX6, squared_distance_heights(HEX6))
     assert (1, 2, 4, 5) in S.cells
     assert not is_maximal(S, "lenient")
     # dipping the middle point triangulates with every point used

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 
 import pytest
@@ -11,17 +11,18 @@ from conftest import (
     edge_lengths,
     make_lsq,
     mixed_line,
+    rand_config,
     rand_line,
     rand_support,
     rand_topology,
 )
 from troppencil import jsonio
-from troppencil.compat import enumerate_types
+from troppencil.compat import compatible_types, enumerate_types, realize_type
 from troppencil.core import ProjPoint, dot
 from troppencil.core import InternalError
 from troppencil.oracle import EpsRational, brute_plucker_to_tree, median_tree_to_plucker, poly_plucker_to_tree
 from troppencil.pencil import shifted_line
-from troppencil.stable import solve_minors
+from troppencil.stable import solve_minors, stable_pencil
 from troppencil.trees import (
     PlueckerError,
     PlueckerVector,
@@ -641,3 +642,66 @@ def test_line_equality_and_hash():
             different.append(swapped)
         for M in different:
             assert M != L and L != M
+
+
+def test_edge_rows_differ_by_e_I_modulo_ones():
+    # across every edge (a, b) the rows differ by D * length * e_I plus a
+    # constant vector, nonzero where `_placed` entered the edge from b: so
+    # the minimum of b's row is not that of a's row moved along the edge
+    rng = random.Random(91)
+    lines = []
+    for n in range(4, 10):
+        for contract_p in (0, 0.4):
+            lines += [rand_line(rng, n, contract_p=contract_p) for _ in range(3)]
+    for n in (5, 6, 7):
+        A = rand_support(rng, n)
+        lines += [realize_type(A, T) for _, T in islice(compatible_types(A), 3)]
+        lines += [stable_pencil(A, rand_config(rng, n)) for _ in range(3)]
+    shifted = 0
+    for L in lines:
+        for a, b, side, ell in L.edges:
+            lift = {y - x - (L.D * ell if i in side else 0) for i, (x, y) in enumerate(zip(L.rows[a], L.rows[b]), 1)}
+            assert len(lift) == 1
+            shifted += lift != {0}
+    assert shifted > 40
+
+
+def test_branch_views_are_pinned(SQ, TRI5, HEX6):
+    # the views build the (a, b, frozenset, Fraction or None) tuples of the
+    # table's masks and integer lengths, the same on a translate
+    def first_realized(A):
+        return realize_type(A, next(compatible_types(A))[1])
+
+    want = {
+        "SQ": [(5, 6, {1, 3}, 1), (5, 2, {2}, None), (5, 4, {4}, None), (6, 1, {1}, None), (6, 3, {3}, None)],
+        "TRI5": [
+            (6, 7, {1, 4}, Fraction(1, 8)),
+            (6, 8, {3, 5}, Fraction(1, 8)),
+            (6, 2, {2}, None),
+            (7, 1, {1}, None),
+            (7, 4, {4}, None),
+            (8, 3, {3}, None),
+            (8, 5, {5}, None),
+        ],
+        "HEX6": [
+            (7, 8, {1, 4, 6}, Fraction(1, 16)),
+            (7, 9, {3, 5}, Fraction(1, 16)),
+            (8, 10, {4, 6}, Fraction(1, 16)),
+            (7, 2, {2}, None),
+            (8, 1, {1}, None),
+            (9, 3, {3}, None),
+            (9, 5, {5}, None),
+            (10, 4, {4}, None),
+            (10, 6, {6}, None),
+        ],
+    }
+    lines = {"SQ": make_lsq(), "TRI5": first_realized(TRI5), "HEX6": first_realized(HEX6)}
+    for name, L in lines.items():
+        branches = [(a, b, frozenset(side), ell) for a, b, side, ell in want[name]]
+        edges = [br for br in branches if br[3] is not None]
+        for M in (L, L.translate([Fraction(k, 3) for k in range(L.n)])):
+            assert M.branches == branches
+            assert M.edges == edges
+            assert M.rays == [br[:2] for br in branches[len(edges) :]]
+            assert [M.edge(br[:2]) for br in branches] == branches
+            assert all(type(side) is frozenset and type(ell) in (Fraction, type(None)) for _, _, side, ell in M.branches)
